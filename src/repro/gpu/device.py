@@ -268,7 +268,11 @@ class SimulatedGPU:
         label = label or direction
         values = np.asarray(array)
         nbytes = int(values.nbytes)
-        if values.dtype == np.bool_ or np.issubdtype(values.dtype, np.number):
+        if np.issubdtype(values.dtype, np.floating):
+            # same count as count_nonzero(values) (-0.0 is zero; NaN and inf
+            # are not) at a fraction of its cost on float buffers
+            num_zeros = int(values.size - np.count_nonzero(values != 0))
+        elif values.dtype == np.bool_ or np.issubdtype(values.dtype, np.number):
             num_zeros = int(values.size - np.count_nonzero(values))
         else:
             num_zeros = 0

@@ -62,15 +62,38 @@ def current_phase() -> str:
     return _current_phase
 
 
-class Context:
-    """Per-call scratch space connecting forward and backward."""
+class _AllNeeded:
+    """``needs_input_grad`` of a context no tape has recorded: every input
+    needs its gradient, whatever its index."""
 
-    __slots__ = ("saved", "device", "extras")
+    __slots__ = ()
+
+    def __getitem__(self, index: int) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "ALL_NEEDED"
+
+
+_ALL_NEEDED = _AllNeeded()
+
+
+class Context:
+    """Per-call scratch space connecting forward and backward.
+
+    ``needs_input_grad[i]`` says whether the ``i``-th tensor input needs a
+    gradient.  ``backward`` may return ``None`` for an input that does not,
+    but must launch the same kernels either way.  Recorded calls read it
+    from the tape; a fresh context needs every gradient.
+    """
+
+    __slots__ = ("saved", "device", "extras", "needs_input_grad")
 
     def __init__(self) -> None:
         self.saved: tuple = ()
         self.device = None
         self.extras: dict[str, Any] = {}
+        self.needs_input_grad = _ALL_NEEDED
 
     def save_for_backward(self, *items: Any) -> None:
         self.saved = items
@@ -133,6 +156,7 @@ class Function:
         if requires:
             fn.inputs = tensor_args
             fn.needs_grad = tuple(t.requires_grad for t in tensor_args)
+            fn.ctx.needs_input_grad = fn.needs_grad
             out._ctx = fn
         return out
 

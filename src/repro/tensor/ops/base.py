@@ -257,16 +257,24 @@ def unbroadcast(grad: np.ndarray, shape: tuple[int, ...], device) -> np.ndarray:
     """
     if grad.shape == shape:
         return grad
-    before = grad.size
+    launch_unbroadcast(device, grad.shape, shape)
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    grad = grad.reshape(shape)
-    launch_reduction(device, "unbroadcast_sum", before, grad.size)
-    return grad
+    return grad.reshape(shape)
+
+
+def launch_unbroadcast(device: Optional[SimulatedGPU], grad_shape: tuple[int, ...],
+                       shape: tuple[int, ...]) -> None:
+    """The reduction :func:`unbroadcast` launches to bring a gradient of
+    ``grad_shape`` back to ``shape`` (none when they match), without the
+    gradient: ops that skip an unneeded gradient still launch it."""
+    if grad_shape != shape:
+        launch_reduction(device, "unbroadcast_sum", math.prod(grad_shape),
+                         math.prod(shape))
 
 
 def gemm_tiles(m: int, n: int) -> tuple[int, int, int]:

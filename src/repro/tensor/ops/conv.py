@@ -11,7 +11,8 @@ import numpy as np
 
 from ...gpu import OpClass
 from ..autograd import Function
-from .base import CONV_IOPS_PER_FMA, FLOAT_BYTES, as_array, launch, launch_elementwise
+from .base import (CONV_IOPS_PER_FMA, FLOAT_BYTES, as_array, launch, launch_elementwise,
+                   launch_reduction)
 
 
 def _data(x):
@@ -84,45 +85,58 @@ class Conv2d(Function):
         o, c, kh, kw = wd.shape
         n, _, oh, ow = grad.shape
 
+        need_x, need_w = ctx.needs_input_grad[0], ctx.needs_input_grad[1]
+
         # -- weight gradient: correlate input windows with grad --------------
-        win = _windows(xd, kh, kw, sh, sw)
-        grad_w = np.einsum("nohw,nchwij->ocij", grad, win, optimize=True)
+        grad_w = None
+        if need_w:
+            win = _windows(xd, kh, kw, sh, sw)
+            grad_w = np.einsum("nohw,nchwij->ocij", grad, win, optimize=True)
         launch_conv(ctx.device, "cudnn_conv2d_wgrad", n, c, o, oh, ow, kh, kw)
 
         # -- data gradient: full correlation with flipped kernel -------------
-        if sh > 1 or sw > 1:
-            dil = np.zeros((n, o, (oh - 1) * sh + 1, (ow - 1) * sw + 1),
-                           dtype=grad.dtype)
-            dil[:, :, ::sh, ::sw] = grad
-        else:
-            dil = grad
-        pad_h, pad_w = kh - 1, kw - 1
-        gpad = np.pad(dil, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-        wflip = wd[:, :, ::-1, ::-1]
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, (kh, kw), axis=(2, 3))
-        grad_x_padded = np.einsum("nohwij,ocij->nchw", gwin, wflip, optimize=True)
-        # Match the padded-input size: trim overhang, zero-fill any remainder
-        # rows/cols the strided conv never visited.
-        grad_x_padded = grad_x_padded[:, :, : xd.shape[2], : xd.shape[3]]
-        short_h = xd.shape[2] - grad_x_padded.shape[2]
-        short_w = xd.shape[3] - grad_x_padded.shape[3]
-        if short_h or short_w:
-            grad_x_padded = np.pad(
-                grad_x_padded, ((0, 0), (0, 0), (0, short_h), (0, short_w))
-            )
-        if ph or pw:
-            grad_x = grad_x_padded[:, :, ph : ph + in_shape[2], pw : pw + in_shape[3]]
-        else:
-            grad_x = grad_x_padded
+        grad_x = None
+        if need_x:
+            grad_x = _conv_dgrad(grad, xd, wd, (sh, sw), (ph, pw), in_shape)
         launch_conv(ctx.device, "cudnn_conv2d_dgrad", n, o, c, xd.shape[2],
                     xd.shape[3], kh, kw)
 
-        grads = [np.ascontiguousarray(grad_x), grad_w]
+        grads = [grad_x, grad_w]
         if ctx.extras["has_bias"]:
-            grad_b = grad.sum(axis=(0, 2, 3))
-            from .base import launch_reduction
-
-            launch_reduction(ctx.device, "reduce_conv_bias_grad", int(grad.size),
-                             int(grad_b.size))
-            grads.append(grad_b)
+            need_b = ctx.needs_input_grad[2]
+            grads.append(grad.sum(axis=(0, 2, 3)) if need_b else None)
+            launch_reduction(ctx.device, "reduce_conv_bias_grad", int(grad.size), o)
         return tuple(grads)
+
+
+def _conv_dgrad(grad, xd, wd, stride, padding, in_shape) -> np.ndarray:
+    """Input gradient of a convolution whose padded input was ``xd``."""
+    o, c, kh, kw = wd.shape
+    n, _, oh, ow = grad.shape
+    sh, sw = stride
+    ph, pw = padding
+    if sh > 1 or sw > 1:
+        dil = np.zeros((n, o, (oh - 1) * sh + 1, (ow - 1) * sw + 1),
+                       dtype=grad.dtype)
+        dil[:, :, ::sh, ::sw] = grad
+    else:
+        dil = grad
+    pad_h, pad_w = kh - 1, kw - 1
+    gpad = np.pad(dil, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    wflip = wd[:, :, ::-1, ::-1]
+    gwin = np.lib.stride_tricks.sliding_window_view(gpad, (kh, kw), axis=(2, 3))
+    grad_x_padded = np.einsum("nohwij,ocij->nchw", gwin, wflip, optimize=True)
+    # Match the padded-input size: trim overhang, zero-fill any remainder
+    # rows/cols the strided conv never visited.
+    grad_x_padded = grad_x_padded[:, :, : xd.shape[2], : xd.shape[3]]
+    short_h = xd.shape[2] - grad_x_padded.shape[2]
+    short_w = xd.shape[3] - grad_x_padded.shape[3]
+    if short_h or short_w:
+        grad_x_padded = np.pad(
+            grad_x_padded, ((0, 0), (0, 0), (0, short_h), (0, short_w))
+        )
+    if ph or pw:
+        grad_x = grad_x_padded[:, :, ph : ph + in_shape[2], pw : pw + in_shape[3]]
+    else:
+        grad_x = grad_x_padded
+    return np.ascontiguousarray(grad_x)

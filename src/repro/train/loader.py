@@ -227,10 +227,11 @@ class PinSAGESampleEngine:
         under per-batch seeding.
         """
         csr = self.graph.csr()
-        indptr = csr.indptr.astype(np.int64)
-        deg = indptr[seeds + 1] - indptr[seeds]
+        # O(seeds) reads: only the seeds' indptr entries are widened
+        lo = csr.indptr[seeds].astype(np.int64)
+        deg = csr.indptr[seeds + 1].astype(np.int64) - lo
         if csr.indices.size:
-            draw = indptr[seeds] + np.floor(
+            draw = lo + np.floor(
                 rng.random(seeds.size) * np.maximum(deg, 1)
             ).astype(np.int64)
             picks = csr.indices[

@@ -5,7 +5,9 @@ import pytest
 
 from repro.gpu import SimulatedGPU
 from repro.tensor import Tensor, functional as F, no_grad, phase
-from repro.tensor.autograd import current_phase, is_grad_enabled, topo_order
+from repro.tensor.autograd import Context, current_phase, is_grad_enabled, topo_order
+from repro.tensor.ops.conv import Conv2d
+from repro.tensor.ops.gemm import Linear, MatMul
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -98,6 +100,75 @@ class TestPhases:
         (t * 2).sum().backward()
         assert "forward" in phases
         assert "backward" in phases
+
+
+def _skip_case(name):
+    """(op, input arrays, keyword args) of a gradient-skipping op; the
+    MatMul operands broadcast each other's batch dims."""
+    rng = np.random.default_rng(0)
+
+    def f32(*shape):
+        return rng.normal(size=shape).astype(np.float32)
+
+    return {
+        "linear": (Linear, [f32(2, 5, 7), f32(3, 7), f32(3)], {}),
+        "conv2d": (Conv2d, [f32(2, 3, 7, 7), f32(4, 3, 3, 3), f32(4)],
+                   dict(stride=(2, 2), padding=(1, 1))),
+        "matmul": (MatMul, [f32(3, 1, 4, 5), f32(2, 5, 6)], {}),
+    }[name]
+
+
+def _recorded_backward(name, frozen):
+    """Launch descriptors and leaf gradients of one forward + backward,
+    with input ``frozen`` not requiring grad."""
+    op, arrays, kwargs = _skip_case(name)
+    gpu = SimulatedGPU()
+    descs = []
+    gpu.add_launch_listener(lambda launch: descs.append(launch.descriptor))
+    leaves = [Tensor(a, device=gpu, requires_grad=i != frozen)
+              for i, a in enumerate(arrays)]
+    op.apply(*leaves, **kwargs).sum().backward()
+    return descs, [leaf.grad for leaf in leaves]
+
+
+SKIP_CASES = [("linear", 0), ("linear", 1), ("linear", 2), ("conv2d", 0),
+              ("conv2d", 1), ("conv2d", 2), ("matmul", 0), ("matmul", 1)]
+
+
+class TestSkippedInputGrads:
+    """Ops skip gradients no input needs, launching exactly the same kernels."""
+
+    @pytest.mark.parametrize("name,frozen", SKIP_CASES)
+    def test_launches_and_needed_grads_unchanged(self, name, frozen):
+        want_descs, want_grads = _recorded_backward(name, frozen=None)
+        got_descs, got_grads = _recorded_backward(name, frozen)
+        assert got_descs == want_descs
+        for i, (got, want) in enumerate(zip(got_grads, want_grads)):
+            if i == frozen:
+                assert got is None
+            else:
+                assert got.data.dtype == want.data.dtype
+                assert got.data.shape == want.data.shape
+                assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("name,frozen", SKIP_CASES)
+    def test_unneeded_grad_is_none(self, name, frozen):
+        op, arrays, kwargs = _skip_case(name)
+        ctx = Context()
+        out = op.forward(ctx, *arrays, **kwargs)
+        ctx.needs_input_grad = tuple(i != frozen for i in range(len(arrays)))
+        grads = op.backward(ctx, np.ones_like(out))
+        assert [g is None for g in grads] == [i == frozen for i in range(len(arrays))]
+
+    @pytest.mark.parametrize("name", ["linear", "conv2d", "matmul"])
+    def test_fresh_context_returns_every_grad(self, name):
+        op, arrays, kwargs = _skip_case(name)
+        ctx = Context()
+        out = op.forward(ctx, *arrays, **kwargs)
+        grads = op.backward(ctx, np.ones_like(out))
+        assert len(grads) == len(arrays)
+        for grad, array in zip(grads, arrays):
+            assert grad is not None and grad.shape == array.shape
 
 
 class TestGradChecks:

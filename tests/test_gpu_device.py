@@ -62,6 +62,21 @@ class TestTransfers:
         record = gpu.h2d(np.array([0, 5, 0], dtype=np.int64))
         assert record.sparsity == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("values", [
+        np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-45, -1e-45, 2.5, 0.0],
+                 dtype=np.float32),
+        np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                  [-5e-324, 1e-310, 0.0]], dtype=np.float64),
+        np.array([True, False, False, True, False]),
+        np.array([0, -3, 0, 7, 0, 0], dtype=np.int32),
+        np.array([[0, 1], [0, 0]], dtype=np.uint8),
+    ], ids=["float32", "float64", "bool", "int32", "uint8"])
+    def test_zero_count_matches_count_nonzero(self, gpu, values):
+        # -0.0 counts as zero; NaN, inf and subnormals do not
+        record = gpu.h2d(values)
+        assert record.num_zeros == values.size - np.count_nonzero(values)
+        assert record.num_values == values.size
+
     def test_transfer_duration_scales_with_bytes(self, gpu):
         small = gpu.h2d(np.zeros(1 << 10, dtype=np.float32))
         large = gpu.h2d(np.zeros(1 << 22, dtype=np.float32))

@@ -21,7 +21,6 @@ class InteractionDataset:
     info: DatasetInfo
     graph: HeteroGraph
     item_features: np.ndarray
-    user_features: np.ndarray
     #: per-interaction arrays, time-ordered
     users: np.ndarray
     items: np.ndarray
@@ -64,9 +63,6 @@ def _build(
     latent = rng.normal(size=(num_items, feature_dim)).astype(np.float32)
     mask = rng.random((num_items, feature_dim)) < feature_sparsity
     latent[mask] = 0.0
-    user_features = rng.normal(size=(num_users, feature_dim)).astype(np.float32)
-    umask = rng.random((num_users, feature_dim)) < feature_sparsity
-    user_features[umask] = 0.0
 
     graph = HeteroGraph(
         num_nodes={"user": num_users, "item": num_items},
@@ -81,7 +77,6 @@ def _build(
         info=info,
         graph=graph,
         item_features=latent,
-        user_features=user_features,
         users=users,
         items=items,
         timestamps=timestamps,

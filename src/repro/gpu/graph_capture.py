@@ -31,7 +31,9 @@ The controller runs a four-stage state machine over training epochs:
 ``replay``
     All remaining epochs re-apply the plan in a tight loop: pure clock
     arithmetic and batched counter updates, no workload code, no dispatch, no
-    descriptor hashing.  Floating-point stat accumulation preserves the
+    descriptor hashing.  Unwatched replays run the plan's compiled view
+    (kernel/transfer steps plus one allocator delta); watched ones re-issue
+    every event.  Floating-point stat accumulation preserves the
     per-event operation order so replayed epochs are *byte-identical* to
     dispatched ones — the differential suite in ``tests/test_graph_capture``
     enforces this on golden streams, traces and memory snapshots.
@@ -56,6 +58,7 @@ import numpy as np
 from . import analysis_cache
 from .device import SimulatedGPU
 from .kernel import AccessKind, KernelDescriptor, KernelLaunch, OpClass, TransferRecord
+from .memory import PoolDelta
 
 #: bump when the captured-plan event model changes shape
 GRAPH_CAPTURE_VERSION = 1
@@ -211,7 +214,17 @@ class _EpochRecorder:
 
 @dataclass
 class EpochPlan:
-    """One steady-state epoch, flattened to a replayable event list."""
+    """One steady-state epoch, flattened to a replayable event list.
+
+    Construction also compiles the events for unwatched replay (see
+    :func:`replay_epoch`): ``segments`` holds the kernel and transfer steps
+    in plan order, as runs of kernel durations each closed by the
+    :class:`TransferRecord` that follows them (``None`` after the last
+    run); ``work`` holds each kernel's ``(duration_s, fp32_flops,
+    int32_iops)`` as a column, in plan order, behind one column that
+    replay fills with the running totals; ``pool_delta`` is the plan's
+    whole allocator effect.
+    """
 
     events: list[tuple]
     #: the (identical) metric dict every steady epoch reports
@@ -227,6 +240,30 @@ class EpochPlan:
     fused: bool = False
     fused_kernels: int = 0
     fused_members: int = 0
+    segments: list = field(init=False, repr=False, compare=False)
+    work: np.ndarray = field(init=False, repr=False, compare=False)
+    pool_delta: PoolDelta = field(init=False, repr=False, compare=False)
+    #: replays that took the compiled / per-event path (telemetry only)
+    compiled_replays: int = field(default=0, init=False, compare=False)
+    event_replays: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        segments, durations, work = [], [], [(0.0, 0.0, 0.0)]
+        for event in self.events:
+            if event[0] == "K":
+                launch = event[1]
+                desc = launch.descriptor
+                durations.append(launch.duration_s)
+                work.append(
+                    (launch.duration_s, desc.fp32_flops, desc.int32_iops))
+            elif event[0] == "T":
+                segments.append((durations, event[1]))
+                durations = []
+        segments.append((durations, None))
+        self.segments = segments
+        self.work = np.array(work, dtype=np.float64).T.copy()
+        self.pool_delta = PoolDelta.of(
+            event for event in self.events if event[0] in ("A", "F"))
 
     def totals(self) -> dict[str, float]:
         """Summed descriptor-level work of the plan's kernels."""
@@ -334,11 +371,82 @@ def replay_epoch(
     the exact floating-point operation sequence of ``SimulatedGPU.replay`` /
     ``_transfer``, float stat fields accumulate per event in dispatch order
     (into locals, written back once), and integer stat fields — exact under
-    addition — are applied as one per-epoch delta.  Launch/transfer envelopes
-    are only materialised when a profiler is listening; memory-pool events
-    re-drive the pool and the tracker's counter sample exactly as dispatch
-    did.  Returns (a copy of) the captured epoch metrics.
+    addition — are applied as one per-epoch delta.
+
+    When nothing watches single events (no launch or transfer listener, no
+    pool tap, no tracker counter sink) and every bucket's cached free blocks
+    cover what the plan takes from it, the plan's compiled view runs: one
+    loop over its kernel and transfer steps, then its allocator delta.
+    Otherwise every event is re-issued: launch/transfer envelopes are
+    materialised for the listeners, and memory-pool events re-drive the pool
+    and the tracker's counter sample exactly as dispatch did.  Returns (a
+    copy of) the captured epoch metrics.
     """
+    pool = device.memory
+    if (
+        not device._launch_listeners
+        and not device._transfer_listeners
+        and pool.tap is None
+        and (tracker is None or tracker._counter_sink is None)
+        and pool.covers(plan.pool_delta)
+    ):
+        plan.compiled_replays += 1
+        _replay_compiled(plan, device)
+        pool.apply(plan.pool_delta)
+    else:
+        plan.event_replays += 1
+        _replay_events(plan, device, tracker)
+    stats = device.stats
+    stats.kernel_count += plan.kernel_count
+    stats.transfer_count += plan.transfer_count
+    stats.h2d_bytes += plan.h2d_bytes
+    stats.d2h_bytes += plan.d2h_bytes
+    stats.analysis_hits += plan.analysis_hits
+    stats.analysis_misses += plan.analysis_misses
+    return dict(plan.metrics)
+
+
+def _replay_compiled(plan: EpochPlan, device: SimulatedGPU) -> None:
+    """Clocks and float stats of the plan's compiled steps."""
+    launch_overhead = device.sim.device.kernel_launch_overhead_s
+    stats = device.stats
+    clock = device.clock_s
+    host = device.host_clock_s
+    overhead_time = stats.launch_overhead_s
+    transfer_time = stats.transfer_time_s
+
+    for durations, record in plan.segments:
+        for duration in durations:
+            host += launch_overhead
+            if host > clock:
+                overhead_time += host - clock
+                clock = host + duration
+            else:
+                # start == clock: dispatch adds start - clock == +0.0 to an
+                # overhead sum that is never -0.0, which leaves it unchanged
+                clock += duration
+        if record is not None:
+            start = clock if clock > host else host
+            clock = start + record.duration_s
+            host = clock
+            transfer_time += record.duration_s
+
+    # Kernel time and work still accumulate kernel by kernel in plan order:
+    # ufunc.accumulate adds strictly left to right, as dispatch does.  The
+    # plan's first column is the slot for the running totals.
+    work = plan.work
+    work[:, 0] = (stats.kernel_time_s, stats.fp32_flops, stats.int32_iops)
+    (stats.kernel_time_s, stats.fp32_flops,
+     stats.int32_iops) = np.add.accumulate(work, axis=1)[:, -1].tolist()
+    device.clock_s = clock
+    device.host_clock_s = host
+    device._launch_counter += work.shape[1] - 1
+    stats.launch_overhead_s = overhead_time
+    stats.transfer_time_s = transfer_time
+
+
+def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker) -> None:
+    """Re-issue every event of the plan, for watched replays."""
     launch_overhead = device.sim.device.kernel_launch_overhead_s
     stats = device.stats
     clock = device.clock_s
@@ -402,13 +510,6 @@ def replay_epoch(
     stats.transfer_time_s = transfer_time
     stats.fp32_flops = fp32_flops
     stats.int32_iops = int32_iops
-    stats.kernel_count += plan.kernel_count
-    stats.transfer_count += plan.transfer_count
-    stats.h2d_bytes += plan.h2d_bytes
-    stats.d2h_bytes += plan.d2h_bytes
-    stats.analysis_hits += plan.analysis_hits
-    stats.analysis_misses += plan.analysis_misses
-    return dict(plan.metrics)
 
 
 # -- elementwise fusion -------------------------------------------------------
@@ -661,6 +762,10 @@ class CaptureReplayController:
         if self.plan is not None:
             info["plan_kernels"] = self.plan.kernel_count
             info["plan_transfers"] = self.plan.transfer_count
+            replayed = (self.fused_plan if self.fused_plan is not None
+                        else self.plan)
+            info["compiled_replays"] = replayed.compiled_replays
+            info["event_replays"] = replayed.event_replays
         if self.fused_plan is not None:
             info["fused_kernels"] = self.fused_plan.fused_kernels
             info["fused_members"] = self.fused_plan.fused_members

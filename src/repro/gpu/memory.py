@@ -72,6 +72,78 @@ class OOMEvent:
     clock_s: float
 
 
+@dataclass(frozen=True)
+class PoolDelta:
+    """The whole effect of one fixed alloc/free sequence on a pool.
+
+    Built once by :meth:`of` from the pool's own tap tuples.  When the
+    pool :meth:`~MemoryPool.covers` it, every allocation in the sequence
+    would reuse a cached block, so no reservation, OOM check or segment
+    count can happen, and :meth:`MemoryPool.apply` leaves the pool exactly
+    as replaying the sequence through ``alloc``/``free`` would, in
+    O(buckets + phases + labels).
+    """
+
+    #: (block, most blocks the sequence holds from that bucket at once)
+    need: tuple[tuple[int, int], ...]
+    #: (block, net change of that bucket's cached free blocks), non-zero
+    net_blocks: tuple[tuple[int, int], ...]
+    live_bytes: int
+    requested_bytes: int
+    #: highest live-bytes increment right after an allocation (None: none)
+    peak: Optional[int]
+    #: (phase, highest increment right after an allocation in that phase)
+    phase_peaks: tuple[tuple[str, int], ...]
+    #: (label, allocations, requested bytes), in first-use order
+    labels: tuple[tuple[str, int, int], ...]
+    allocs: int
+    frees: int
+
+    @classmethod
+    def of(cls, events) -> "PoolDelta":
+        """Delta of ``("A", nbytes, label, phase)`` / ``("F", block,
+        requested)`` events, in order."""
+        held: dict[int, int] = {}
+        need: dict[int, int] = {}
+        phases: dict[str, int] = {}
+        labels: dict[str, list[int]] = {}
+        live = requested = allocs = frees = 0
+        peak = None
+        for event in events:
+            if event[0] == "A":
+                _, nbytes, label, phase = event
+                block = round_block(nbytes)
+                taken = held.get(block, 0) + 1
+                held[block] = taken
+                if taken > need.get(block, 0):
+                    need[block] = taken
+                live += block
+                requested += nbytes
+                allocs += 1
+                if peak is None or live > peak:
+                    peak = live
+                if phase and (phase not in phases or live > phases[phase]):
+                    phases[phase] = live
+                if label:
+                    entry = labels.setdefault(label, [0, 0])
+                    entry[0] += 1
+                    entry[1] += nbytes
+            else:
+                _, block, req = event
+                held[block] = held.get(block, 0) - 1
+                live -= block
+                requested -= req
+                frees += 1
+        return cls(
+            need=tuple(need.items()),
+            net_blocks=tuple((b, -h) for b, h in held.items() if h),
+            live_bytes=live, requested_bytes=requested, peak=peak,
+            phase_peaks=tuple(phases.items()),
+            labels=tuple((name, c, n) for name, (c, n) in labels.items()),
+            allocs=allocs, frees=frees,
+        )
+
+
 class MemoryPool:
     """Caching HBM allocator for one simulated device.
 
@@ -91,7 +163,8 @@ class MemoryPool:
         #: optional event tap (``repro.gpu.graph_capture``): every alloc/free
         #: is mirrored as an ``("A", nbytes, label, phase)`` / ``("F", block,
         #: requested)`` tuple so a captured epoch plan can re-drive the pool
-        #: deterministically during replay.  Survives :meth:`reset` — the tap
+        #: deterministically during replay, or apply their :class:`PoolDelta`
+        #: when nothing watches it.  Survives :meth:`reset` — the tap
         #: owner installs and removes it around one capture window.  The pool
         #: is only ever driven while a DeviceMemoryTracker is installed, so
         #: the ``None`` check never sits on the kernel-launch hot path.
@@ -173,6 +246,49 @@ class MemoryPool:
         self._free_blocks[block] = self._free_blocks.get(block, 0) + 1
         if self.tap is not None:
             self.tap(("F", block, int(requested)))
+
+    def covers(self, delta: PoolDelta) -> bool:
+        """Would every allocation of ``delta``'s sequence reuse a cached
+        block?"""
+        free = self._free_blocks
+        for block, count in delta.need:
+            if free.get(block, 0) < count:
+                return False
+        return True
+
+    def apply(self, delta: PoolDelta) -> None:
+        """End state of a sequence this pool :meth:`covers`, without its
+        single events (no tap, OOM check or reservation)."""
+        free = self._free_blocks
+        for block, change in delta.net_blocks:
+            count = free.get(block, 0) + change
+            if count:
+                free[block] = count
+            else:
+                del free[block]
+        base = self.live_bytes
+        self.live_bytes = base + delta.live_bytes
+        self.requested_live_bytes += delta.requested_bytes
+        self.alloc_count += delta.allocs
+        self.free_count += delta.frees
+        self.bucket_reuse_count += delta.allocs
+        if delta.peak is not None:
+            peak = base + delta.peak
+            if peak > self.peak_live_bytes:
+                self.peak_live_bytes = peak
+            if peak > self._interval_peak:
+                self._interval_peak = peak
+        for phase, rise in delta.phase_peaks:
+            peak = base + rise
+            if peak > self.phase_watermarks.get(phase, 0):
+                self.phase_watermarks[phase] = peak
+        for label, count, nbytes in delta.labels:
+            entry = self.label_stats.get(label)
+            if entry is None:
+                self.label_stats[label] = [count, nbytes]
+            else:
+                entry[0] += count
+                entry[1] += nbytes
 
     def trim(self) -> int:
         """Release every cached free block back to the device

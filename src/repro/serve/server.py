@@ -297,7 +297,6 @@ def serve_run(
     manual_seed(seed)
     device = SimulatedGPU(sim)
     gc_was_enabled = gc.isenabled()
-    gc.collect()
     gc.disable()
     timeline: Optional[trace.Timeline] = None
     try:

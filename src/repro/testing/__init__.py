@@ -11,7 +11,7 @@ Three pillars, each mechanically checkable:
 
 Plus :mod:`.launch_sequences`, a synthetic launch-sequence generator
 (Hypothesis strategy and seeded plain generator) used by the kernel-fusion
-property tests.
+and replay property tests.
 """
 
 from .gradcheck import (

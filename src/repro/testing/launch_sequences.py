@@ -1,13 +1,18 @@
-"""Random launch-sequence generators for fusion property tests.
+"""Random launch-sequence generators for fusion and replay property tests.
 
 The fusion pass (:func:`repro.gpu.graph_capture.fuse_events`) is a pure
 function over captured epoch event lists, so its legality rules — never fuse
 across a phase or epoch boundary, a reduction, a transfer, a device change,
 or any non-elementwise kernel — are checkable on *synthetic* sequences
-without building a workload.  This module provides:
+without building a workload.  Replay (:func:`repro.gpu.graph_capture.
+replay_epoch`) is checkable the same way: its compiled and per-event paths
+must leave identical clocks, stats and allocator state.  This module
+provides:
 
 * :func:`make_launch` / :func:`make_transfer` — single-event constructors
-  with dummy timing (fusion only reads descriptors and device ids);
+  with a given duration and otherwise dummy timing (fusion only reads
+  descriptors and device ids, replay only durations and work counts);
+* :func:`make_alloc` / :func:`make_free` — memory-pool events;
 * :data:`EPOCH_BOUNDARY` — the synthetic epoch-boundary marker.  Real
   captured plans cover exactly one epoch so never contain one; the fusion
   pass treats every unknown event tag as a barrier, which this marker (and
@@ -24,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..gpu.config import DEFAULT_SIMULATION
 from ..gpu.kernel import (
     AccessPattern,
     KernelDescriptor,
@@ -33,6 +39,7 @@ from ..gpu.kernel import (
     StallBreakdown,
     TransferRecord,
 )
+from ..gpu.memory import round_block
 
 #: synthetic epoch-boundary event: any tag the replay/fusion machinery does
 #: not recognise acts as a fusion barrier
@@ -41,6 +48,18 @@ EPOCH_BOUNDARY = ("E",)
 PHASES = ("forward", "backward", "optimizer")
 
 ELEMENTWISE_NAMES = ("add", "mul", "relu", "sigmoid", "dropout", "sgd_step")
+
+#: pool-event request sizes: few enough that buckets repeat, spanning the
+#: small (512 B quantum) and large (64 KiB quantum) pools
+POOL_SIZES = (100, 512, 3000, 70_000, 1 << 20, (5 << 20) + 7)
+POOL_LABELS = ("", "activation", "grad", "batch")
+POOL_PHASES = ("", "forward", "backward", "serve")
+
+#: kernel/transfer durations straddle the default launch overhead, so
+#: replayed kernels are both host- and device-bound; a kernel as long as
+#: the overhead leaves the host and device clocks exactly level
+MAX_DURATION_S = 2e-5
+TIE_DURATION_S = DEFAULT_SIMULATION.device.kernel_launch_overhead_s
 
 
 def make_launch(
@@ -60,12 +79,14 @@ def make_launch(
     reuse_factor: float = 1.0,
     compute_scale: float = 1.0,
     access: Optional[AccessPattern] = None,
+    duration_s: float = 0.0,
 ) -> tuple:
-    """One ``("K", launch)`` event with zeroed timing fields.
+    """One ``("K", launch)`` event; timing fields other than
+    ``duration_s`` are zero.
 
     Fusion never reads timing from its *inputs* (only from the re-analysed
-    fused descriptor), so synthetic launches don't need the analysis
-    pipeline.
+    fused descriptor), and replay only reads ``duration_s``, so synthetic
+    launches don't need the analysis pipeline.
     """
     desc = KernelDescriptor(
         name=name,
@@ -88,7 +109,7 @@ def make_launch(
         launch_id=-1,
         device_id=device_id,
         cycles=0.0,
-        duration_s=0.0,
+        duration_s=duration_s,
         start_s=0.0,
         instructions=0.0,
         fp32_instrs=0.0,
@@ -102,7 +123,7 @@ def make_launch(
 
 
 def make_transfer(direction: str = "h2d", nbytes: int = 4096,
-                  label: str = "batch") -> tuple:
+                  label: str = "batch", duration_s: float = 0.0) -> tuple:
     """One ``("T", record)`` event (always a fusion barrier)."""
     return ("T", TransferRecord(
         direction=direction,
@@ -111,9 +132,25 @@ def make_transfer(direction: str = "h2d", nbytes: int = 4096,
         num_zeros=0,
         label=label,
         start_s=0.0,
-        duration_s=0.0,
+        duration_s=duration_s,
         device_id=0,
     ))
+
+
+def make_alloc(nbytes: int = 4096, label: str = "activation",
+               phase: str = "forward") -> tuple:
+    """One ``("A", nbytes, label, phase)`` pool allocation (a fusion
+    barrier)."""
+    return ("A", nbytes, label, phase)
+
+
+def make_free(nbytes: int = 4096) -> tuple:
+    """One ``("F", block, requested)`` pool free of an ``nbytes`` request.
+
+    Frees need not match an earlier allocation of the sequence: a captured
+    epoch also frees blocks allocated before it.
+    """
+    return ("F", round_block(nbytes), nbytes)
 
 
 def events(max_size: int = 40):
@@ -122,13 +159,15 @@ def events(max_size: int = 40):
     Skews towards fusible elementwise launches so generated sequences
     actually contain runs, while still mixing in every barrier kind:
     reductions (both by op class and by ``reuse_factor``), GEMMs, strided
-    elementwise kernels, transfers, epoch boundaries, phase switches, and a
-    second device.
+    elementwise kernels, transfers, pool allocations and frees, epoch
+    boundaries, phase switches, and a second device.
     """
     from hypothesis import strategies as st
 
     # exact-in-float integers: cost-conservation asserts exact FP equality
     work = st.integers(min_value=0, max_value=2**20).map(float)
+    duration = st.one_of(st.floats(min_value=0.0, max_value=MAX_DURATION_S),
+                         st.just(TIE_DURATION_S))
 
     fusible_kernel = st.builds(
         make_launch,
@@ -147,28 +186,40 @@ def events(max_size: int = 40):
         bytes_read=work,
         bytes_written=work,
         control_instrs=work,
+        duration_s=duration,
     )
     unfusible_elementwise = st.one_of(
         # elementwise but cache-reusing (acts like a fused-unsafe kernel)
         st.builds(make_launch, name=st.just("ew_reuse"),
-                  reuse_factor=st.just(1.5), fp32_flops=work),
+                  reuse_factor=st.just(1.5), fp32_flops=work,
+                  duration_s=duration),
         # elementwise but strided access
         st.builds(make_launch, name=st.just("ew_strided"),
                   access=st.just(AccessPattern.strided(128)),
-                  fp32_flops=work),
+                  fp32_flops=work, duration_s=duration),
         # elementwise with shape-dependent compute scaling
         st.builds(make_launch, name=st.just("ew_scaled"),
-                  compute_scale=st.just(2.0), fp32_flops=work),
+                  compute_scale=st.just(2.0), fp32_flops=work,
+                  duration_s=duration),
     )
     barrier_kernel = st.one_of(
         st.builds(make_launch, name=st.just("rowsum"),
                   op_class=st.just(OpClass.REDUCTION),
-                  reuse_factor=st.just(1.5), fp32_flops=work),
+                  reuse_factor=st.just(1.5), fp32_flops=work,
+                  duration_s=duration),
         st.builds(make_launch, name=st.just("gemm"),
                   op_class=st.just(OpClass.GEMM),
-                  reuse_factor=st.just(8.0), fp32_flops=work),
+                  reuse_factor=st.just(8.0), fp32_flops=work,
+                  duration_s=duration),
         st.builds(make_launch, name=st.just("gather"),
-                  op_class=st.just(OpClass.GATHER), fp32_flops=work),
+                  op_class=st.just(OpClass.GATHER), fp32_flops=work,
+                  duration_s=duration),
+    )
+    pool_event = st.one_of(
+        st.builds(make_alloc, nbytes=st.sampled_from(POOL_SIZES),
+                  label=st.sampled_from(POOL_LABELS),
+                  phase=st.sampled_from(POOL_PHASES)),
+        st.builds(make_free, nbytes=st.sampled_from(POOL_SIZES)),
     )
     event = st.one_of(
         fusible_kernel,
@@ -176,7 +227,9 @@ def events(max_size: int = 40):
         unfusible_elementwise,
         barrier_kernel,
         st.builds(make_transfer, direction=st.sampled_from(("h2d", "d2h")),
-                  nbytes=st.integers(min_value=4, max_value=1 << 20)),
+                  nbytes=st.integers(min_value=4, max_value=1 << 20),
+                  duration_s=duration),
+        pool_event,
         st.just(EPOCH_BOUNDARY),
     )
     return st.lists(event, max_size=max_size)
@@ -188,6 +241,8 @@ def random_events(rng: np.random.Generator, size: int = 40) -> list[tuple]:
     for _ in range(size):
         roll = rng.random()
         work = float(rng.integers(0, 2**20))
+        duration = (TIE_DURATION_S if rng.random() < 0.2
+                    else float(rng.random() * MAX_DURATION_S))
         if roll < 0.55:
             out.append(make_launch(
                 name=ELEMENTWISE_NAMES[int(rng.integers(len(ELEMENTWISE_NAMES)))],
@@ -200,16 +255,29 @@ def random_events(rng: np.random.Generator, size: int = 40) -> list[tuple]:
                 fp32_flops=work,
                 bytes_read=float(rng.integers(0, 2**20)),
                 bytes_written=float(rng.integers(0, 2**20)),
+                duration_s=duration,
             ))
-        elif roll < 0.7:
+        elif roll < 0.65:
             out.append(make_launch(name="rowsum",
                                    op_class=OpClass.REDUCTION,
-                                   reuse_factor=1.5, fp32_flops=work))
-        elif roll < 0.85:
+                                   reuse_factor=1.5, fp32_flops=work,
+                                   duration_s=duration))
+        elif roll < 0.75:
             out.append(make_transfer(
                 direction=("h2d", "d2h")[int(rng.integers(2))],
                 nbytes=int(rng.integers(4, 1 << 20)),
+                duration_s=duration,
             ))
+        elif roll < 0.9:
+            nbytes = POOL_SIZES[int(rng.integers(len(POOL_SIZES)))]
+            if rng.random() < 0.5:
+                out.append(make_alloc(
+                    nbytes,
+                    label=POOL_LABELS[int(rng.integers(len(POOL_LABELS)))],
+                    phase=POOL_PHASES[int(rng.integers(len(POOL_PHASES)))],
+                ))
+            else:
+                out.append(make_free(nbytes))
         else:
             out.append(EPOCH_BOUNDARY)
     return out

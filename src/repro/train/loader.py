@@ -567,7 +567,6 @@ def sample_run(
     manual_seed(seed)
     device = SimulatedGPU(sim)
     gc_was_enabled = gc.isenabled()
-    gc.collect()
     gc.disable()
     timeline: Optional[trace.Timeline] = None
     try:

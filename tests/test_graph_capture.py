@@ -7,7 +7,8 @@ the kernel/transfer event stream, the final device clocks, the complete
 ``DeviceStats``, the kernel-timeline trace (memory counter samples included),
 and the full memory report.  Every test here compares a steady-dispatch run
 against a capture-replay run of the same workload and asserts equality, not
-closeness.
+closeness.  Runs with a recorder or tracer attached replay event by event;
+runs with nothing attached take the compiled path, and are compared too.
 """
 
 import dataclasses
@@ -69,6 +70,9 @@ class TestDifferentialReplay:
             assert ctrl["state"] == "replay", (key, ctrl)
             assert ctrl["fallback_reason"] is None
             assert ctrl["replayed_epochs"] == 2
+            # the stream recorder watches every launch
+            assert ctrl["event_replays"] == 2
+            assert ctrl["compiled_replays"] == 0
             assert ctrl["plan_kernels"] > 0
             assert steady[key]["controller"]["state"] == "steady"
             assert steady[key]["controller"]["replayed_epochs"] == 0
@@ -91,6 +95,59 @@ class TestDifferentialReplay:
         analysis_cache.clear()
         replayed = measure_memory(key, epochs=5, mode="capture")
         assert dispatched == replayed
+
+
+def _unwatched_run(key, mode, epochs=6):
+    """A trainer run with no listener, tracker or tap attached."""
+    analysis_cache.clear()
+    manual_seed(0)
+    device = SimulatedGPU()
+    workload = registry.get(key).build(device=device, scale="test")
+    device.reset()
+    trainer = Trainer(workload=workload, device=device,
+                      steady=mode == "steady",
+                      capture_replay=mode == "capture")
+    results = trainer.run(epochs=epochs, seed=0)
+    analysis_cache.clear()
+    return {
+        "clock_s": device.clock_s,
+        "host_clock_s": device.host_clock_s,
+        "launch_counter": device._launch_counter,
+        "stats": dataclasses.asdict(device.stats),
+        "epochs": [dataclasses.asdict(r) for r in results],
+    }, trainer._controller
+
+
+class TestUnwatchedReplay:
+    """The path training benchmarks and serving take: nothing attached."""
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_compiled_replay_matches_dispatch(self, key):
+        steady, _ = _unwatched_run(key, "steady")
+        replayed, ctrl = _unwatched_run(key, "capture")
+        assert replayed == steady
+        info = ctrl.describe()
+        assert info["state"] == "replay", info
+        # warmup + capture + validate, then 3 replays, all compiled
+        assert info["compiled_replays"] == 3
+        assert info["event_replays"] == 0
+
+    def test_serve_replays_are_compiled(self, monkeypatch):
+        from repro.serve import server
+
+        plans = {}
+        real = server.replay_epoch
+
+        def spy(plan, device, tracker=None):
+            plans[id(plan)] = plan
+            return real(plan, device, tracker=tracker)
+
+        monkeypatch.setattr(server, "replay_epoch", spy)
+        report, _ = server.serve_run("PSAGE-MVL", seed=0)
+        assert report["replayed_batches"] > 0
+        assert sum(p.compiled_replays for p in plans.values()) \
+            == report["replayed_batches"]
+        assert all(p.event_replays == 0 for p in plans.values())
 
 
 def _controller_run(key, replay, epochs=5, corrupt=False):

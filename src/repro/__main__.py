@@ -169,7 +169,7 @@ def _dump_metrics(output: str | None, manifest: dict | None = None) -> None:
 
 
 def _print_memstats(args, cache) -> int:
-    from .core import characterize, executor
+    from .core import characterize, executor, registry
     from .profiling.report import format_memory_table
 
     scale = args.scale or "test"
@@ -206,83 +206,35 @@ def _print_memstats(args, cache) -> int:
             print(f"     {name:<20}{nbytes / 1e6:10.2f}  x{count}")
         print(f"   memory digest {report['memory_digest'][:16]}")
     else:
-        reports = executor.memstats_suite(scale=scale, epochs=args.epochs,
-                                          seed=args.seed, strict=args.strict,
-                                          jobs=args.jobs, cache=cache)
+        reports = executor.suite("memstats", registry.WORKLOAD_KEYS,
+                                 jobs=args.jobs, cache=cache, scale=scale,
+                                 epochs=args.epochs, seed=args.seed,
+                                 strict=args.strict)
         print(format_memory_table(reports))
     if args.metrics or args.metrics_output:
         _dump_metrics(args.metrics_output)
     return 0
 
 
-def _run_golden(workload: str | None, update: bool, jobs: int | None,
-                cache, traces: bool = False, memory: bool = False,
-                fused: bool = False, serve: bool = False,
-                sample: bool = False, shard: bool = False,
-                insights: bool = False) -> int:
-    from .core import registry
+def _run_golden(args, cache) -> int:
     from .testing import golden
 
-    if shard:
-        # shard snapshots are keyed by config name (ARGA-P4), not workload
-        keys = [workload.upper()] if workload else list(golden.SHARD_GOLDEN_KEYS)
-        unknown = [k for k in keys if k not in golden.SHARD_GOLDEN_KEYS]
-        if unknown:
-            print(f"unknown shard config(s) {unknown}; "
-                  f"have {sorted(golden.SHARD_GOLDEN_KEYS)}")
+    fam = golden.FAMILIES[args.golden_family]
+    keys = list(fam.keys)
+    if args.workload:
+        keys = [k for k in fam.domain if k.lower() == args.workload.lower()]
+        if not keys:
+            print(f"unknown {fam.name} golden key {args.workload!r}; "
+                  f"have {sorted(fam.domain)}")
             return 2
-    else:
-        if insights:
-            keys = ([workload] if workload
-                    else list(golden.INSIGHTS_GOLDEN_KEYS))
-        elif sample:
-            keys = [workload] if workload else list(golden.SAMPLE_GOLDEN_KEYS)
-        elif serve:
-            keys = [workload] if workload else list(golden.SERVE_GOLDEN_KEYS)
-        else:
-            keys = [workload] if workload else list(registry.WORKLOAD_KEYS)
-        unknown = [k for k in keys if k not in registry.WORKLOAD_KEYS]
-        if unknown:
-            print(f"unknown workload(s) {unknown}; "
-                  f"have {sorted(registry.WORKLOAD_KEYS)}")
-            return 2
-    if shard:
-        update_fn = golden.update_shard_goldens
-        verify_fn = golden.verify_shard_goldens
-    elif insights:
-        update_fn = golden.update_insights_goldens
-        verify_fn = golden.verify_insights_goldens
-    elif sample:
-        update_fn = golden.update_sample_goldens
-        verify_fn = golden.verify_sample_goldens
-    elif serve:
-        update_fn = golden.update_serve_goldens
-        verify_fn = golden.verify_serve_goldens
-    elif fused:
-        update_fn = golden.update_fused_goldens
-        verify_fn = golden.verify_fused_goldens
-    elif memory:
-        update_fn = golden.update_memory_goldens
-        verify_fn = golden.verify_memory_goldens
-    elif traces:
-        update_fn = golden.update_trace_goldens
-        verify_fn = golden.verify_trace_goldens
-    else:
-        update_fn = golden.update_goldens
-        verify_fn = golden.verify_goldens
-    if update:
-        for path in update_fn(keys, jobs=jobs, cache=cache):
+    if args.update:
+        for path in golden.update(fam.name, keys, jobs=args.jobs,
+                                  cache=cache):
             print(f"wrote {path}")
         return 0
-    flag = (" --shard" if shard
-            else " --insights" if insights
-            else " --sample" if sample
-            else " --serve" if serve
-            else " --fused" if fused
-            else " --memory" if memory
-            else " --traces" if traces else "")
     failed = 0
-    for key, diffs in verify_fn(keys, jobs=jobs, cache=cache).items():
+    for key, diffs in golden.verify(fam.name, keys, jobs=args.jobs,
+                                    cache=cache).items():
         if not diffs:
             print(f"{key}: ok")
         elif len(diffs) == 1 and diffs[0].startswith("missing snapshot"):
@@ -295,7 +247,7 @@ def _run_golden(workload: str | None, update: bool, jobs: int | None,
                 print(f"  {line}")
     if failed:
         print(f"{failed} workload(s) diverged; regenerate intentionally with "
-              f"`python -m repro golden{flag} --update`")
+              f"`{fam.regenerate}`")
     return 1 if failed else 0
 
 
@@ -759,6 +711,8 @@ def _run_bench_hotpath(args, scale: str,
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .testing import golden
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GNNMark reproduction: regenerate the paper's artifacts",
@@ -789,34 +743,16 @@ def main(argv: list[str] | None = None) -> int:
                              "cache")
     parser.add_argument("--update", action="store_true",
                         help="regenerate golden snapshots instead of diffing")
-    parser.add_argument("--traces", action="store_true",
-                        help="'golden': operate on timeline-trace snapshots "
-                             "(tests/golden/trace_*.json) instead of kernel "
-                             "streams")
-    parser.add_argument("--memory", action="store_true",
-                        help="'golden': operate on device-memory snapshots "
-                             "(tests/golden/memory_*.json) instead of kernel "
-                             "streams")
-    parser.add_argument("--fused", action="store_true",
-                        help="'golden': operate on fused-stream snapshots "
-                             "(tests/golden/fused_*.json) — capture/replay "
-                             "with elementwise fusion")
-    parser.add_argument("--serve", action="store_true",
-                        help="'golden': operate on serving snapshots "
-                             "(tests/golden/serve_*.json) — repro.serve "
-                             "latency reports")
-    parser.add_argument("--sample", action="store_true",
-                        help="'golden': operate on sampled-training "
-                             "snapshots (tests/golden/sample_*.json) — "
-                             "mini-batch loader reports")
-    parser.add_argument("--shard", action="store_true",
-                        help="'golden': operate on sharded-training "
-                             "snapshots (tests/golden/shard_*.json) — "
-                             "partition-parallel training reports")
-    parser.add_argument("--insights", action="store_true",
-                        help="'golden': operate on insight-engine snapshots "
-                             "(tests/golden/insights_*.json) — roofline "
-                             "attribution reports")
+    families = parser.add_mutually_exclusive_group()
+    for fam in golden.FAMILIES.values():
+        if fam.flag:
+            families.add_argument(
+                fam.flag, dest="golden_family", action="store_const",
+                const=fam.name,
+                help=f"'golden': operate on {fam.noun}s "
+                     f"(tests/golden/{fam.prefix}*.json) instead of kernel "
+                     f"streams")
+    parser.set_defaults(golden_family="stream")
     parser.add_argument("--diff", nargs=2,
                         metavar=("REFERENCE", "MEASURED"),
                         help="'insights': diagnose the delta between two "
@@ -907,11 +843,7 @@ def main(argv: list[str] | None = None) -> int:
     cache = False if args.no_cache else True
 
     if args.command == "golden":
-        return _run_golden(args.workload, args.update, args.jobs, cache,
-                           traces=args.traces, memory=args.memory,
-                           fused=args.fused, serve=args.serve,
-                           sample=args.sample, shard=args.shard,
-                           insights=args.insights)
+        return _run_golden(args, cache)
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "insights":
@@ -934,8 +866,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "profile":
         if args.workload:
-            _print_profile(mark, args.workload, args.epochs,
-                           strict=args.strict)
+            _print_profile(mark, _resolve_workload(args.workload),
+                           args.epochs, strict=args.strict)
         else:
             _print_profile_suite(mark, args.epochs, args.strict, args.jobs,
                                  cache)

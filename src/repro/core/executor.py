@@ -20,18 +20,9 @@ and cache-hit paths all execute the same self-seeding task functions, and
 three for every registry workload.
 
 Tasks are declarative ``(kind, params)`` pairs so they cross process
-boundaries without pickling closures:
-
-* ``("profile", {...})``      → :func:`repro.core.characterize.profile_workload`
-* ``("fingerprint", {...})``  → :func:`repro.testing.golden.fingerprint_workload`
-* ``("scaling", {...})``      → :func:`repro.train.ddp.run_scaling_point`
-* ``("trace", {...})``        → :func:`repro.profiling.trace.trace_fingerprint`
-* ``("memstats", {...})``     → :func:`repro.core.characterize.measure_memory`
-* ``("capture_fingerprint", {...})`` → :func:`repro.testing.golden.capture_fingerprint`
-* ``("fused_fingerprint", {...})``   → :func:`repro.testing.golden.fused_fingerprint`
-* ``("serve", {...})``        → :func:`repro.serve.serve_report`
-* ``("sample", {...})``       → :func:`repro.train.loader.sample_report`
-* ``("shard", {...})``        → :func:`repro.train.sharded.shard_report`
+boundaries without pickling closures.  :data:`TASKS` maps each kind to the
+function that runs it, named by module and attribute so the import happens
+in the executing process; :func:`suite` fans one kind out over many keys.
 
 ``jobs=None`` resolves the worker count from ``$REPRO_JOBS`` (default 1),
 which is how CI exercises the parallel path under the stock pytest suite.
@@ -39,6 +30,7 @@ which is how CI exercises the parallel path under the stock pytest suite.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
 import tempfile
@@ -52,84 +44,20 @@ from . import registry
 Task = tuple  # (kind: str, params: dict)
 
 
-def _run_profile(params: dict):
-    from . import characterize
-
-    return characterize.profile_workload(**params)
-
-
-def _run_fingerprint(params: dict):
-    from ..testing import golden
-
-    return golden.fingerprint_workload(**params)
-
-
-def _run_scaling(params: dict):
-    from ..train import ddp
-
-    return ddp.run_scaling_point(**params)
-
-
-def _run_trace(params: dict):
-    from ..profiling import trace
-
-    return trace.trace_fingerprint(**params)
-
-
-def _run_memstats(params: dict):
-    from . import characterize
-
-    return characterize.measure_memory(**params)
-
-
-def _run_capture_fingerprint(params: dict):
-    from ..testing import golden
-
-    return golden.capture_fingerprint(**params)
-
-
-def _run_fused_fingerprint(params: dict):
-    from ..testing import golden
-
-    return golden.fused_fingerprint(**params)
-
-
-def _run_serve(params: dict):
-    from ..serve import server
-
-    return server.serve_report(**params)
-
-
-def _run_sample(params: dict):
-    from ..train import loader
-
-    return loader.sample_report(**params)
-
-
-def _run_shard(params: dict):
-    from ..train import sharded
-
-    return sharded.shard_report(**params)
-
-
-def _run_insights(params: dict):
-    from ..profiling import insights
-
-    return insights.insights_report(**params)
-
-
-_TASK_RUNNERS = {
-    "profile": _run_profile,
-    "fingerprint": _run_fingerprint,
-    "scaling": _run_scaling,
-    "trace": _run_trace,
-    "memstats": _run_memstats,
-    "capture_fingerprint": _run_capture_fingerprint,
-    "fused_fingerprint": _run_fused_fingerprint,
-    "serve": _run_serve,
-    "sample": _run_sample,
-    "shard": _run_shard,
-    "insights": _run_insights,
+#: task kind -> (module, function) of the payload function it calls with
+#: the task's params
+TASKS = {
+    "profile": ("repro.core.characterize", "profile_workload"),
+    "fingerprint": ("repro.testing.golden", "fingerprint_workload"),
+    "scaling": ("repro.train.ddp", "run_scaling_point"),
+    "trace": ("repro.profiling.trace", "trace_fingerprint"),
+    "memstats": ("repro.core.characterize", "measure_memory"),
+    "capture_fingerprint": ("repro.testing.golden", "capture_fingerprint"),
+    "fused_fingerprint": ("repro.testing.golden", "fused_fingerprint"),
+    "serve": ("repro.serve.server", "serve_report"),
+    "sample": ("repro.train.loader", "sample_report"),
+    "shard": ("repro.train.sharded", "shard_report"),
+    "insights": ("repro.profiling.insights", "insights_report"),
 }
 
 
@@ -142,14 +70,16 @@ def execute_task(task: Task):
     too, but the engine must not *rely* on that for worker isolation.
     """
     kind, params = task
-    if kind not in _TASK_RUNNERS:
-        raise ValueError(f"unknown task kind {kind!r}; have {sorted(_TASK_RUNNERS)}")
+    if kind not in TASKS:
+        raise ValueError(f"unknown task kind {kind!r}; have {sorted(TASKS)}")
     from ..profiling import metrics
     from ..tensor import manual_seed
 
+    module, name = TASKS[kind]
+    run = getattr(importlib.import_module(module), name)
     manual_seed(int(params.get("seed", 0)))
     t0 = time.perf_counter()
-    result = _TASK_RUNNERS[kind](params)
+    result = run(**params)
     # Per-task wall latency into the metrics registry.  This runs once per
     # *task* (a whole workload characterization), never per launch, so the
     # kernel hot path stays untouched; in a pool worker the observation
@@ -222,13 +152,17 @@ def run_tasks(tasks: Sequence[Task], jobs: Optional[int] = None,
 
 
 # -- suite-level conveniences -------------------------------------------------
-def profile_tasks(keys: Optional[Sequence[str]] = None, scale: str = "profile",
-                  epochs: int = 1, seed: int = 0,
-                  strict: bool = False) -> list[Task]:
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    return [("profile", dict(key=k, scale=scale, epochs=epochs, seed=seed,
-                             strict=strict)) for k in keys]
+def suite(kind: str, keys: Sequence[str], jobs: Optional[int] = None,
+          cache=None, **params) -> dict:
+    """Run one ``kind`` task per key with shared ``params``, keyed by key.
+
+    Every task payload is a pure function of its own parameters (each task
+    reseeds, builds its own device and hashes only its own stream), so the
+    serial, pool and cache-hit paths return byte-identical payloads.
+    """
+    keys = list(keys)
+    tasks: list[Task] = [(kind, dict(params, key=k)) for k in keys]
+    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
 
 
 def run_suite(keys: Optional[Sequence[str]] = None, scale: str = "profile",
@@ -237,203 +171,10 @@ def run_suite(keys: Optional[Sequence[str]] = None, scale: str = "profile",
     """Characterize workloads through the engine → :class:`SuiteProfile`."""
     from .characterize import SuiteProfile
 
-    tasks = profile_tasks(keys, scale=scale, epochs=epochs, seed=seed,
-                          strict=strict)
-    profiles = run_tasks(tasks, jobs=jobs, cache=cache)
-    suite = SuiteProfile()
-    for (_, params), profile in zip(tasks, profiles):
-        suite.profiles[params["key"]] = profile
-    return suite
-
-
-def fingerprint_suite(keys: Optional[Sequence[str]] = None,
-                      scale: str = "test", epochs: int = 1, seed: int = 0,
-                      jobs: Optional[int] = None, cache=None) -> dict:
-    """Golden kernel-stream fingerprints for ``keys``, keyed by workload.
-
-    Digests are order-independent per workload (each fingerprint hashes
-    only its own stream), so generating them in parallel is equivalent to
-    the serial loop by construction.
-    """
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("fingerprint", dict(key=k, scale=scale, epochs=epochs, seed=seed))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def trace_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                epochs: int = 1, seed: int = 0, num_gpus: int = 1,
-                jobs: Optional[int] = None, cache=None) -> dict:
-    """Golden timeline-trace fingerprints for ``keys``, keyed by workload.
-
-    Each fingerprint digests only its own workload's canonical trace JSON
-    (simulated-clock timestamps, canonical span order), so — like stream
-    fingerprints — parallel generation and cache replay are byte-identical
-    to the serial loop.
-    """
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("trace", dict(key=k, scale=scale, epochs=epochs, seed=seed,
-                       num_gpus=num_gpus))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def memstats_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                   epochs: int = 1, seed: int = 0, strict: bool = False,
-                   jobs: Optional[int] = None, cache=None) -> dict:
-    """Device-memory reports for ``keys``, keyed by workload.
-
-    Each report digests only shape-derived byte counts from its own seeded
-    run (:func:`repro.core.characterize.measure_memory` suspends the cyclic
-    GC so free timing is refcount-deterministic), so memory snapshots are
-    byte-identical across ``--jobs``, cache settings and repeat runs.
-    """
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("memstats", dict(key=k, scale=scale, epochs=epochs, seed=seed,
-                          strict=strict))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def capture_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                  epochs: int = 5, seed: int = 0, mode: str = "capture",
-                  analysis_cache_enabled: Optional[bool] = None,
-                  jobs: Optional[int] = None, cache=None) -> dict:
-    """Capture-replay (or steady-dispatch) run fingerprints, keyed by key.
-
-    Each task clears the launch-analysis cache and applies the requested
-    cache setting *inside* the task function, so results are byte-identical
-    whether they run in-process, on pool workers, or from the profile cache —
-    the differential replay suite fans its dispatch-vs-replay comparisons
-    out through here.
-    """
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("capture_fingerprint",
-         dict(key=k, scale=scale, epochs=epochs, seed=seed, mode=mode,
-              analysis_cache_enabled=analysis_cache_enabled))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def fused_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                epochs: int = 5, seed: int = 0,
-                jobs: Optional[int] = None, cache=None) -> dict:
-    """Fused-plan fingerprints (``golden --fused``), keyed by workload."""
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("fused_fingerprint", dict(key=k, scale=scale, epochs=epochs,
-                                   seed=seed))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def serve_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                qps: float = 100.0, arrival: str = "poisson",
-                batch_max: int = 8, max_wait_us: float = 2000.0,
-                requests: int = 256, num_users: int = 64, seed: int = 0,
-                jobs: Optional[int] = None, cache=None) -> dict:
-    """Serving reports for ``keys`` (default: the serveable workloads).
-
-    Each report is a pure function of its own parameters — seeded arrivals,
-    simulated-clock queueing, capture/replay batch execution — so serving
-    digests are byte-identical across ``--jobs``, cache settings and repeat
-    runs (``tests/test_serve_golden.py`` pins the matrix).
-    """
-    if keys is None:
-        from ..serve import SERVEABLE
-
-        keys = list(SERVEABLE)
-    tasks: list[Task] = [
-        ("serve", dict(key=k, scale=scale, qps=qps, arrival=arrival,
-                       batch_max=batch_max, max_wait_us=max_wait_us,
-                       requests=requests, num_users=num_users, seed=seed))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def sample_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                 fanouts=(10, 5), batch_size: int = 64,
-                 prefetch_depth: int = 2, epochs: int = 2,
-                 nodes=None, seed: int = 0,
-                 jobs: Optional[int] = None, cache=None) -> dict:
-    """Sampled-training reports for ``keys`` (default: goldened workloads).
-
-    Each report is a pure function of its own parameters — seeded neighbor
-    draws, the closed-form sampler cost model, simulated-clock overlap — so
-    sample digests are byte-identical across ``--jobs``, cache settings and
-    repeat runs (``tests/test_sample_golden.py`` pins the matrix).
-    """
-    if keys is None:
-        from ..train.loader import SAMPLE_DEFAULT_KEYS
-
-        keys = list(SAMPLE_DEFAULT_KEYS)
-    tasks: list[Task] = [
-        ("sample", dict(key=k, scale=scale, fanouts=tuple(fanouts),
-                        batch_size=batch_size, prefetch_depth=prefetch_depth,
-                        epochs=epochs, nodes=nodes, seed=seed))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def shard_suite(names: Optional[Sequence[str]] = None, seed: Optional[int] = None,
-                jobs: Optional[int] = None, cache=None, **overrides) -> dict:
-    """Sharded-training reports for ``names`` (default: goldened configs).
-
-    Each name is either a named shard configuration (``ARGA-P4``) or a bare
-    shardable workload key; ``overrides`` land on top of the resolved
-    parameters.  Reports are pure functions of their parameters (partition
-    plans, simulated clocks, integer geometry), so shard digests are
-    byte-identical across ``--jobs``, cache settings and repeat runs
-    (``tests/test_shard_golden.py`` pins the matrix).
-    """
-    from ..train.sharded import SHARD_GOLDEN_KEYS, resolve_shard_config
-
-    if names is None:
-        names = list(SHARD_GOLDEN_KEYS)
-    tasks: list[Task] = []
-    for name in names:
-        key, params = resolve_shard_config(name)
-        params.update(overrides)
-        if seed is not None:
-            params["seed"] = seed
-        tasks.append(("shard", dict(key=key, **params)))
-    return dict(zip(names, run_tasks(tasks, jobs=jobs, cache=cache)))
-
-
-def insights_suite(keys: Optional[Sequence[str]] = None, scale: str = "test",
-                   epochs: int = 2, seed: int = 0, gpus: int = 1,
-                   jobs: Optional[int] = None, cache=None) -> dict:
-    """Roofline/bottleneck insights reports for ``keys`` (default: suite).
-
-    Each report folds pure functions of ``(descriptor, SimulationConfig)``
-    over the simulated clock, so ``insights_digest`` is byte-identical
-    across ``--jobs``, profile-cache warm/cold, analysis-cache on/off and
-    repeat runs (``tests/test_insights_golden.py`` pins the matrix).
-    """
-    if keys is None:
-        keys = list(registry.WORKLOAD_KEYS)
-    tasks: list[Task] = [
-        ("insights", dict(key=k, scale=scale, epochs=epochs, seed=seed,
-                          gpus=gpus))
-        for k in keys
-    ]
-    return dict(zip(keys, run_tasks(tasks, jobs=jobs, cache=cache)))
+    return SuiteProfile(suite(
+        "profile", registry.WORKLOAD_KEYS if keys is None else keys,
+        jobs=jobs, cache=cache, scale=scale, epochs=epochs, seed=seed,
+        strict=strict))
 
 
 def run_scaling_points(points: Sequence[tuple[str, int]],

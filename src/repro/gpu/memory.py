@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
-import json
 import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from ..canonical import canonical_digest
 
 MEMORY_VERSION = 1
 
@@ -504,9 +504,8 @@ class DeviceMemoryTracker:
 
 def digest_report(report: dict) -> str:
     """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    payload = {k: v for k, v in report.items() if k != "memory_digest"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {k: v for k, v in report.items() if k != "memory_digest"})
 
 
 @contextlib.contextmanager

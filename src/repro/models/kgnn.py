@@ -52,54 +52,77 @@ def build_pair_graph(graph: Graph) -> SetGraph:
 
 
 def build_triple_graph(graph: Graph, max_triples: int = 4000) -> SetGraph:
-    """3-sets = connected triples (a path or triangle through the graph)."""
+    """3-sets = connected triples (a path or triangle through the graph).
+
+    Edges ``a < b`` are taken in edge order, each adding every triple
+    ``{a, b, c}`` with ``c`` a neighbor of ``b`` or of ``a``; enumeration
+    stops after the edge that brings the distinct count to ``max_triples``
+    (that edge's triples are all kept).
+    """
     csr = graph.csr()
-    triples = set()
     mask = graph.src < graph.dst
-    for a, b in zip(graph.src[mask], graph.dst[mask]):
-        for c in csr.indices[csr.indptr[b] : csr.indptr[b + 1]]:
-            if c != a and c != b:
-                triples.add(tuple(sorted((int(a), int(b), int(c)))))
-        for c in csr.indices[csr.indptr[a] : csr.indptr[a + 1]]:
-            if c != a and c != b:
-                triples.add(tuple(sorted((int(a), int(b), int(c)))))
-        if len(triples) >= max_triples:
-            break
-    if not triples:
+    a = graph.src[mask].astype(np.int64)
+    b = graph.dst[mask].astype(np.int64)
+    # one candidate per (edge, neighbor c of b) and (edge, neighbor c of a)
+    ends = np.concatenate([b, a])
+    degree = np.diff(csr.indptr)[ends]
+    edge = np.repeat(np.tile(np.arange(a.size), 2), degree)
+    offset = csr.indptr[ends] - (np.cumsum(degree) - degree)
+    c = csr.indices[np.repeat(offset, degree) + np.arange(degree.sum())]
+    keep = (c != a[edge]) & (c != b[edge])
+    edge = edge[keep]
+    if edge.size == 0:
         return SetGraph(np.empty((0, 3), np.int64), np.empty(0, np.int64),
                         np.empty(0, np.int64))
-    members = np.array(sorted(triples), dtype=np.int64)
+    triples = np.sort(np.stack([a[edge], b[edge], c[keep]]), axis=0)
+    # integer keys sort like the (sorted) triples themselves
+    dims = (graph.num_nodes,) * 3
+    keys, group = np.unique(np.ravel_multi_index(triples, dims),
+                            return_inverse=True)
+    first_edge = np.full(keys.size, a.size, dtype=np.int64)
+    np.minimum.at(first_edge, group, edge)
+    distinct = np.cumsum(np.bincount(first_edge, minlength=a.size))
+    capped = np.flatnonzero(distinct >= max_triples)
+    if capped.size:
+        keys = keys[first_edge <= capped[0]]
+    members = np.stack(np.unravel_index(keys, dims), axis=1).astype(np.int64)
     edge_src, edge_dst = _edges_by_shared_members(members, shared=2)
     return SetGraph(members, edge_src, edge_dst)
 
 
 def _edges_by_shared_members(members: np.ndarray, shared: int | None = None
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Connect sets that share ``k - 1`` members (i.e. a (k-1)-subset)."""
+    """Connect sets that share ``k - 1`` members (i.e. a (k-1)-subset).
+
+    Every ordered pair of distinct sets with a common ``shared``-subset,
+    unique and sorted by ``(src, dst)``.
+    """
     from itertools import combinations
 
-    k = members.shape[1]
-    subset_size = shared if shared is not None else k - 1
-    buckets: dict[tuple, list[int]] = {}
-    for set_id, row in enumerate(members):
-        for sub in combinations(row.tolist(), subset_size):
-            buckets.setdefault(sub, []).append(set_id)
-    src, dst = [], []
-    for ids in buckets.values():
-        if len(ids) < 2:
-            continue
-        arr = np.asarray(ids, dtype=np.int64)
-        grid_a = np.repeat(arr, arr.size)
-        grid_b = np.tile(arr, arr.size)
-        keep = grid_a != grid_b
-        src.append(grid_a[keep])
-        dst.append(grid_b[keep])
-    if not src:
+    num_sets, k = members.shape
+    width = shared if shared is not None else k - 1
+    if num_sets == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    src_all = np.concatenate(src)
-    dst_all = np.concatenate(dst)
-    pairs = np.unique(np.stack([src_all, dst_all], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    # one integer key per (set, member subset), grouped by key
+    dims = (int(members.max()) + 1,) * width
+    cols = [list(c) for c in combinations(range(k), width)]
+    subsets = np.concatenate([members[:, c] for c in cols]).T
+    group = np.ravel_multi_index(subsets, dims)
+    owner = np.tile(np.arange(num_sets, dtype=np.int64), len(cols))
+    order = np.argsort(group, kind="stable")
+    group, owner = group[order], owner[order]
+    # pair every entry with every entry of its (now contiguous) group
+    _, first, count = np.unique(group, return_index=True, return_counts=True)
+    size = np.repeat(count, count)
+    start = np.repeat(np.repeat(first, count), size)
+    rank = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    src = np.repeat(owner, size)
+    dst = owner[start + rank]
+    keep = src != dst
+    if not keep.any():
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    pairs = np.unique(src[keep] * num_sets + dst[keep])
+    return pairs // num_sets, pairs % num_sets
 
 
 class GraphConvLayer(nn.Module):

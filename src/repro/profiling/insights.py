@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..canonical import canonical_digest
 from ..gpu import analysis_cache, timing
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
 
@@ -91,10 +90,7 @@ def _r(value: float) -> float:
 # -- run provenance ----------------------------------------------------------
 def sim_digest(sim: Optional[SimulationConfig] = None) -> str:
     """Canonical SHA-256 over every calibration constant of a config."""
-    payload = dataclasses.asdict(sim or DEFAULT_SIMULATION)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(dataclasses.asdict(sim or DEFAULT_SIMULATION))
 
 
 @dataclass(frozen=True)
@@ -422,13 +418,6 @@ def _summaries(flat_sites: list[dict]) -> dict:
 
 
 # -- the report --------------------------------------------------------------
-def canonical_insights_json(report: dict) -> str:
-    """Canonical bytes of a report, excluding its own digest field."""
-    payload = {k: v for k, v in report.items() if k != "insights_digest"}
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")) + "\n"
-
-
 def insights_digest(report: dict) -> str:
     """SHA-256 over the measurements: canonical JSON minus the digest field
     and minus ``manifest.source_digest`` (which changes with every commit
@@ -437,8 +426,7 @@ def insights_digest(report: dict) -> str:
     manifest = dict(payload.get("manifest", {}))
     manifest.pop("source_digest", None)
     payload["manifest"] = manifest
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 def insights_report(key: str, scale: str = "test", epochs: int = 2,

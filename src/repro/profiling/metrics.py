@@ -19,9 +19,9 @@ per-launch path.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Iterable, Mapping, Optional
+
+from ..canonical import canonical_digest, canonical_json
 
 #: default latency buckets (seconds) — spans ms-scale cache hits to
 #: minute-scale cold suite profiles
@@ -225,13 +225,13 @@ class MetricsRegistry:
     # -- export --------------------------------------------------------------
     def to_json(self, snapshot: Optional[dict] = None) -> str:
         """Canonical JSON (sorted keys, tight separators, trailing newline)."""
-        payload = self.snapshot() if snapshot is None else snapshot
-        return json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return canonical_json(
+            self.snapshot() if snapshot is None else snapshot, newline=True)
 
     def digest(self, snapshot: Optional[dict] = None) -> str:
         """SHA-256 of the canonical JSON export."""
-        return hashlib.sha256(self.to_json(snapshot).encode()).hexdigest()
+        return canonical_digest(
+            self.snapshot() if snapshot is None else snapshot, newline=True)
 
     def to_prometheus(self, snapshot: Optional[dict] = None) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
@@ -406,123 +406,126 @@ def collect_profile(profile,
         / max(1, profile.analysis_hits + profile.analysis_misses))
 
 
+#: report kind -> (label -> report field, gauges).  A gauge is (name, help,
+#: report field, entry label): a dotted field reads a nested value, and an
+#: entry label makes one series per entry of a dict field.  Every series
+#: carries the kind's labels, so sweeps (latency vs QPS, prefetch depth,
+#: capacity frontier) land as distinct label sets in one registry.
+REPORT_GAUGES = {
+    # repro.serve.serve_report
+    "serve": ({"workload": "workload", "arrival": "arrival",
+               "batch_max": "batch_max"}, (
+        ("repro_serve_latency_us", "End-to-end request latency (us)",
+         "latency_us", "quantile"),
+        ("repro_serve_wait_us", "Queue-wait component of request latency "
+         "(us)", "wait_us", "quantile"),
+        ("repro_serve_compute_us", "Compute component of request latency "
+         "(us)", "compute_us", "quantile"),
+        ("repro_serve_throughput_rps", "Served requests per simulated "
+         "second", "throughput_rps", None),
+        ("repro_serve_requests_total", "Requests served", "completed", None),
+        ("repro_serve_batches_total", "Batches executed", "batches", None),
+        ("repro_serve_captured_plans", "Distinct batch sizes captured",
+         "captured_plans", None),
+        ("repro_serve_replayed_batches_total", "Batches served by plan "
+         "replay", "replayed_batches", None),
+        ("repro_serve_peak_live_bytes", "Peak live HBM during serving",
+         "peak_live_bytes", None),
+        ("repro_serve_peak_reserved_bytes", "Peak reserved HBM during "
+         "serving", "peak_reserved_bytes", None),
+        ("repro_serve_batch_size_count", "Executed batches by size",
+         "batch_size_hist", "size"),
+    )),
+    # repro.train.loader.sample_report
+    "loader": ({"workload": "workload", "prefetch_depth": "prefetch_depth"}, (
+        ("repro_loader_batches_total", "Mini-batches produced by the "
+         "sampler", "batches", None),
+        ("repro_loader_edges_sampled_total", "Edges drawn across all "
+         "blocks", "edges_sampled", None),
+        ("repro_loader_sample_cost_seconds", "Simulated host sampling time",
+         "sample_cost_s", None),
+        ("repro_loader_stall_seconds", "Device time spent waiting on the "
+         "sampler", "loader_stall_s", None),
+        ("repro_loader_stall_fraction", "loader_stall_s over the simulated "
+         "training wall clock", "loader_stall_fraction", None),
+        ("repro_loader_queue_occupancy_mean", "Time-averaged ready-batches "
+         "in the prefetch queue", "queue_occupancy_mean", None),
+        ("repro_loader_queue_occupancy_max", "Peak ready-batches in the "
+         "prefetch queue", "queue_occupancy_max", None),
+        ("repro_loader_epochs_per_sim_second", "Sampled-training throughput "
+         "(simulated)", "epochs_per_sim_s", None),
+        ("repro_loader_peak_live_bytes", "Peak live HBM during sampled "
+         "training", "peak_live_bytes", None),
+    )),
+    # repro.train.sharded.shard_report
+    "shard": ({"workload": "workload", "config": "name", "parts": "parts",
+               "offload": "offload"}, (
+        ("repro_shard_edge_cut_total", "Edges crossing partition "
+         "boundaries", "partition.edge_cut", None),
+        ("repro_shard_cut_fraction", "Cut edges over total edges",
+         "partition.cut_fraction", None),
+        ("repro_shard_replication_factor", "Stored rows (owned + halo) over "
+         "graph nodes", "partition.replication_factor", None),
+        ("repro_shard_halo_bytes_total", "Bytes moved by halo exchanges "
+         "across all epochs", "halo_bytes", None),
+        ("repro_shard_halo_seconds", "Simulated time inside halo exchanges",
+         "halo_time_s", None),
+        ("repro_shard_allreduce_bytes_total", "Gradient payload bytes "
+         "allreduced across all epochs", "allreduce_bytes", None),
+        ("repro_shard_h2d_bytes_total", "Host-to-device staging bytes",
+         "h2d_bytes", None),
+        ("repro_shard_d2h_bytes_total", "Device-to-host staging bytes",
+         "d2h_bytes", None),
+        ("repro_shard_peak_reserved_bytes", "Heaviest device's peak "
+         "reserved HBM", "peak_reserved_bytes", None),
+        ("repro_shard_oom_events_total", "HBM capacity violations "
+         "(non-strict)", "oom_events", None),
+        ("repro_shard_epochs_per_sim_second", "Sharded-training throughput "
+         "(simulated)", "epochs_per_sim_s", None),
+    )),
+}
+
+
+def _label_value(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def collect_report(kind: str, report: dict,
+                   registry: Optional[MetricsRegistry] = None) -> None:
+    """Absorb one report of ``kind`` as the gauges :data:`REPORT_GAUGES`
+    lists for it."""
+    reg = registry if registry is not None else REGISTRY
+    label_fields, gauges = REPORT_GAUGES[kind]
+    labels = {label: _label_value(report[f])
+              for label, f in label_fields.items()}
+    for name, help_text, path, entry_label in gauges:
+        value = report
+        for part in path.split("."):
+            value = value[part]
+        if entry_label is None:
+            reg.gauge(name, help_text, **labels).set(value)
+            continue
+        for entry, entry_value in value.items():
+            reg.gauge(name, help_text, **{entry_label: entry},
+                      **labels).set(entry_value)
+
+
 def collect_serve(report: dict,
                   registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one serving report (:func:`repro.serve.serve_report`).
-
-    Every series carries the ``workload`` / ``arrival`` / ``batch_max``
-    label triple, so latency-vs-QPS sweeps land as distinct label sets in
-    one registry.
-    """
-    reg = registry if registry is not None else REGISTRY
-    labels = {"workload": report["workload"], "arrival": report["arrival"],
-              "batch_max": str(report["batch_max"])}
-    g = reg.gauge
-    for block, help_text in (
-        ("latency_us", "End-to-end request latency (us)"),
-        ("wait_us", "Queue-wait component of request latency (us)"),
-        ("compute_us", "Compute component of request latency (us)"),
-    ):
-        for quantile, value in report[block].items():
-            g(f"repro_serve_{block}", help_text,
-              quantile=quantile, **labels).set(value)
-    g("repro_serve_throughput_rps", "Served requests per simulated second",
-      **labels).set(report["throughput_rps"])
-    g("repro_serve_requests_total", "Requests served",
-      **labels).set(report["completed"])
-    g("repro_serve_batches_total", "Batches executed",
-      **labels).set(report["batches"])
-    g("repro_serve_captured_plans", "Distinct batch sizes captured",
-      **labels).set(report["captured_plans"])
-    g("repro_serve_replayed_batches_total", "Batches served by plan replay",
-      **labels).set(report["replayed_batches"])
-    g("repro_serve_peak_live_bytes", "Peak live HBM during serving",
-      **labels).set(report["peak_live_bytes"])
-    g("repro_serve_peak_reserved_bytes", "Peak reserved HBM during serving",
-      **labels).set(report["peak_reserved_bytes"])
-    for size, count in sorted(report["batch_size_hist"].items(),
-                              key=lambda kv: int(kv[0])):
-        g("repro_serve_batch_size_count", "Executed batches by size",
-          size=size, **labels).set(count)
+    """Absorb one serving report (:func:`repro.serve.serve_report`)."""
+    collect_report("serve", report, registry)
 
 
 def collect_loader(report: dict,
                    registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one sampled-training report (:func:`repro.train.loader`).
-
-    Every series carries ``workload`` / ``prefetch_depth`` labels so a
-    prefetch sweep (the BENCH_sample comparison) lands as distinct label
-    sets in one registry.
-    """
-    reg = registry if registry is not None else REGISTRY
-    labels = {"workload": report["workload"],
-              "prefetch_depth": str(report["prefetch_depth"])}
-    g = reg.gauge
-    g("repro_loader_batches_total", "Mini-batches produced by the sampler",
-      **labels).set(report["batches"])
-    g("repro_loader_edges_sampled_total", "Edges drawn across all blocks",
-      **labels).set(report["edges_sampled"])
-    g("repro_loader_sample_cost_seconds", "Simulated host sampling time",
-      **labels).set(report["sample_cost_s"])
-    g("repro_loader_stall_seconds",
-      "Device time spent waiting on the sampler",
-      **labels).set(report["loader_stall_s"])
-    g("repro_loader_stall_fraction",
-      "loader_stall_s over the simulated training wall clock",
-      **labels).set(report["loader_stall_fraction"])
-    g("repro_loader_queue_occupancy_mean",
-      "Time-averaged ready-batches in the prefetch queue",
-      **labels).set(report["queue_occupancy_mean"])
-    g("repro_loader_queue_occupancy_max",
-      "Peak ready-batches in the prefetch queue",
-      **labels).set(report["queue_occupancy_max"])
-    g("repro_loader_epochs_per_sim_second",
-      "Sampled-training throughput (simulated)",
-      **labels).set(report["epochs_per_sim_s"])
-    g("repro_loader_peak_live_bytes", "Peak live HBM during sampled training",
-      **labels).set(report["peak_live_bytes"])
+    """Absorb one sampled-training report (:mod:`repro.train.loader`)."""
+    collect_report("loader", report, registry)
 
 
 def collect_shard(report: dict,
                   registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one sharded-training report (:func:`repro.train.sharded`).
-
-    Every series carries ``workload`` / ``config`` / ``parts`` / ``offload``
-    labels so a capacity sweep (the BENCH_shard frontier study) lands as
-    distinct label sets in one registry.
-    """
-    reg = registry if registry is not None else REGISTRY
-    labels = {"workload": report["workload"], "config": report["name"],
-              "parts": str(report["parts"]),
-              "offload": str(report["offload"]).lower()}
-    g = reg.gauge
-    g("repro_shard_edge_cut_total", "Edges crossing partition boundaries",
-      **labels).set(report["partition"]["edge_cut"])
-    g("repro_shard_cut_fraction", "Cut edges over total edges",
-      **labels).set(report["partition"]["cut_fraction"])
-    g("repro_shard_replication_factor",
-      "Stored rows (owned + halo) over graph nodes",
-      **labels).set(report["partition"]["replication_factor"])
-    g("repro_shard_halo_bytes_total",
-      "Bytes moved by halo exchanges across all epochs",
-      **labels).set(report["halo_bytes"])
-    g("repro_shard_halo_seconds", "Simulated time inside halo exchanges",
-      **labels).set(report["halo_time_s"])
-    g("repro_shard_allreduce_bytes_total",
-      "Gradient payload bytes allreduced across all epochs",
-      **labels).set(report["allreduce_bytes"])
-    g("repro_shard_h2d_bytes_total", "Host-to-device staging bytes",
-      **labels).set(report["h2d_bytes"])
-    g("repro_shard_d2h_bytes_total", "Device-to-host staging bytes",
-      **labels).set(report["d2h_bytes"])
-    g("repro_shard_peak_reserved_bytes",
-      "Heaviest device's peak reserved HBM",
-      **labels).set(report["peak_reserved_bytes"])
-    g("repro_shard_oom_events_total", "HBM capacity violations (non-strict)",
-      **labels).set(report["oom_events"])
-    g("repro_shard_epochs_per_sim_second",
-      "Sharded-training throughput (simulated)",
-      **labels).set(report["epochs_per_sim_s"])
+    """Absorb one sharded-training report (:mod:`repro.train.sharded`)."""
+    collect_report("shard", report, registry)
 
 
 def observe_task(kind: str, seconds: float, cached: bool,

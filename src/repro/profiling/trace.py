@@ -71,11 +71,10 @@ listener is attached, and the Trainer/optimizer/allreduce hooks are single
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
+from ..canonical import canonical_digest, canonical_json
 from ..gpu import memory as gpu_memory
 from ..gpu.device import SimulatedGPU
 from ..gpu.kernel import KernelLaunch, TransferRecord
@@ -528,15 +527,14 @@ class Timeline:
 
     def to_json(self, manifest: Optional[dict] = None) -> str:
         """Canonical serialization: the bytes the digest is defined over."""
-        return json.dumps(self.to_chrome(manifest), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return canonical_json(self.to_chrome(manifest), newline=True)
 
     def write(self, path, manifest: Optional[dict] = None) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json(manifest))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return canonical_digest(self.to_chrome(), newline=True)
 
     @classmethod
     def from_chrome(cls, data: dict) -> "Timeline":

@@ -26,12 +26,11 @@ allocations (optimizer state, saved activations).
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 from typing import Optional
 
 import numpy as np
 
+from ..canonical import canonical_digest
 from ..core import registry
 from ..gpu import SimulatedGPU, SimulationConfig
 from ..gpu import memory as gpu_memory
@@ -182,9 +181,8 @@ def _quantiles_us(values_s: list[float]) -> dict[str, float]:
 
 def digest_report(report: dict) -> str:
     """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    payload = {k: v for k, v in report.items() if k != "serve_digest"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {k: v for k, v in report.items() if k != "serve_digest"})
 
 
 def build_report(

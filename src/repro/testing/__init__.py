@@ -4,8 +4,9 @@ Three pillars, each mechanically checkable:
 
 * :mod:`.gradcheck` — every ``Function.backward`` against fp64 central
   differences;
-* :mod:`.golden` — every registry workload's kernel stream against a
-  committed JSON fingerprint (``python -m repro golden --update``);
+* :mod:`.golden` — every simulated output the figures rest on against a
+  committed JSON snapshot, one table of families
+  (``python -m repro golden --update``);
 * :mod:`.invariants` — every simulated launch/transfer against the GPU
   model's physical-consistency invariants ("strict mode").
 
@@ -21,31 +22,13 @@ from .gradcheck import (
     gradcheck_module,
 )
 from .golden import (
+    FAMILIES,
+    GoldenFamily,
     StreamRecorder,
     capture_fingerprint,
-    compare_fingerprints,
-    compare_fused_fingerprints,
-    compare_trace_fingerprints,
-    fingerprint_suite,
     fingerprint_workload,
     fused_fingerprint,
-    fused_golden_path,
     golden_dir,
-    golden_path,
-    load_fused_golden,
-    load_golden,
-    load_trace_golden,
-    save_fused_golden,
-    save_golden,
-    save_trace_golden,
-    trace_golden_path,
-    update_fused_goldens,
-    update_goldens,
-    update_trace_goldens,
-    verify_fused_goldens,
-    verify_golden,
-    verify_goldens,
-    verify_trace_goldens,
 )
 from .invariants import (
     InvariantChecker,
@@ -65,6 +48,8 @@ from .launch_sequences import (
 
 __all__ = [
     "EPOCH_BOUNDARY",
+    "FAMILIES",
+    "GoldenFamily",
     "GradcheckError",
     "GradcheckResult",
     "InvariantChecker",
@@ -75,33 +60,13 @@ __all__ = [
     "check_launch",
     "check_stalls",
     "check_transfer",
-    "compare_fingerprints",
-    "compare_fused_fingerprints",
-    "compare_trace_fingerprints",
-    "fingerprint_suite",
     "fingerprint_workload",
     "fused_fingerprint",
-    "fused_golden_path",
     "golden_dir",
-    "golden_path",
     "gradcheck",
     "gradcheck_module",
-    "load_fused_golden",
-    "load_golden",
-    "load_trace_golden",
     "make_launch",
     "make_transfer",
     "random_events",
-    "save_fused_golden",
-    "save_golden",
-    "save_trace_golden",
     "strict_mode",
-    "trace_golden_path",
-    "update_fused_goldens",
-    "update_goldens",
-    "update_trace_goldens",
-    "verify_fused_goldens",
-    "verify_golden",
-    "verify_goldens",
-    "verify_trace_goldens",
 ]

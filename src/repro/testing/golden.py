@@ -1,20 +1,26 @@
-"""Golden kernel-stream fingerprints for every registry workload.
+"""Golden snapshots: eight families, one table, one mechanism.
 
 The op stream a workload emits is *emergent* from its forward/backward math,
-so a refactor that silently changes the math changes the stream.  This module
-snapshots a deterministic fingerprint of each workload's one-epoch kernel
-stream — launch counts per op class and phase, closed-form instruction/byte
-totals, transfer totals, training losses, and a SHA-256 digest of the full
-ordered stream — as JSON under ``tests/golden/``.
+so a refactor that silently changes the math changes the stream.  Every
+simulated output the paper's figures rest on is pinned the same way: a JSON
+snapshot per key under ``tests/golden/``, generated through the executor and
+diffed field by field against a fresh run.  :data:`FAMILIES` lists the
+families; each row says where its files live, which executor task generates
+them under which parameters, which fields it records, which field is its
+digest and which fields compare within a tolerance.  One
+:func:`path`/:func:`load`/:func:`save`/:func:`compare`/:func:`verify`/
+:func:`update` serves them all.
 
-Regenerate after an *intentional* stream change with::
+Regenerate after an *intentional* change with::
 
-    PYTHONPATH=src python -m repro golden --update
+    PYTHONPATH=src python -m repro golden [--traces | --memory | --fused |
+        --serve | --sample | --shard | --insights] --update
 
-Everything hashed is derived from tensor shapes, graph structure and seeded
-RNG draws (never from float compute results), so fingerprints are bit-stable
-across machines; training losses ARE compute results and are therefore
-compared with a tolerance instead of entering the digest.
+Everything hashed is derived from tensor shapes, graph structure, seeded RNG
+draws and the simulated clock (never from float compute results), so
+snapshots are bit-stable across machines, ``--jobs`` counts and cache
+settings.  Training losses ARE compute results: they stay out of the digests
+and compare within a tolerance.
 """
 
 from __future__ import annotations
@@ -22,15 +28,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from ..canonical import canonical_json
 from ..core import registry
 from ..gpu import SimulatedGPU
 from ..gpu.kernel import KernelLaunch, TransferRecord
+from ..serve.server import SERVEABLE
 from ..tensor import manual_seed
+from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
+from ..train.sharded import SHARD_GOLDEN_KEYS
 from ..train.trainer import Trainer
 
 FINGERPRINT_VERSION = 1
@@ -44,6 +55,8 @@ def golden_dir() -> Path:
     override = os.environ.get("REPRO_GOLDEN_DIR")
     return Path(override) if override else GOLDEN_DIR
 
+
+# -- payloads -----------------------------------------------------------------
 
 class StreamRecorder:
     """Device listener that keeps the full ordered launch/transfer stream."""
@@ -150,157 +163,6 @@ def fingerprint_workload(
     }
 
 
-def golden_path(key: str) -> Path:
-    return golden_dir() / f"{key}.json"
-
-
-def load_golden(key: str) -> dict:
-    path = golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden snapshot for {key!r} at {path}; generate it with "
-            f"`python -m repro golden --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_golden(fingerprint: dict) -> Path:
-    path = golden_path(fingerprint["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_fingerprints(expected: dict, actual: dict) -> list[str]:
-    """Human-readable list of differences (empty when streams match).
-
-    Structural quantities (counts, histograms, digest) compare exactly;
-    instruction/byte totals allow float-accumulation noise; losses are
-    compute results and get a loose fp32 tolerance.
-    """
-    diffs: list[str] = []
-
-    def exact(field: str) -> None:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-
-    for field in ("version", "workload", "scale", "epochs", "seed",
-                  "launch_count", "transfer_count"):
-        exact(field)
-
-    for field in ("op_class_launches", "phase_launches"):
-        exp, act = expected.get(field, {}), actual.get(field, {})
-        for name in sorted(set(exp) | set(act)):
-            if exp.get(name, 0) != act.get(name, 0):
-                diffs.append(f"{field}[{name}]: expected {exp.get(name, 0)}, "
-                             f"got {act.get(name, 0)}")
-
-    for field, rtol in (("totals", 1e-9), ("transfer_totals", 1e-9)):
-        exp, act = expected.get(field, {}), actual.get(field, {})
-        for name in sorted(set(exp) | set(act)):
-            e, a = exp.get(name, 0.0), act.get(name, 0.0)
-            if not np.isclose(e, a, rtol=rtol, atol=0.0):
-                diffs.append(f"{field}[{name}]: expected {e!r}, got {a!r}")
-
-    exp_losses = expected.get("losses", [])
-    act_losses = actual.get("losses", [])
-    if len(exp_losses) != len(act_losses):
-        diffs.append(f"losses: expected {len(exp_losses)} epochs, "
-                     f"got {len(act_losses)}")
-    else:
-        for i, (e, a) in enumerate(zip(exp_losses, act_losses)):
-            if not np.isclose(e, a, rtol=1e-4, atol=1e-6):
-                diffs.append(f"losses[{i}]: expected {e!r}, got {a!r}")
-
-    if expected.get("stream_digest") != actual.get("stream_digest"):
-        diffs.append(
-            f"stream_digest: expected {expected.get('stream_digest')}, "
-            f"got {actual.get('stream_digest')} — the ordered kernel/transfer "
-            f"stream changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def fingerprint_suite(keys: Optional[list[str]] = None, scale: str = "test",
-                      epochs: int = 1, seed: int = 0,
-                      jobs: Optional[int] = None, cache=None) -> dict[str, dict]:
-    """Fingerprint many workloads through the suite execution engine.
-
-    Each fingerprint hashes only its own workload's ordered stream, so
-    digests are order-independent across workloads and may be generated on
-    pool workers (or replayed from the profile cache) with byte-identical
-    results — ``tests/test_executor.py`` asserts exactly that.
-    """
-    from ..core import executor
-
-    return executor.fingerprint_suite(keys, scale=scale, epochs=epochs,
-                                      seed=seed, jobs=jobs, cache=cache)
-
-
-def verify_golden(key: str, scale: str = "test", epochs: int = 1,
-                  seed: int = 0) -> list[str]:
-    """Diff a fresh fingerprint against the committed snapshot."""
-    expected = load_golden(key)
-    actual = fingerprint_workload(
-        key,
-        scale=expected.get("scale", scale),
-        epochs=expected.get("epochs", epochs),
-        seed=expected.get("seed", seed),
-    )
-    return compare_fingerprints(expected, actual)
-
-
-def verify_goldens(keys: Optional[list[str]] = None,
-                   jobs: Optional[int] = None,
-                   cache=None) -> dict[str, list[str]]:
-    """Diff fresh fingerprints for ``keys`` against committed snapshots.
-
-    Fingerprints are computed in parallel (each under its snapshot's own
-    recorded scale/epochs/seed); a missing snapshot surfaces as a
-    one-line diff instead of raising, so one absent file doesn't abort
-    the remaining workloads.
-    """
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = (exp.get("scale", "test"), exp.get("epochs", 1),
-                  exp.get("seed", 0))
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for (scale, epochs, seed), group in by_params.items():
-        actual.update(executor.fingerprint_suite(
-            group, scale=scale, epochs=epochs, seed=seed, jobs=jobs,
-            cache=cache,
-        ))
-    for key in present:
-        diffs[key] = compare_fingerprints(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_goldens(keys: Optional[list[str]] = None, scale: str = "test",
-                   epochs: int = 1, seed: int = 0,
-                   jobs: Optional[int] = None, cache=None) -> list[Path]:
-    """Regenerate snapshots for ``keys`` (default: the whole registry)."""
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    fingerprints = fingerprint_suite(keys, scale=scale, epochs=epochs,
-                                     seed=seed, jobs=jobs, cache=cache)
-    return [save_golden(fingerprints[key]) for key in keys]
-
-
 # -- capture/replay differential fingerprints ---------------------------------
 # These extend the stream-digest contract to the *replay fast path*
 # (repro.gpu.graph_capture): a capture-replay run must be byte-identical to a
@@ -378,13 +240,11 @@ def capture_fingerprint(
     }
 
 
-# -- golden fused streams -----------------------------------------------------
+# -- fused streams ------------------------------------------------------------
 # Fused plans intentionally diverge from dispatch (adjacent elementwise
 # launches merge into synthetic kernels), so they get their own snapshot
 # family instead of the differential contract: fused_<KEY>.json pins the
 # fused event stream, the fusion census, and the work-conservation totals.
-# Default goldens never see fusion — ``python -m repro golden`` output is
-# byte-for-byte unchanged by this feature.
 
 def fused_fingerprint(
     key: str,
@@ -399,8 +259,6 @@ def fused_fingerprint(
     before and after fusion) is asserted here, at generation time, on top of
     the property-test coverage.
     """
-    import hashlib as _hashlib
-
     from ..gpu import analysis_cache
 
     if epochs < 4:
@@ -424,7 +282,7 @@ def fused_fingerprint(
         )
     plan, fused = controller.plan, controller.fused_plan
 
-    h = _hashlib.sha256()
+    h = hashlib.sha256()
     fused_names: dict[str, int] = {}
     for event in fused.events:
         if event[0] == "K":
@@ -472,755 +330,12 @@ def fused_fingerprint(
     }
 
 
-def fused_golden_path(key: str) -> Path:
-    return golden_dir() / f"fused_{key}.json"
-
-
-def load_fused_golden(key: str) -> dict:
-    path = fused_golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden fused stream for {key!r} at {path}; generate it with "
-            f"`python -m repro golden --fused --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_fused_golden(fingerprint: dict) -> Path:
-    path = fused_golden_path(fingerprint["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_fused_fingerprints(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when fused streams match).
-
-    Counts, census and digest compare exactly; work totals allow float
-    accumulation noise; per-epoch simulated times are analytical-model
-    outputs and compare exactly, like trace timestamps.
-    """
-    diffs: list[str] = []
-    for field in ("version", "workload", "scale", "epochs", "seed",
-                  "launch_count", "fused_launch_count", "fused_kernels",
-                  "fused_members", "transfer_count",
-                  "epoch_sim_time_s_dispatch", "epoch_sim_time_s_fused"):
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    exp, act = (expected.get("fused_name_counts", {}),
-                actual.get("fused_name_counts", {}))
-    for name in sorted(set(exp) | set(act)):
-        if exp.get(name, 0) != act.get(name, 0):
-            diffs.append(f"fused_name_counts[{name}]: expected "
-                         f"{exp.get(name, 0)}, got {act.get(name, 0)}")
-    exp, act = expected.get("totals", {}), actual.get("totals", {})
-    for name in sorted(set(exp) | set(act)):
-        e, a = exp.get(name, 0.0), act.get(name, 0.0)
-        if not np.isclose(e, a, rtol=1e-9, atol=0.0):
-            diffs.append(f"totals[{name}]: expected {e!r}, got {a!r}")
-    if expected.get("fused_stream_digest") != actual.get("fused_stream_digest"):
-        diffs.append(
-            f"fused_stream_digest: expected "
-            f"{expected.get('fused_stream_digest')}, got "
-            f"{actual.get('fused_stream_digest')} — the fused event stream "
-            f"changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def verify_fused_goldens(keys: Optional[list[str]] = None,
-                         jobs: Optional[int] = None,
-                         cache=None) -> dict[str, list[str]]:
-    """Diff fresh fused fingerprints against committed snapshots."""
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_fused_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = (exp.get("scale", "test"), exp.get("epochs", 5),
-                  exp.get("seed", 0))
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for (scale, epochs, seed), group in by_params.items():
-        actual.update(executor.fused_suite(
-            group, scale=scale, epochs=epochs, seed=seed, jobs=jobs,
-            cache=cache,
-        ))
-    for key in present:
-        diffs[key] = compare_fused_fingerprints(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_fused_goldens(keys: Optional[list[str]] = None,
-                         scale: str = "test", epochs: int = 5, seed: int = 0,
-                         jobs: Optional[int] = None,
-                         cache=None) -> list[Path]:
-    """Regenerate fused snapshots for ``keys`` (default: whole registry)."""
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    fingerprints = executor.fused_suite(keys, scale=scale, epochs=epochs,
-                                        seed=seed, jobs=jobs, cache=cache)
-    return [save_fused_golden(fingerprints[key]) for key in keys]
-
-
-# -- golden timeline traces ---------------------------------------------------
-# Trace fingerprints (repro.profiling.trace.trace_fingerprint) extend the
-# stream-digest contract to the *time domain*: they pin not just which
-# kernels launch in which order, but when every span sits on the simulated
-# clock.  Timestamps come from the analytical device model, so they are as
-# bit-stable as the stream itself — and must stay byte-identical across
-# --jobs counts and analysis-cache on/off (tests/test_trace_golden.py).
-
-def trace_golden_path(key: str) -> Path:
-    return golden_dir() / f"trace_{key}.json"
-
-
-def load_trace_golden(key: str) -> dict:
-    path = trace_golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden trace for {key!r} at {path}; generate it with "
-            f"`python -m repro golden --traces --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_trace_golden(fingerprint: dict) -> Path:
-    path = trace_golden_path(fingerprint["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_trace_fingerprints(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when traces match byte-for-byte).
-
-    Every field compares exactly: span timestamps are integer microseconds
-    on the simulated clock, so there is no float-accumulation slack to
-    forgive — any drift means the timing model or the stream changed.
-    """
-    diffs: list[str] = []
-    for field in ("version", "workload", "scale", "epochs", "seed",
-                  "num_gpus", "span_count", "wall_us"):
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    exp, act = expected.get("span_counts", {}), actual.get("span_counts", {})
-    for name in sorted(set(exp) | set(act)):
-        if exp.get(name, 0) != act.get(name, 0):
-            diffs.append(f"span_counts[{name}]: expected {exp.get(name, 0)}, "
-                         f"got {act.get(name, 0)}")
-    if expected.get("trace_digest") != actual.get("trace_digest"):
-        diffs.append(
-            f"trace_digest: expected {expected.get('trace_digest')}, "
-            f"got {actual.get('trace_digest')} — the canonical trace JSON "
-            f"changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def verify_trace_goldens(keys: Optional[list[str]] = None,
-                         jobs: Optional[int] = None,
-                         cache=None) -> dict[str, list[str]]:
-    """Diff fresh trace fingerprints against committed snapshots.
-
-    Mirrors :func:`verify_goldens`: traces regenerate under each snapshot's
-    own recorded parameters, missing snapshots surface as one-line diffs,
-    and generation fans out through the execution engine.
-    """
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_trace_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = (exp.get("scale", "test"), exp.get("epochs", 1),
-                  exp.get("seed", 0), exp.get("num_gpus", 1))
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for (scale, epochs, seed, num_gpus), group in by_params.items():
-        actual.update(executor.trace_suite(
-            group, scale=scale, epochs=epochs, seed=seed, num_gpus=num_gpus,
-            jobs=jobs, cache=cache,
-        ))
-    for key in present:
-        diffs[key] = compare_trace_fingerprints(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_trace_goldens(keys: Optional[list[str]] = None, scale: str = "test",
-                         epochs: int = 1, seed: int = 0,
-                         jobs: Optional[int] = None,
-                         cache=None) -> list[Path]:
-    """Regenerate trace snapshots for ``keys`` (default: whole registry)."""
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    fingerprints = executor.trace_suite(keys, scale=scale, epochs=epochs,
-                                        seed=seed, jobs=jobs, cache=cache)
-    return [save_trace_golden(fingerprints[key]) for key in keys]
-
-
-# -- golden memory snapshots --------------------------------------------------
-# Memory reports (repro.core.characterize.measure_memory) pin the *capacity
-# domain*: peak live/reserved HBM bytes, per-phase and per-epoch watermarks,
-# allocator churn and the per-label byte breakdown.  Every quantity is
-# shape-derived (never a float compute result) and frees are refcount-driven
-# with the cyclic GC suspended, so snapshots compare EXACTLY — byte-for-byte
-# across repeat runs, --jobs counts, and analysis-cache on/off
-# (tests/test_memory_golden.py asserts all three).
-
-def memory_golden_path(key: str) -> Path:
-    return golden_dir() / f"memory_{key}.json"
-
-
-def load_memory_golden(key: str) -> dict:
-    path = memory_golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden memory snapshot for {key!r} at {path}; generate it "
-            f"with `python -m repro golden --memory --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_memory_golden(report: dict) -> Path:
-    path = memory_golden_path(report["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_memory_fingerprints(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when reports match byte-for-byte).
-
-    Everything compares exactly: allocation sizes come from tensor shapes
-    and free points from refcounts with the cyclic GC off, so there is no
-    nondeterminism to forgive — any drift means tensor lifetimes (or the
-    allocator's bucketing policy) changed.
-    """
-    diffs: list[str] = []
-    scalar_fields = sorted(
-        (set(expected) | set(actual))
-        - {"phase_watermarks", "epoch_watermarks", "label_stats",
-           "top_labels", "memory_digest"}
-    )
-    for field in scalar_fields:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-
-    exp, act = expected.get("phase_watermarks", {}), actual.get(
-        "phase_watermarks", {})
-    for name in sorted(set(exp) | set(act)):
-        if exp.get(name) != act.get(name):
-            diffs.append(f"phase_watermarks[{name}]: expected "
-                         f"{exp.get(name)!r}, got {act.get(name)!r}")
-
-    if expected.get("epoch_watermarks") != actual.get("epoch_watermarks"):
-        diffs.append(f"epoch_watermarks: expected "
-                     f"{expected.get('epoch_watermarks')!r}, got "
-                     f"{actual.get('epoch_watermarks')!r}")
-
-    exp_labels = {t[0]: t[1:] for t in expected.get("top_labels", [])}
-    act_labels = {t[0]: t[1:] for t in actual.get("top_labels", [])}
-    for name in sorted(set(exp_labels) | set(act_labels)):
-        if exp_labels.get(name) != act_labels.get(name):
-            diffs.append(f"top_labels[{name}]: expected "
-                         f"{exp_labels.get(name)!r}, got "
-                         f"{act_labels.get(name)!r}")
-
-    if expected.get("memory_digest") != actual.get("memory_digest"):
-        diffs.append(
-            f"memory_digest: expected {expected.get('memory_digest')}, "
-            f"got {actual.get('memory_digest')} — the canonical memory "
-            f"report changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-# -- golden serving snapshots -------------------------------------------------
-# Serving reports (repro.serve.serve_report) pin the *latency domain*:
-# request arrivals from seeded RNG streams, queue waits and batch spans on
-# the simulated clock, capture/replay batch execution, and the serving HBM
-# peaks.  Every field is analytic (shapes + seeded draws + the device model),
-# so snapshots compare EXACTLY — byte-for-byte across repeat runs, --jobs
-# counts, and analysis-cache on/off (tests/test_serve_golden.py).
-
-#: default snapshot set for ``python -m repro golden --serve``: the flagship
-#: recsys serving scenarios plus the batched-molecule classifier
-SERVE_GOLDEN_KEYS = ("PSAGE-MVL", "PSAGE-NWP", "DGCN")
-
-#: the parameters a serve snapshot records (and verification replays under)
-_SERVE_PARAM_FIELDS = ("scale", "qps", "arrival", "batch_max", "max_wait_us",
-                       "requests", "num_users", "seed")
-
-
-def serve_golden_path(key: str) -> Path:
-    return golden_dir() / f"serve_{key}.json"
-
-
-def load_serve_golden(key: str) -> dict:
-    path = serve_golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden serving snapshot for {key!r} at {path}; generate it "
-            f"with `python -m repro golden --serve --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_serve_golden(report: dict) -> Path:
-    path = serve_golden_path(report["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_serve_reports(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when reports match byte-for-byte).
-
-    Everything compares exactly: latencies are simulated-clock arithmetic,
-    arrivals are seeded RNG draws, and HBM peaks are shape-derived — there
-    is no nondeterminism to forgive.  The digest-drift line comes last, as
-    in every other golden family.
-    """
-    diffs: list[str] = []
-    nested = {"latency_us", "wait_us", "compute_us", "batch_size_hist",
-              "plan_kernels"}
-    scalar_fields = sorted(
-        (set(expected) | set(actual)) - nested - {"serve_digest"}
-    )
-    for field in scalar_fields:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    for block in sorted(nested):
-        exp, act = expected.get(block, {}), actual.get(block, {})
-        for name in sorted(set(exp) | set(act)):
-            if exp.get(name) != act.get(name):
-                diffs.append(f"{block}[{name}]: expected {exp.get(name)!r}, "
-                             f"got {act.get(name)!r}")
-    if expected.get("serve_digest") != actual.get("serve_digest"):
-        diffs.append(
-            f"serve_digest: expected {expected.get('serve_digest')}, "
-            f"got {actual.get('serve_digest')} — the canonical serving "
-            f"report changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def verify_serve_goldens(keys: Optional[list[str]] = None,
-                         jobs: Optional[int] = None,
-                         cache=None) -> dict[str, list[str]]:
-    """Diff fresh serving reports against committed snapshots.
-
-    Mirrors :func:`verify_memory_goldens`: reports regenerate under each
-    snapshot's own recorded parameters, missing snapshots surface as
-    one-line diffs, and generation fans out through the execution engine.
-    """
-    from ..core import executor
-
-    keys = list(keys or SERVE_GOLDEN_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_serve_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = tuple(exp.get(f) for f in _SERVE_PARAM_FIELDS)
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for params, group in by_params.items():
-        actual.update(executor.serve_suite(
-            group, jobs=jobs, cache=cache,
-            **dict(zip(_SERVE_PARAM_FIELDS, params)),
-        ))
-    for key in present:
-        diffs[key] = compare_serve_reports(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_serve_goldens(keys: Optional[list[str]] = None,
-                         scale: str = "test", qps: float = 100.0,
-                         arrival: str = "poisson", batch_max: int = 8,
-                         max_wait_us: float = 2000.0, requests: int = 256,
-                         num_users: int = 64, seed: int = 0,
-                         jobs: Optional[int] = None,
-                         cache=None) -> list[Path]:
-    """Regenerate serving snapshots for ``keys`` (default: the flagships)."""
-    from ..core import executor
-
-    keys = list(keys or SERVE_GOLDEN_KEYS)
-    reports = executor.serve_suite(keys, scale=scale, qps=qps,
-                                   arrival=arrival, batch_max=batch_max,
-                                   max_wait_us=max_wait_us, requests=requests,
-                                   num_users=num_users, seed=seed, jobs=jobs,
-                                   cache=cache)
-    return [save_serve_golden(reports[key]) for key in keys]
-
-
-# -- sampled-training goldens -------------------------------------------------
-# Mini-batch loader snapshots (repro.train.loader): batch/edge counts, the
-# sampler cost model's totals, loader-stall accounting and HBM peaks.  Every
-# field is analytic (seeded neighbor draws + simulated-clock arithmetic), so
-# snapshots compare EXACTLY across repeat runs, --jobs counts and
-# analysis-cache on/off (tests/test_sample_golden.py).
-
-#: default snapshot set for ``python -m repro golden --sample``: the
-#: citation + PinSAGE flagships the mini-batch pipeline targets
-SAMPLE_GOLDEN_KEYS = ("ARGA", "PSAGE-MVL")
-
-#: the parameters a sample snapshot records (and verification replays under)
-_SAMPLE_PARAM_FIELDS = ("scale", "fanouts", "batch_size", "prefetch_depth",
-                        "epochs", "nodes", "seed")
-
-
-def sample_golden_path(key: str) -> Path:
-    return golden_dir() / f"sample_{key}.json"
-
-
-def load_sample_golden(key: str) -> dict:
-    path = sample_golden_path(key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden sampled-training snapshot for {key!r} at {path}; "
-            f"generate it with `python -m repro golden --sample --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_sample_golden(report: dict) -> Path:
-    path = sample_golden_path(report["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_sample_reports(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when reports match byte-for-byte).
-
-    Everything compares exactly: batch composition is seeded RNG, sampler
-    costs are closed-form in the block shapes, and stall times are
-    simulated-clock arithmetic — there is no nondeterminism to forgive.
-    The digest-drift line comes last, as in every other golden family.
-    """
-    diffs: list[str] = []
-    nested = {"stall_breakdown"}
-    scalar_fields = sorted(
-        (set(expected) | set(actual)) - nested - {"sample_digest"}
-    )
-    for field in scalar_fields:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    for block in sorted(nested):
-        exp, act = expected.get(block, {}), actual.get(block, {})
-        for name in sorted(set(exp) | set(act)):
-            if exp.get(name) != act.get(name):
-                diffs.append(f"{block}[{name}]: expected {exp.get(name)!r}, "
-                             f"got {act.get(name)!r}")
-    if expected.get("sample_digest") != actual.get("sample_digest"):
-        diffs.append(
-            f"sample_digest: expected {expected.get('sample_digest')}, "
-            f"got {actual.get('sample_digest')} — the canonical sampled-"
-            f"training report changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def verify_sample_goldens(keys: Optional[list[str]] = None,
-                          jobs: Optional[int] = None,
-                          cache=None) -> dict[str, list[str]]:
-    """Diff fresh sampled-training reports against committed snapshots.
-
-    Mirrors :func:`verify_serve_goldens`: reports regenerate under each
-    snapshot's own recorded parameters, missing snapshots surface as
-    one-line diffs, and generation fans out through the execution engine.
-    """
-    from ..core import executor
-
-    keys = list(keys or SAMPLE_GOLDEN_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_sample_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = tuple(
-            tuple(exp.get(f)) if f == "fanouts" else exp.get(f)
-            for f in _SAMPLE_PARAM_FIELDS
-        )
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for params, group in by_params.items():
-        actual.update(executor.sample_suite(
-            group, jobs=jobs, cache=cache,
-            **dict(zip(_SAMPLE_PARAM_FIELDS, params)),
-        ))
-    for key in present:
-        diffs[key] = compare_sample_reports(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_sample_goldens(keys: Optional[list[str]] = None,
-                          scale: str = "test", fanouts=(10, 5),
-                          batch_size: int = 64, prefetch_depth: int = 2,
-                          epochs: int = 2, nodes=None, seed: int = 0,
-                          jobs: Optional[int] = None,
-                          cache=None) -> list[Path]:
-    """Regenerate sampled-training snapshots (default: the flagships)."""
-    from ..core import executor
-
-    keys = list(keys or SAMPLE_GOLDEN_KEYS)
-    reports = executor.sample_suite(keys, scale=scale, fanouts=fanouts,
-                                    batch_size=batch_size,
-                                    prefetch_depth=prefetch_depth,
-                                    epochs=epochs, nodes=nodes, seed=seed,
-                                    jobs=jobs, cache=cache)
-    return [save_sample_golden(reports[key]) for key in keys]
-
-
-def verify_memory_goldens(keys: Optional[list[str]] = None,
-                          jobs: Optional[int] = None,
-                          cache=None) -> dict[str, list[str]]:
-    """Diff fresh memory reports against committed snapshots.
-
-    Mirrors :func:`verify_trace_goldens`: reports regenerate under each
-    snapshot's own recorded parameters, missing snapshots surface as
-    one-line diffs, and generation fans out through the execution engine.
-    """
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for key in keys:
-        try:
-            expected[key] = load_memory_golden(key)
-        except FileNotFoundError as exc:
-            diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = (exp.get("scale", "test"), exp.get("epochs", 1),
-                  exp.get("seed", 0))
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for (scale, epochs, seed), group in by_params.items():
-        actual.update(executor.memstats_suite(
-            group, scale=scale, epochs=epochs, seed=seed, jobs=jobs,
-            cache=cache,
-        ))
-    for key in present:
-        diffs[key] = compare_memory_fingerprints(expected[key], actual[key])
-    return {key: diffs[key] for key in keys}
-
-
-def update_memory_goldens(keys: Optional[list[str]] = None,
-                          scale: str = "test", epochs: int = 1, seed: int = 0,
-                          jobs: Optional[int] = None,
-                          cache=None) -> list[Path]:
-    """Regenerate memory snapshots for ``keys`` (default: whole registry)."""
-    from ..core import executor
-
-    keys = list(keys or registry.WORKLOAD_KEYS)
-    reports = executor.memstats_suite(keys, scale=scale, epochs=epochs,
-                                      seed=seed, jobs=jobs, cache=cache)
-    return [save_memory_golden(reports[key]) for key in keys]
-
-
-# -- sharded-training goldens -------------------------------------------------
-# Partition-parallel snapshots (repro.train.sharded): the partition plan's
-# quality metrics and digest, halo-exchange volumes and the halo span-stream
-# digest, staging transfers, HBM peaks and simulated epoch times.  Everything
-# but the fp64 losses is integer geometry or simulated-clock arithmetic and
-# compares EXACTLY; losses compare within fp64 tolerance because cross-part
-# summation order differs from the whole-graph run.
-
-#: default snapshot set for ``python -m repro golden --shard``: numeric-mode
-#: runs at 2/4 parts and under host offload, plus a capacity-mode run
-SHARD_GOLDEN_KEYS = ("ARGA-P2", "ARGA-P4", "ARGA-OFFLOAD", "ARGA-CAP4")
-
-#: the parameters a shard snapshot records (and verification replays under)
-_SHARD_PARAM_FIELDS = ("parts", "offload", "nodes", "feat_dim", "hidden",
-                       "epochs", "seed", "mode")
-
-#: max |expected - actual| for per-epoch losses (cross-part fp64 reorder)
-_SHARD_LOSS_TOL = 1e-9
-
-
-def shard_golden_path(name: str) -> Path:
-    return golden_dir() / f"shard_{name}.json"
-
-
-def load_shard_golden(name: str) -> dict:
-    path = shard_golden_path(name)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no golden sharded-training snapshot for {name!r} at {path}; "
-            f"generate it with `python -m repro golden --shard --update`"
-        )
-    return json.loads(path.read_text())
-
-
-def save_shard_golden(report: dict) -> Path:
-    path = shard_golden_path(report["name"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_shard_reports(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when reports match).
-
-    Plan metrics, halo/staging byte counts, kernel counts and HBM peaks are
-    integer geometry; epoch times are simulated-clock arithmetic — all
-    compare exactly.  Losses are real fp64 training values whose cross-part
-    summation order is partition-dependent, so they get a tolerance.  The
-    digest-drift line comes last, as in every other golden family.
-    """
-    diffs: list[str] = []
-    nested = {"partition"}
-    tolerant = {"losses", "loss_final"}
-    scalar_fields = sorted(
-        (set(expected) | set(actual)) - nested - tolerant - {"shard_digest"}
-    )
-    for field in scalar_fields:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    for block in sorted(nested):
-        exp, act = expected.get(block, {}), actual.get(block, {})
-        for name in sorted(set(exp) | set(act)):
-            if exp.get(name) != act.get(name):
-                diffs.append(f"{block}[{name}]: expected {exp.get(name)!r}, "
-                             f"got {act.get(name)!r}")
-    exp_losses = expected.get("losses") or []
-    act_losses = actual.get("losses") or []
-    if len(exp_losses) != len(act_losses):
-        diffs.append(f"losses: expected {len(exp_losses)} epochs, "
-                     f"got {len(act_losses)}")
-    elif exp_losses and max(abs(e - a) for e, a in
-                            zip(exp_losses, act_losses)) > _SHARD_LOSS_TOL:
-        diffs.append(f"losses: expected {exp_losses}, got {act_losses} "
-                     f"(tolerance {_SHARD_LOSS_TOL})")
-    if expected.get("shard_digest") != actual.get("shard_digest"):
-        diffs.append(
-            f"shard_digest: expected {expected.get('shard_digest')}, "
-            f"got {actual.get('shard_digest')} — the canonical sharded-"
-            f"training report changed even though the summary stats above "
-            f"{'also differ' if diffs else 'still match'}"
-        )
-    return diffs
-
-
-def verify_shard_goldens(names: Optional[list[str]] = None,
-                         jobs: Optional[int] = None,
-                         cache=None) -> dict[str, list[str]]:
-    """Diff fresh sharded-training reports against committed snapshots.
-
-    Mirrors :func:`verify_sample_goldens`: reports regenerate under each
-    snapshot's own recorded parameters, missing snapshots surface as
-    one-line diffs, and generation fans out through the execution engine.
-    """
-    from ..core import executor
-
-    names = list(names or SHARD_GOLDEN_KEYS)
-    expected: dict[str, dict] = {}
-    diffs: dict[str, list[str]] = {}
-    for name in names:
-        try:
-            expected[name] = load_shard_golden(name)
-        except FileNotFoundError as exc:
-            diffs[name] = [f"missing snapshot: {exc}"]
-
-    present = [n for n in names if n in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for name in present:
-        exp = expected[name]
-        params = tuple(exp.get(f) for f in _SHARD_PARAM_FIELDS)
-        by_params.setdefault(params, []).append(name)
-    actual: dict[str, dict] = {}
-    for params, group in by_params.items():
-        actual.update(executor.shard_suite(
-            group, jobs=jobs, cache=cache,
-            **dict(zip(_SHARD_PARAM_FIELDS, params)),
-        ))
-    for name in present:
-        diffs[name] = compare_shard_reports(expected[name], actual[name])
-    return {name: diffs[name] for name in names}
-
-
-def update_shard_goldens(names: Optional[list[str]] = None,
-                         jobs: Optional[int] = None,
-                         cache=None) -> list[Path]:
-    """Regenerate sharded-training snapshots (default: the golden configs)."""
-    from ..core import executor
-
-    names = list(names or SHARD_GOLDEN_KEYS)
-    reports = executor.shard_suite(names, jobs=jobs, cache=cache)
-    return [save_shard_golden(reports[name]) for name in names]
-
-
-# -- insight-engine goldens ---------------------------------------------------
-# Insights snapshots (repro.profiling.insights) pin the *interpretation
-# domain*: the roofline classifier's bound-class verdicts, the attribution
-# tree's totals, and the canonical-report digest.  Snapshots store a compact
-# fingerprint rather than the full report (the tree is large and every byte
-# of it is already covered by ``insights_digest``); the digest deliberately
-# excludes ``manifest.source_digest``, so snapshots survive commits that
-# don't change behaviour.  Byte-determinism across repeat runs, --jobs
-# counts, profile-cache warm/cold and analysis-cache on/off is asserted by
-# tests/test_insights_golden.py on the shared determinism matrix.
-
-#: default snapshot set for ``python -m repro golden --insights``: the
-#: paper's flagship 3D-GNN plus the memory-bound knowledge-graph workload
-INSIGHTS_GOLDEN_KEYS = ("DGCN", "KGNNL")
-
-#: the parameters an insights snapshot records (and verification replays
-#: under)
-_INSIGHTS_PARAM_FIELDS = ("scale", "epochs", "seed", "gpus")
+# -- insights fingerprints ----------------------------------------------------
+# Insights snapshots store a compact fingerprint rather than the full report
+# (the tree is large and every byte of it is already covered by
+# ``insights_digest``); the digest deliberately excludes
+# ``manifest.source_digest``, so snapshots survive commits that don't change
+# behaviour.
 
 #: flat sites carried verbatim in the fingerprint (the hottest N)
 _INSIGHTS_TOP_SITES = 5
@@ -1254,119 +369,223 @@ def insights_fingerprint(report: dict) -> dict:
     }
 
 
-def insights_golden_path(key: str) -> Path:
-    return golden_dir() / f"insights_{key}.json"
+# -- the family table ---------------------------------------------------------
+@dataclass(frozen=True)
+class GoldenFamily:
+    """One snapshot family: its files, how they are generated and diffed."""
+
+    #: family name, the first argument of :func:`verify` and friends
+    name: str
+    #: ``python -m repro golden`` flag selecting it (None: the default)
+    flag: Optional[str]
+    #: file name prefix: snapshot ``KEY`` lives at ``<prefix>KEY.json``
+    prefix: str
+    #: what one snapshot is, in messages
+    noun: str
+    #: executor task kind (``repro.core.executor.TASKS``) generating it
+    task: str
+    #: every key the family accepts
+    domain: tuple
+    #: the committed snapshots' keys, in report order
+    keys: tuple
+    #: task parameters ``update`` generates under
+    defaults: Mapping[str, object]
+    #: the digest field; its diff line comes last
+    digest: str
+    #: recorded fields ``verify`` replays each snapshot under (default:
+    #: the keys of ``defaults``)
+    params: tuple = ()
+    #: ``field -> (rtol, atol)``; every other field compares exactly
+    tolerance: Mapping[str, tuple] = field(default_factory=dict)
+    #: reduces a task payload to the stored snapshot (default: identity)
+    reduce: Optional[Callable[[dict], dict]] = None
+
+    @property
+    def recorded(self) -> tuple:
+        return self.params or tuple(self.defaults)
+
+    @property
+    def regenerate(self) -> str:
+        flag = f" {self.flag}" if self.flag else ""
+        return f"python -m repro golden{flag} --update"
 
 
-def load_insights_golden(key: str) -> dict:
-    path = insights_golden_path(key)
-    if not path.exists():
+_WORKLOADS = tuple(registry.WORKLOAD_KEYS)
+_TEST = dict(scale="test", epochs=1, seed=0)
+
+FAMILIES = {family.name: family for family in (
+    # one-epoch kernel streams: counts, histograms, instruction/byte
+    # totals, losses and the ordered-stream digest
+    GoldenFamily(
+        name="stream", flag=None, prefix="", noun="snapshot",
+        task="fingerprint", domain=_WORKLOADS, keys=_WORKLOADS,
+        defaults=_TEST, digest="stream_digest",
+        tolerance={"totals": (1e-9, 0.0), "transfer_totals": (1e-9, 0.0),
+                   "losses": (1e-4, 1e-6)}),
+    # the time domain: when every span sits on the simulated clock
+    GoldenFamily(
+        name="trace", flag="--traces", prefix="trace_", noun="trace",
+        task="trace", domain=_WORKLOADS, keys=_WORKLOADS,
+        defaults=dict(_TEST, num_gpus=1), digest="trace_digest"),
+    # the capacity domain: HBM peaks, watermarks, allocator churn, labels
+    GoldenFamily(
+        name="memory", flag="--memory", prefix="memory_",
+        noun="memory snapshot", task="memstats", domain=_WORKLOADS,
+        keys=_WORKLOADS, defaults=_TEST, digest="memory_digest"),
+    # capture + fuse + replay: the fused event stream and fusion census
+    GoldenFamily(
+        name="fused", flag="--fused", prefix="fused_", noun="fused stream",
+        task="fused_fingerprint", domain=_WORKLOADS, keys=_WORKLOADS,
+        defaults=dict(_TEST, epochs=5), digest="fused_stream_digest",
+        tolerance={"totals": (1e-9, 0.0)}),
+    # the latency domain: seeded arrivals, queueing, batch replay
+    GoldenFamily(
+        name="serve", flag="--serve", prefix="serve_",
+        noun="serving snapshot", task="serve", domain=SERVEABLE,
+        keys=("PSAGE-MVL", "PSAGE-NWP", "DGCN"),
+        defaults=dict(scale="test", qps=100.0, arrival="poisson",
+                      batch_max=8, max_wait_us=2000.0, requests=256,
+                      num_users=64, seed=0),
+        digest="serve_digest"),
+    # mini-batch loader: batch/edge counts, sampler cost, stalls
+    GoldenFamily(
+        name="sample", flag="--sample", prefix="sample_",
+        noun="sampled-training snapshot", task="sample", domain=SAMPLEABLE,
+        keys=SAMPLE_DEFAULT_KEYS,
+        defaults=dict(scale="test", fanouts=(10, 5), batch_size=64,
+                      prefetch_depth=2, epochs=2, nodes=None, seed=0),
+        digest="sample_digest"),
+    # partition-parallel training, keyed by named configuration; each
+    # configuration carries its own parameters, and fp64 losses are
+    # summed in a partition-dependent order
+    GoldenFamily(
+        name="shard", flag="--shard", prefix="shard_",
+        noun="sharded-training snapshot", task="shard",
+        domain=SHARD_GOLDEN_KEYS, keys=SHARD_GOLDEN_KEYS, defaults={},
+        params=("parts", "offload", "nodes", "feat_dim", "hidden", "epochs",
+                "seed", "mode"),
+        digest="shard_digest",
+        tolerance={"losses": (0.0, 1e-9), "loss_final": (0.0, 1e-9)}),
+    # the interpretation domain: roofline verdicts and attribution totals
+    GoldenFamily(
+        name="insights", flag="--insights", prefix="insights_",
+        noun="insights snapshot", task="insights", domain=_WORKLOADS,
+        keys=("DGCN", "KGNNL"), defaults=dict(_TEST, epochs=2, gpus=1),
+        digest="insights_digest", reduce=insights_fingerprint),
+)}
+
+
+def path(family: str, key: str) -> Path:
+    fam = FAMILIES[family]
+    return golden_dir() / f"{fam.prefix}{key}.json"
+
+
+def load(family: str, key: str) -> dict:
+    snapshot = path(family, key)
+    if not snapshot.exists():
+        fam = FAMILIES[family]
         raise FileNotFoundError(
-            f"no golden insights snapshot for {key!r} at {path}; generate it "
-            f"with `python -m repro golden --insights --update`"
+            f"no golden {fam.noun} for {key!r} at {snapshot}; generate it "
+            f"with `{fam.regenerate}`"
         )
-    return json.loads(path.read_text())
+    return json.loads(snapshot.read_text())
 
 
-def save_insights_golden(report: dict) -> Path:
-    fingerprint = (report if "top_sites" in report
-                   else insights_fingerprint(report))
-    path = insights_golden_path(fingerprint["workload"])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(fingerprint, indent=2, sort_keys=True) + "\n")
-    return path
+def save(family: str, key: str, snapshot: dict) -> Path:
+    """Write canonical JSON (sorted keys, two-space indent, newline)."""
+    out = path(family, key)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    return out
 
 
-def compare_insights_fingerprints(expected: dict, actual: dict) -> list[str]:
-    """Human-readable diffs (empty when snapshots match byte-for-byte).
+def compare(family: str, expected: dict, actual: dict) -> list[str]:
+    """Human-readable differences, empty when the snapshots match.
 
-    Every field compares exactly: durations and shares are analytic
-    functions of the simulated clock and the kernel descriptors, so there
-    is no nondeterminism to forgive.  The digest-drift line comes last, as
-    in every other golden family.
+    Fields compare in name order; dicts entry by entry and lists element
+    by element, so each line names the field (and entry) that moved.
+    Fields in the family's ``tolerance`` compare with ``np.isclose``,
+    everything else exactly.  The digest line comes last.
     """
+    fam = FAMILIES[family]
     diffs: list[str] = []
-    nested = {"bound_summary", "stream_summary", "top_sites"}
-    scalar_fields = sorted(
-        (set(expected) | set(actual)) - nested - {"insights_digest"}
-    )
-    for field in scalar_fields:
-        if expected.get(field) != actual.get(field):
-            diffs.append(f"{field}: expected {expected.get(field)!r}, "
-                         f"got {actual.get(field)!r}")
-    for block in ("bound_summary", "stream_summary"):
-        exp, act = expected.get(block, {}), actual.get(block, {})
-        for name in sorted(set(exp) | set(act)):
-            if exp.get(name) != act.get(name):
-                diffs.append(f"{block}[{name}]: expected {exp.get(name)!r}, "
-                             f"got {act.get(name)!r}")
-    exp_sites = expected.get("top_sites", [])
-    act_sites = actual.get("top_sites", [])
-    if len(exp_sites) != len(act_sites):
-        diffs.append(f"top_sites: expected {len(exp_sites)} sites, "
-                     f"got {len(act_sites)}")
-    else:
-        for i, (e, a) in enumerate(zip(exp_sites, act_sites)):
-            if e != a:
-                diffs.append(f"top_sites[{i}]: expected {e!r}, got {a!r}")
-    if expected.get("insights_digest") != actual.get("insights_digest"):
+    for name in sorted((set(expected) | set(actual)) - {fam.digest}):
+        exp, act = expected.get(name), actual.get(name)
+        tol = fam.tolerance.get(name)
+        if isinstance(exp, dict) and isinstance(act, dict):
+            pairs = [(f"{name}[{k}]", exp.get(k), act.get(k))
+                     for k in sorted(set(exp) | set(act))]
+        elif isinstance(exp, list) and isinstance(act, list):
+            if len(exp) != len(act):
+                diffs.append(f"{name}: expected {len(exp)} entries, "
+                             f"got {len(act)}")
+                continue
+            pairs = [(f"{name}[{i}]", e, a)
+                     for i, (e, a) in enumerate(zip(exp, act))]
+        else:
+            pairs = [(name, exp, act)]
+        for label, e, a in pairs:
+            same = (e == a if tol is None or e is None or a is None
+                    else bool(np.isclose(e, a, rtol=tol[0], atol=tol[1])))
+            if not same:
+                diffs.append(f"{label}: expected {e!r}, got {a!r}")
+    exp, act = expected.get(fam.digest), actual.get(fam.digest)
+    if exp != act:
         diffs.append(
-            f"insights_digest: expected {expected.get('insights_digest')}, "
-            f"got {actual.get('insights_digest')} — the canonical insights "
-            f"report changed even though the summary stats above "
+            f"{fam.digest}: expected {exp}, got {act} — the hashed payload "
+            f"changed even though the summary stats above "
             f"{'also differ' if diffs else 'still match'}"
         )
     return diffs
 
 
-def verify_insights_goldens(keys: Optional[list[str]] = None,
-                            jobs: Optional[int] = None,
-                            cache=None) -> dict[str, list[str]]:
-    """Diff fresh insights fingerprints against committed snapshots.
+def _snapshot(fam: GoldenFamily, payload: dict) -> dict:
+    return fam.reduce(payload) if fam.reduce else payload
 
-    Mirrors :func:`verify_serve_goldens`: reports regenerate under each
-    snapshot's own recorded parameters, missing snapshots surface as
-    one-line diffs, and generation fans out through the execution engine.
+
+def verify(family: str, keys: Optional[list[str]] = None,
+           jobs: Optional[int] = None, cache=None) -> dict[str, list[str]]:
+    """Diff fresh payloads for ``keys`` (default: the family's) against the
+    committed snapshots.
+
+    Each snapshot regenerates under its own recorded parameters, grouped so
+    every group is one executor suite; a missing snapshot surfaces as a
+    one-line diff instead of raising, so one absent file doesn't abort the
+    remaining keys.
     """
     from ..core import executor
 
-    keys = list(keys or INSIGHTS_GOLDEN_KEYS)
-    expected: dict[str, dict] = {}
+    fam = FAMILIES[family]
+    keys = list(keys or fam.keys)
     diffs: dict[str, list[str]] = {}
+    groups: dict[str, tuple[dict, dict]] = {}
     for key in keys:
         try:
-            expected[key] = load_insights_golden(key)
+            expected = load(family, key)
         except FileNotFoundError as exc:
             diffs[key] = [f"missing snapshot: {exc}"]
-
-    present = [k for k in keys if k in expected]
-    by_params: dict[tuple, list[str]] = {}
-    for key in present:
-        exp = expected[key]
-        params = tuple(exp.get(f) for f in _INSIGHTS_PARAM_FIELDS)
-        by_params.setdefault(params, []).append(key)
-    actual: dict[str, dict] = {}
-    for params, group in by_params.items():
-        actual.update(executor.insights_suite(
-            group, jobs=jobs, cache=cache,
-            **dict(zip(_INSIGHTS_PARAM_FIELDS, params)),
-        ))
-    for key in present:
-        diffs[key] = compare_insights_fingerprints(
-            expected[key], insights_fingerprint(actual[key]))
+            continue
+        params = dict(fam.defaults)
+        params.update((f, expected[f]) for f in fam.recorded if f in expected)
+        group = groups.setdefault(canonical_json(params), (params, {}))
+        group[1][key] = expected
+    for params, snapshots in groups.values():
+        fresh = executor.suite(fam.task, snapshots, jobs=jobs, cache=cache,
+                               **params)
+        for key, expected in snapshots.items():
+            # compare what --update would write, not the in-memory payload
+            actual = json.loads(json.dumps(_snapshot(fam, fresh[key])))
+            diffs[key] = compare(family, expected, actual)
     return {key: diffs[key] for key in keys}
 
 
-def update_insights_goldens(keys: Optional[list[str]] = None,
-                            scale: str = "test", epochs: int = 2,
-                            seed: int = 0, gpus: int = 1,
-                            jobs: Optional[int] = None,
-                            cache=None) -> list[Path]:
-    """Regenerate insights snapshots (default: the flagship pair)."""
+def update(family: str, keys: Optional[list[str]] = None,
+           jobs: Optional[int] = None, cache=None) -> list[Path]:
+    """Regenerate the snapshots for ``keys`` (default: the family's)."""
     from ..core import executor
 
-    keys = list(keys or INSIGHTS_GOLDEN_KEYS)
-    reports = executor.insights_suite(keys, scale=scale, epochs=epochs,
-                                      seed=seed, gpus=gpus, jobs=jobs,
-                                      cache=cache)
-    return [save_insights_golden(reports[key]) for key in keys]
+    fam = FAMILIES[family]
+    keys = list(keys or fam.keys)
+    fresh = executor.suite(fam.task, keys, jobs=jobs, cache=cache,
+                           **fam.defaults)
+    return [save(family, key, _snapshot(fam, fresh[key])) for key in keys]

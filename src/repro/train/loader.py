@@ -27,14 +27,13 @@ analysis-cache settings (``tests/test_sample_golden.py`` pins the matrix).
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from ..canonical import canonical_digest
 from ..graph import Graph
 from ..graph.sampling import SampledBlock, uniform_neighbor_block
 from ..gpu import SimulatedGPU, SimulationConfig
@@ -481,9 +480,8 @@ class _StallAccumulator:
 
 def digest_sample_report(report: dict) -> str:
     """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    payload = {k: v for k, v in report.items() if k != "sample_digest"}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {k: v for k, v in report.items() if k != "sample_digest"})
 
 
 def build_sample_report(

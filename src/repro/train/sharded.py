@@ -46,8 +46,6 @@ analysis-cache settings.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -55,6 +53,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..canonical import canonical_digest
 from ..graph.partition import PartitionPlan, partition_graph, plan_digest
 from ..gpu import OpClass, SimulationConfig
 from ..gpu.multigpu import MultiGPUSystem
@@ -585,9 +584,8 @@ _DIGEST_EXCLUDE = ("shard_digest", "losses", "loss_final")
 
 def digest_shard_report(report: dict) -> str:
     """SHA-256 over the canonical JSON of the exact-deterministic fields."""
-    payload = {k: v for k, v in report.items() if k not in _DIGEST_EXCLUDE}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(
+        {k: v for k, v in report.items() if k not in _DIGEST_EXCLUDE})
 
 
 def _halo_trace_digest(timeline: trace.Timeline) -> str:
@@ -597,8 +595,7 @@ def _halo_trace_digest(timeline: trace.Timeline) -> str:
          "dur_us": s.dur_us, "args": dict(s.args)}
         for s in timeline.spans if s.cat == trace.CAT_HALO
     ]
-    canonical = json.dumps(spans, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_digest(spans)
 
 
 def build_shard_report(
@@ -734,7 +731,12 @@ def shard_run(
 
 
 def shard_report(key: str, **kwargs) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
+    """The picklable executor-task entry point (no timeline).
+
+    ``key`` is a named configuration (``ARGA-P4``) or a bare shardable
+    workload key; ``kwargs`` land on top of the resolved parameters.
+    """
     kwargs.pop("traced", None)
-    report, _ = shard_run(key, traced=False, **kwargs)
+    key, params = resolve_shard_config(key)
+    report, _ = shard_run(key, traced=False, **{**params, **kwargs})
     return report

@@ -1,9 +1,9 @@
 """Shared determinism matrix for golden report families.
 
-Every golden family (memory, serve, sample, shard) makes the same
-promise: a report is a pure function of its parameters, so the exact
-bytes must survive every way the run can be executed.  The matrix pins
-the four axes:
+Every golden report family (memory, serve, sample, shard, insights)
+makes the same promise: a report is a pure function of its parameters,
+so the exact bytes must survive every way the run can be executed.  The
+matrix pins the four axes:
 
 * repeat runs in one process are byte-identical,
 * the executor produces the same bytes serial (``jobs=1``) and on pool
@@ -11,13 +11,14 @@ the four axes:
 * a profile-cache warm replay matches the cold run that populated it,
 * launch-analysis memoization on/off leaves the report untouched.
 
-Subclass :class:`GoldenMatrix` in a ``TestDeterminism`` class and
-implement the three ``run_*`` hooks with the family's own entry points;
-the ``test_*`` methods are inherited.
+Subclass :class:`GoldenMatrix` in a ``TestDeterminism`` class, name the
+executor ``task`` and its suite ``params`` and implement ``run_single``
+(and ``run_analysis`` if it differs); the ``test_*`` methods are inherited.
 """
 
 import json
 
+from repro.core import executor
 from repro.core.cache import ProfileCache
 from repro.gpu import analysis_cache
 
@@ -30,8 +31,10 @@ def canonical(report) -> str:
 class GoldenMatrix:
     """Mixin asserting a report family is execution-strategy invariant."""
 
-    #: suite keys exercised by the jobs / profile-cache axes
+    #: the jobs / profile-cache axes: keys, executor task and its params
     keys = ()
+    task = ""
+    params: dict = {}
 
     def run_single(self):
         """One report, fixed parameters (repeat-run axis)."""
@@ -39,7 +42,8 @@ class GoldenMatrix:
 
     def run_suite(self, *, jobs=None, cache=None):
         """Executor suite ``{key: report}`` honouring ``jobs``/``cache``."""
-        raise NotImplementedError
+        return executor.suite(self.task, self.keys, jobs=jobs, cache=cache,
+                              **self.params)
 
     def run_analysis(self):
         """One report for the analysis-cache axis (defaults to single)."""

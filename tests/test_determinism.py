@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.testing import compare_fingerprints, fingerprint_workload
+from repro.testing import fingerprint_workload, golden
 
 # cheapest representatives of the three framework styles: fused-SpMM (ARGA),
 # gather/scatter batching (KGNNL), and per-node recursion (TLSTM)
@@ -21,7 +21,7 @@ def test_same_seed_same_stream(key):
     second = fingerprint_workload(key, scale="test", epochs=1, seed=0)
     assert first["stream_digest"] == second["stream_digest"]
     assert first["losses"] == second["losses"]
-    assert not compare_fingerprints(first, second)
+    assert not golden.compare("stream", first, second)
 
 
 def test_different_seed_different_stream():
@@ -38,15 +38,15 @@ class TestPoolIsolation:
     sharing a pool must not share RNG state or device event logs."""
 
     def test_pool_workers_do_not_share_state(self):
-        from repro.testing import fingerprint_suite
+        from repro.core import executor
 
         solo = {k: fingerprint_workload(k, scale="test", epochs=1, seed=0)
                 for k in CHEAP_KEYS}
         # 2 workers, 3 workloads: at least one worker runs two workloads
         # back to back, so cross-contamination of the framework RNG or of a
         # device's launch/transfer logs would corrupt the second stream
-        pooled = fingerprint_suite(list(CHEAP_KEYS), scale="test", epochs=1,
-                                   seed=0, jobs=2, cache=None)
+        pooled = executor.suite("fingerprint", CHEAP_KEYS, jobs=2,
+                                cache=None, scale="test", epochs=1, seed=0)
         for key in CHEAP_KEYS:
             assert pooled[key]["stream_digest"] == solo[key]["stream_digest"]
             assert pooled[key]["launch_count"] == solo[key]["launch_count"]

@@ -10,6 +10,7 @@ back to recomputation, never crash.
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import pytest
@@ -19,6 +20,8 @@ from repro.core.cache import CACHE_VERSION, ProfileCache, default_cache_dir
 from repro.testing import golden
 
 ALL_KEYS = list(registry.WORKLOAD_KEYS)
+fingerprints = functools.partial(executor.suite, "fingerprint", scale="test",
+                                 epochs=1, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +34,7 @@ def populated_cache(tmp_path_factory):
 def serial_fingerprints(populated_cache):
     """Ground truth: the whole registry fingerprinted serially (this run
     also populates ``populated_cache`` for the cache-hit leg)."""
-    return golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1, seed=0,
-                                    jobs=1, cache=populated_cache)
+    return fingerprints(ALL_KEYS, jobs=1, cache=populated_cache)
 
 
 def _digests(fps: dict) -> dict[str, str]:
@@ -42,8 +44,7 @@ def _digests(fps: dict) -> dict[str, str]:
 class TestEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_parallel_digests_byte_identical(self, jobs, serial_fingerprints):
-        fps = golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1,
-                                       seed=0, jobs=jobs, cache=None)
+        fps = fingerprints(ALL_KEYS, jobs=jobs)
         assert _digests(fps) == _digests(serial_fingerprints)
 
     def test_cache_hit_digests_byte_identical(self, serial_fingerprints,
@@ -54,9 +55,7 @@ class TestEquivalence:
             golden, "fingerprint_workload",
             lambda *a, **k: pytest.fail("cache hit still recomputed"),
         )
-        again = golden.fingerprint_suite(ALL_KEYS, scale="test", epochs=1,
-                                         seed=0, jobs=1,
-                                         cache=populated_cache)
+        again = fingerprints(ALL_KEYS, jobs=1, cache=populated_cache)
         assert populated_cache.hits - hits_before == len(ALL_KEYS)
         assert _digests(again) == _digests(serial_fingerprints)
 
@@ -66,7 +65,7 @@ class TestEquivalence:
         serial == committed here and parallel/cache == serial above, every
         execution path reproduces tests/golden/*.json byte for byte."""
         for key in ALL_KEYS:
-            expected = golden.load_golden(key)
+            expected = golden.load("stream", key)
             assert (serial_fingerprints[key]["stream_digest"]
                     == expected["stream_digest"]), key
 
@@ -85,24 +84,24 @@ class TestCacheInvalidation:
 
     def test_seed_change_is_a_miss(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        first = golden.fingerprint_suite(["TLSTM"], seed=0, cache=cache)
-        second = golden.fingerprint_suite(["TLSTM"], seed=1, cache=cache)
+        first = fingerprints(["TLSTM"], seed=0, cache=cache)
+        second = fingerprints(["TLSTM"], seed=1, cache=cache)
         assert cache.hits == 0 and cache.misses == 2
         assert (first["TLSTM"]["stream_digest"]
                 != second["TLSTM"]["stream_digest"])
 
     def test_source_edit_is_a_miss(self, tmp_path):
         before = ProfileCache(root=tmp_path, fingerprint="code-v1")
-        golden.fingerprint_suite(["TLSTM"], cache=before)
+        fingerprints(["TLSTM"], cache=before)
         assert before.stores == 1
         after = ProfileCache(root=tmp_path, fingerprint="code-v2")
-        golden.fingerprint_suite(["TLSTM"], cache=after)
+        fingerprints(["TLSTM"], cache=after)
         assert after.hits == 0 and after.misses == 1
 
     def test_unchanged_params_hit(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        first = golden.fingerprint_suite(["TLSTM"], cache=cache)
-        again = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        first = fingerprints(["TLSTM"], cache=cache)
+        again = fingerprints(["TLSTM"], cache=cache)
         assert cache.hits == 1
         assert first["TLSTM"] == again["TLSTM"]
 
@@ -110,7 +109,7 @@ class TestCacheInvalidation:
 class TestCacheDamage:
     def _store_one(self, tmp_path):
         cache = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        fps = fingerprints(["TLSTM"], cache=cache)
         [path] = sorted(tmp_path.glob("*.pkl"))
         return fps["TLSTM"], path
 
@@ -118,7 +117,7 @@ class TestCacheDamage:
         reference, path = self._store_one(tmp_path)
         path.write_bytes(b"this is not a pickle")
         fresh = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=fresh)
+        fps = fingerprints(["TLSTM"], cache=fresh)
         assert fresh.hits == 0 and fresh.misses == 1
         assert fps["TLSTM"]["stream_digest"] == reference["stream_digest"]
 
@@ -127,7 +126,7 @@ class TestCacheDamage:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         fresh = ProfileCache(root=tmp_path)
-        fps = golden.fingerprint_suite(["TLSTM"], cache=fresh)
+        fps = fingerprints(["TLSTM"], cache=fresh)
         assert fresh.hits == 0
         assert fps["TLSTM"]["stream_digest"] == reference["stream_digest"]
 
@@ -144,7 +143,7 @@ class TestCacheDamage:
     def test_unwritable_root_is_not_fatal(self, tmp_path):
         cache = ProfileCache(root=tmp_path / "file-in-the-way")
         (tmp_path / "file-in-the-way").write_text("not a directory")
-        fps = golden.fingerprint_suite(["TLSTM"], cache=cache)
+        fps = fingerprints(["TLSTM"], cache=cache)
         assert fps["TLSTM"]["workload"] == "TLSTM"
         assert cache.stores == 0
 

@@ -15,19 +15,12 @@ import json
 import pytest
 
 from repro.core.registry import WORKLOAD_KEYS
-from repro.testing import (
-    compare_fused_fingerprints,
-    fused_fingerprint,
-    fused_golden_path,
-    load_fused_golden,
-    save_fused_golden,
-)
+from repro.testing import golden
 
 
 @pytest.mark.parametrize("key", WORKLOAD_KEYS)
 def test_fused_plan_matches_golden(key):
-    observed = fused_fingerprint(key)
-    diffs = compare_fused_fingerprints(load_fused_golden(key), observed)
+    diffs = golden.verify("fused", [key])[key]
     assert not diffs, (
         f"{key} fused plan diverged from tests/golden/fused_{key}.json:\n  "
         + "\n  ".join(diffs)
@@ -37,16 +30,16 @@ def test_fused_plan_matches_golden(key):
 
 
 def test_fused_snapshots_exist_for_whole_registry():
-    missing = [k for k in WORKLOAD_KEYS if not fused_golden_path(k).exists()]
+    missing = [k for k in WORKLOAD_KEYS
+               if not golden.path("fused", k).exists()]
     assert not missing, f"no fused golden snapshot for {missing}"
 
 
 def test_fused_snapshot_files_round_trip():
     for key in WORKLOAD_KEYS:
-        path = fused_golden_path(key)
-        original = path.read_text()
-        fingerprint = load_fused_golden(key)
-        assert save_fused_golden(fingerprint).read_text() == original
+        original = golden.path("fused", key).read_text()
+        fingerprint = golden.load("fused", key)
+        assert golden.save("fused", key, fingerprint).read_text() == original
         assert json.dumps(fingerprint, indent=2, sort_keys=True) + "\n" \
             == original
 
@@ -55,7 +48,7 @@ def test_every_workload_actually_fuses():
     # the suite-wide claim in DESIGN.md §9: each workload's steady epoch
     # contains at least one fusible elementwise run
     for key in WORKLOAD_KEYS:
-        snap = load_fused_golden(key)
+        snap = golden.load("fused", key)
         assert snap["fused_kernels"] >= 1, key
         assert snap["fused_members"] >= 2 * snap["fused_kernels"], key
         assert snap["fused_launch_count"] < snap["launch_count"], key

@@ -6,19 +6,17 @@ the snapshots with `PYTHONPATH=src python -m repro golden --update` and
 commit the JSON diff; if not, you just caught a silent math change.
 """
 
-from __future__ import annotations
-
 import json
 
 import pytest
 
 from repro.core.registry import WORKLOAD_KEYS
-from repro.testing import golden_path, load_golden, save_golden, verify_golden
+from repro.testing import golden
 
 
 @pytest.mark.parametrize("key", WORKLOAD_KEYS)
 def test_stream_matches_golden(key):
-    diffs = verify_golden(key)
+    diffs = golden.verify("stream", [key])[key]
     assert not diffs, (
         f"{key} kernel stream diverged from tests/golden/{key}.json:\n  "
         + "\n  ".join(diffs)
@@ -27,16 +25,16 @@ def test_stream_matches_golden(key):
 
 
 def test_snapshots_exist_for_whole_registry():
-    missing = [k for k in WORKLOAD_KEYS if not golden_path(k).exists()]
+    missing = [k for k in WORKLOAD_KEYS
+               if not golden.path("stream", k).exists()]
     assert not missing, f"no golden snapshot for {missing}"
 
 
 def test_snapshot_files_round_trip():
-    # save_golden writes canonical JSON (sorted keys, trailing newline), so
+    # golden.save writes canonical JSON (sorted keys, trailing newline), so
     # re-saving a loaded snapshot must be byte-identical to the file on disk.
     for key in WORKLOAD_KEYS:
-        path = golden_path(key)
-        original = path.read_text()
-        fingerprint = load_golden(key)
-        assert save_golden(fingerprint).read_text() == original
+        original = golden.path("stream", key).read_text()
+        fingerprint = golden.load("stream", key)
+        assert golden.save("stream", key, fingerprint).read_text() == original
         assert json.dumps(fingerprint, indent=2, sort_keys=True) + "\n" == original

@@ -45,9 +45,9 @@ def steady_baselines():
     setting and every capture run is compared against the matching one.
     """
     return {
-        enabled: executor.capture_suite(mode="steady",
-                                        analysis_cache_enabled=enabled,
-                                        jobs=1, cache=False)
+        enabled: executor.suite("capture_fingerprint", KEYS, jobs=1,
+                                cache=False, mode="steady",
+                                analysis_cache_enabled=enabled)
         for enabled in (True, False)
     }
 
@@ -57,9 +57,9 @@ class TestDifferentialReplay:
     @pytest.mark.parametrize("cache_enabled", [True, False])
     def test_replay_matches_dispatch(self, steady_baselines, jobs,
                                      cache_enabled):
-        replayed = executor.capture_suite(mode="capture",
-                                          analysis_cache_enabled=cache_enabled,
-                                          jobs=jobs, cache=False)
+        replayed = executor.suite("capture_fingerprint", KEYS, jobs=jobs,
+                                  cache=False, mode="capture",
+                                  analysis_cache_enabled=cache_enabled)
         assert sorted(replayed) == sorted(KEYS)
         for key in KEYS:
             steady, capture = steady_baselines[cache_enabled], replayed[key]

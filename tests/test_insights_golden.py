@@ -10,18 +10,17 @@ launch-analysis memoization on or off.  ``insights_digest`` (which excludes
 
 import pytest
 
-from repro.core import executor
 from repro.profiling import insights
 from repro.testing import golden
 from tests.golden_matrix import GoldenMatrix, canonical
 
-KEYS = list(golden.INSIGHTS_GOLDEN_KEYS)
+KEYS = list(golden.FAMILIES["insights"].keys)
 
 
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", KEYS)
     def test_snapshot_committed(self, key):
-        snap = golden.load_insights_golden(key)
+        snap = golden.load("insights", key)
         assert snap["workload"] == key
         assert snap["version"] == insights.INSIGHTS_VERSION
         assert snap["attributed_us"] > 0
@@ -32,32 +31,26 @@ class TestCommittedSnapshots:
             assert site["bound_class"] in insights.BOUND_CLASSES
 
     def test_fresh_reports_match_goldens(self):
-        diffs = golden.verify_insights_goldens(KEYS)
+        diffs = golden.verify("insights", KEYS)
         assert diffs == {key: [] for key in KEYS}
 
     def test_compare_reports_digest_drift(self):
-        expected = golden.load_insights_golden("DGCN")
-        mutated = dict(expected)
-        mutated["launches"] = expected["launches"] + 1
-        diffs = golden.compare_insights_fingerprints(expected, mutated)
+        expected = golden.load("insights", "DGCN")
+        mutated = dict(expected, launches=expected["launches"] + 1)
+        diffs = golden.compare("insights", expected, mutated)
         assert any(d.startswith("launches") for d in diffs)
-        # the digest line fires too: the canonical payload changed
+        # the digest line fires too, last: the canonical payload changed
         mutated["insights_digest"] = "deadbeef"
-        diffs = golden.compare_insights_fingerprints(expected, mutated)
-        assert any(d.startswith("insights_digest") for d in diffs)
+        diffs = golden.compare("insights", expected, mutated)
         assert diffs[-1].startswith("insights_digest")
 
 
 class TestDeterminism(GoldenMatrix):
-    keys = KEYS
+    keys, task, params = KEYS, "insights", dict(scale="test", epochs=2)
 
     def run_single(self):
         return insights.insights_report("DGCN", scale="test", epochs=2,
                                         seed=0)
-
-    def run_suite(self, *, jobs=None, cache=None):
-        return executor.insights_suite(KEYS, scale="test", epochs=2,
-                                       jobs=jobs, cache=cache)
 
     def test_digest_recomputes_from_payload(self):
         report = self.run_single()

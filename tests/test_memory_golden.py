@@ -8,7 +8,7 @@ serial, on pool workers, or with the profile cache on or off.
 
 import pytest
 
-from repro.core import characterize, executor, registry
+from repro.core import characterize, registry
 from repro.testing import golden
 from tests.golden_matrix import GoldenMatrix, canonical
 
@@ -19,37 +19,33 @@ KEYS = ["DGCN", "KGNNL"]
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", sorted(registry.WORKLOAD_KEYS))
     def test_snapshot_committed_for_every_workload(self, key):
-        report = golden.load_memory_golden(key)
+        report = golden.load("memory", key)
         assert report["workload"] == key
         assert report["version"] == 1
         assert report["peak_live_bytes"] > 0
         assert report["memory_digest"]
 
     def test_fresh_reports_match_goldens(self):
-        diffs = golden.verify_memory_goldens(KEYS)
+        diffs = golden.verify("memory", KEYS)
         assert diffs == {key: [] for key in KEYS}
 
     def test_compare_reports_digest_drift(self):
-        expected = golden.load_memory_golden("DGCN")
-        mutated = dict(expected)
-        mutated["peak_live_bytes"] = expected["peak_live_bytes"] + 512
-        diffs = golden.compare_memory_fingerprints(expected, mutated)
+        expected = golden.load("memory", "DGCN")
+        mutated = dict(expected, peak_live_bytes=expected["peak_live_bytes"]
+                       + 512)
+        diffs = golden.compare("memory", expected, mutated)
         assert any(d.startswith("peak_live_bytes") for d in diffs)
-        # the digest line fires too: the canonical payload changed
+        # the digest line fires too, last: the canonical payload changed
         mutated["memory_digest"] = "deadbeef"
-        diffs = golden.compare_memory_fingerprints(expected, mutated)
-        assert any(d.startswith("memory_digest") for d in diffs)
+        diffs = golden.compare("memory", expected, mutated)
+        assert diffs[-1].startswith("memory_digest")
 
 
 class TestDeterminism(GoldenMatrix):
-    keys = KEYS
+    keys, task, params = KEYS, "memstats", dict(scale="test", epochs=1)
 
     def run_single(self):
         return characterize.measure_memory("DGCN", scale="test", epochs=1)
-
-    def run_suite(self, *, jobs=None, cache=None):
-        return executor.memstats_suite(KEYS, scale="test", epochs=1,
-                                       jobs=jobs, cache=cache)
 
     def test_uncached_run_matches_cache_population(self, tmp_path):
         from repro.core.cache import ProfileCache

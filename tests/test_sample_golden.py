@@ -17,7 +17,7 @@ from repro.testing import golden
 from repro.train.loader import digest_sample_report, sample_report
 from tests.golden_matrix import GoldenMatrix
 
-KEYS = list(golden.SAMPLE_GOLDEN_KEYS)
+KEYS = list(golden.FAMILIES["sample"].keys)
 
 #: fast determinism-matrix knobs (one small epoch)
 FAST = dict(fanouts=(4, 3), batch_size=32, epochs=1)
@@ -26,7 +26,7 @@ FAST = dict(fanouts=(4, 3), batch_size=32, epochs=1)
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", KEYS)
     def test_snapshot_exists_and_is_wellformed(self, key):
-        report = golden.load_sample_golden(key)
+        report = golden.load("sample", key)
         assert report["workload"] == key
         assert report["sample_digest"] == digest_sample_report(report)
         assert report["batches"] == (report["batches_per_epoch"]
@@ -38,27 +38,24 @@ class TestCommittedSnapshots:
         assert sum(breakdown.values()) == pytest.approx(1.0)
 
     def test_fresh_runs_match_goldens(self):
-        diffs = golden.verify_sample_goldens(KEYS)
+        diffs = golden.verify("sample", KEYS)
         assert diffs == {key: [] for key in KEYS}
 
     def test_digest_drift_is_reported_last(self):
-        expected = golden.load_sample_golden("ARGA")
+        expected = golden.load("sample", "ARGA")
         mutated = json.loads(json.dumps(expected))
         mutated["batches"] += 1
         mutated["sample_digest"] = digest_sample_report(mutated)
-        diff = golden.compare_sample_reports(expected, mutated)
+        diff = golden.compare("sample", expected, mutated)
         assert any("batches" in line for line in diff)
         assert "sample_digest" in diff[-1]
 
 
 class TestDeterminism(GoldenMatrix):
-    keys = KEYS
+    keys, task, params = KEYS, "sample", FAST
 
     def run_single(self):
         return sample_report("ARGA", scale="test", **FAST)
-
-    def run_suite(self, *, jobs=None, cache=None):
-        return executor.sample_suite(KEYS, jobs=jobs, cache=cache, **FAST)
 
     def run_analysis(self):
         return sample_report("PSAGE-MVL", scale="test", **FAST)

@@ -18,7 +18,7 @@ from repro.testing import golden
 from repro.train.sharded import digest_shard_report, shard_report
 from tests.golden_matrix import GoldenMatrix
 
-KEYS = list(golden.SHARD_GOLDEN_KEYS)
+KEYS = list(golden.FAMILIES["shard"].keys)
 
 #: fast determinism-matrix knobs: the smallest committed config
 FAST = dict(parts=2, nodes=768, feat_dim=48, hidden=16, epochs=2, seed=0,
@@ -28,7 +28,7 @@ FAST = dict(parts=2, nodes=768, feat_dim=48, hidden=16, epochs=2, seed=0,
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", KEYS)
     def test_snapshot_exists_and_is_wellformed(self, key):
-        report = golden.load_shard_golden(key)
+        report = golden.load("shard", key)
         assert report["name"] == key
         assert report["version"] == 1
         assert report["shard_digest"] == digest_shard_report(report)
@@ -52,34 +52,31 @@ class TestCommittedSnapshots:
             assert report["loss_final"] is None
 
     def test_fresh_runs_match_goldens(self):
-        diffs = golden.verify_shard_goldens(KEYS)
+        diffs = golden.verify("shard", KEYS)
         assert diffs == {key: [] for key in KEYS}
 
     def test_digest_drift_is_reported_last(self):
-        expected = golden.load_shard_golden("ARGA-P4")
+        expected = golden.load("shard", "ARGA-P4")
         mutated = json.loads(json.dumps(expected))
         mutated["kernels"] += 1
         mutated["shard_digest"] = digest_shard_report(mutated)
-        diff = golden.compare_shard_reports(expected, mutated)
+        diff = golden.compare("shard", expected, mutated)
         assert any("kernels" in line for line in diff)
         assert "shard_digest" in diff[-1]
 
     def test_halo_trace_digest_drift_is_a_diff(self):
-        expected = golden.load_shard_golden("ARGA-P4")
+        expected = golden.load("shard", "ARGA-P4")
         mutated = json.loads(json.dumps(expected))
         mutated["halo_trace_digest"] = "0" * 64
-        diff = golden.compare_shard_reports(expected, mutated)
+        diff = golden.compare("shard", expected, mutated)
         assert any("halo_trace_digest" in line for line in diff)
 
 
 class TestDeterminism(GoldenMatrix):
-    keys = KEYS
+    keys, task = KEYS, "shard"
 
     def run_single(self):
         return shard_report("ARGA", **FAST)
-
-    def run_suite(self, *, jobs=None, cache=None):
-        return executor.shard_suite(KEYS, jobs=jobs, cache=cache)
 
     def run_analysis(self):
         return shard_report("ARGA", **dict(FAST, parts=4))

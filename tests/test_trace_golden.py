@@ -17,22 +17,18 @@ from repro.core import executor
 from repro.core.registry import WORKLOAD_KEYS
 from repro.gpu import analysis_cache
 from repro.profiling import trace
-from repro.testing import (
-    load_trace_golden,
-    save_trace_golden,
-    trace_golden_path,
-    verify_trace_goldens,
-)
+from repro.testing import golden
 
 
 def test_snapshots_exist_for_whole_registry():
-    missing = [k for k in WORKLOAD_KEYS if not trace_golden_path(k).exists()]
+    missing = [k for k in WORKLOAD_KEYS
+               if not golden.path("trace", k).exists()]
     assert not missing, f"no golden trace for {missing}"
 
 
 @pytest.mark.parametrize("key", WORKLOAD_KEYS)
 def test_trace_matches_golden(key):
-    diffs = verify_trace_goldens([key], cache=False)[key]
+    diffs = golden.verify("trace", [key], cache=False)[key]
     assert not diffs, (
         f"{key} timeline diverged from tests/golden/trace_{key}.json:\n  "
         + "\n  ".join(diffs)
@@ -42,13 +38,12 @@ def test_trace_matches_golden(key):
 
 
 def test_snapshot_files_round_trip():
-    # save_trace_golden writes canonical JSON (sorted keys, trailing
-    # newline): re-saving a loaded snapshot must be byte-identical.
+    # golden.save writes canonical JSON (sorted keys, trailing newline):
+    # re-saving a loaded snapshot must be byte-identical.
     for key in WORKLOAD_KEYS:
-        path = trace_golden_path(key)
-        original = path.read_text()
-        fingerprint = load_trace_golden(key)
-        assert save_trace_golden(fingerprint).read_text() == original
+        original = golden.path("trace", key).read_text()
+        fingerprint = golden.load("trace", key)
+        assert golden.save("trace", key, fingerprint).read_text() == original
         assert json.dumps(fingerprint, indent=2, sort_keys=True) + "\n" \
             == original
 
@@ -75,16 +70,16 @@ class TestDigestStability:
         """--jobs 2 fans trace tasks to pool workers; digests must match the
         serial run byte-for-byte (no cache, so both paths really execute)."""
         keys = ["GW", "STGCN", "TLSTM"]
-        serial = executor.trace_suite(keys, jobs=1, cache=False)
-        parallel = executor.trace_suite(keys, jobs=2, cache=False)
+        serial = executor.suite("trace", keys, jobs=1, cache=False)
+        parallel = executor.suite("trace", keys, jobs=2, cache=False)
         assert serial == parallel
 
     def test_profile_cache_replays_identical(self):
         from repro.core.cache import ProfileCache
 
         cache = ProfileCache()
-        cold = executor.trace_suite(["GW"], cache=cache)
-        warm = executor.trace_suite(["GW"], cache=cache)
+        cold = executor.suite("trace", ["GW"], cache=cache)
+        warm = executor.suite("trace", ["GW"], cache=cache)
         assert cache.hits >= 1
         assert cold == warm
 

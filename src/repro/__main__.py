@@ -13,9 +13,9 @@ Usage::
     python -m repro memstats               # peak_mem table, whole suite
     python -m repro golden                 # diff kernel streams vs snapshots
     python -m repro golden --update        # regenerate tests/golden/*.json
-    python -m repro golden --traces        # diff timeline traces vs snapshots
-    python -m repro golden --memory        # diff HBM reports vs snapshots
-    python -m repro golden --fused         # diff fused replay streams
+    python -m repro golden --serve         # one family: --traces, --memory,
+                                           # --fused, --serve, --sample,
+                                           # --shard or --insights
     python -m repro bench                  # cold/parallel/warm suite timings
     python -m repro bench --capture-replay # replay epochs from a captured plan
     python -m repro bench --workload ARGA  # one workload's hot path, isolated
@@ -23,36 +23,35 @@ Usage::
     python -m repro trace tlstm --gpus 4 -o trace.json
     python -m repro serve psage-mvl --qps 100     # serving-latency report
     python -m repro serve dgcn --arrival bursty --batch-max 16 -o serve.json
-    python -m repro golden --serve         # diff serving reports vs snapshots
     python -m repro sample arga            # mini-batch sampled-training report
     python -m repro sample arga --nodes 1000000 --strict   # 10^6-node graph
     python -m repro sample psage-mvl --fanouts 10,5 --prefetch-depth 4
     python -m repro sample                 # prefetch-vs-sync BENCH_sample.json
-    python -m repro golden --sample        # diff sampling reports vs snapshots
     python -m repro shard arga-p4          # partition-parallel training report
     python -m repro shard arga --parts 4 --nodes 600000 --feat-dim 8192 --strict
     python -m repro shard arga --parts 4 --offload     # out-of-core staging
     python -m repro shard                  # capacity frontier BENCH_shard.json
-    python -m repro golden --shard         # diff sharded reports vs snapshots
     python -m repro insights dgcn          # roofline/bottleneck attribution
     python -m repro insights dgcn --gpus 2 -o insights.json
     python -m repro insights --diff old.json new.json  # differential diagnosis
-    python -m repro golden --insights      # diff insights reports vs snapshots
 
-Suite-level commands accept ``--jobs N`` (characterize independent
-workloads on N worker processes) and ``--no-cache`` (recompute instead of
-replaying unchanged profiles from the persistent on-disk cache).
-``profile``, ``trace`` and ``memstats`` accept ``--metrics`` (dump the
-process-wide metrics registry in Prometheus text format afterwards) and
-``--metrics-output FILE`` (write the canonical-JSON snapshot there, plus a
-sibling ``.prom`` Prometheus dump).
+Each command accepts only the options it reads, with its own defaults
+(``python -m repro CMD -h`` lists them): any other option exits 2 with
+"unrecognized arguments", and a value outside its option's domain (an
+epoch count below 1, a NaN rate, a missing baseline file) exits 2 naming
+the option before any workload runs.  ``--metrics`` prints the metrics
+registry after a successful run; ``--metrics-output FILE`` writes it as
+canonical JSON plus a sibling ``.prom`` Prometheus dump.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 from . import GNNMark
 from .core import executor, profile_workload
@@ -109,47 +108,10 @@ def _print_profile_stats(key: str, profile) -> None:
               f" ({share:4.1f}%)")
 
 
-def _print_profile(mark: GNNMark, key: str, epochs: int,
-                   strict: bool = False) -> None:
-    profile = profile_workload(key, scale=mark.scale, epochs=epochs,
-                               seed=mark.seed, strict=strict)
-    _print_profile_stats(key, profile)
-
-
-def _print_profile_suite(mark: GNNMark, epochs: int, strict: bool,
-                         jobs: int | None, cache) -> None:
-    suite = executor.run_suite(scale=mark.scale, epochs=epochs,
-                               seed=mark.seed, strict=strict, jobs=jobs,
-                               cache=cache)
-    for key, profile in suite.profiles.items():
-        _print_profile_stats(key, profile)
-        print()
-
-
-def _print_memory(mark: GNNMark) -> None:
-    print(f"{'workload':<12}{'model MB':>10}{'data MB/epoch':>15}{'data %':>8}")
-    print("-" * 45)
-    for key in mark.workloads():
-        profile = profile_workload(key, scale=mark.scale, epochs=1,
-                                   seed=mark.seed)
-        mem = profile.memory_footprint()
-        print(f"{key:<12}{mem['model_bytes'] / 1e6:>10.2f}"
-              f"{mem['data_bytes_per_epoch'] / 1e6:>15.2f}"
-              f"{mem['data_fraction'] * 100:>7.1f}%")
-
-
 def _dump_metrics(output: str | None, manifest: dict | None = None) -> None:
-    """Print (or write) the process-wide metrics registry.
-
-    Without ``--metrics-output`` the Prometheus text format goes to stdout;
-    with it, the canonical-JSON snapshot lands at the given path and the
-    Prometheus dump beside it as ``<stem>.prom``.  When the caller knows
-    which run populated the registry, its :class:`RunManifest` is embedded
-    as a top-level ``runManifest`` key in the JSON export (the Prometheus
-    dump and the registry digest stay manifest-free).
-    """
-    from pathlib import Path
-
+    """Print the process-wide metrics registry as Prometheus text, or
+    write its canonical JSON (with ``manifest`` as ``runManifest``, when
+    given) to ``output`` and the Prometheus dump beside it as ``.prom``."""
     from .profiling import metrics
 
     reg = metrics.registry()
@@ -168,55 +130,147 @@ def _dump_metrics(output: str | None, manifest: dict | None = None) -> None:
     print(f"wrote {path} and {prom} (metrics digest {reg.digest()[:12]})")
 
 
-def _print_memstats(args, cache) -> int:
-    from .core import characterize, executor, registry
-    from .profiling.report import format_memory_table
+def _write_json(path: str, payload: dict, note: str = "") -> None:
+    """Write one report as indented, key-sorted JSON and say so."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}{note}")
 
-    scale = args.scale or "test"
-    if args.workload:
-        key = _resolve_workload(args.workload)
-        report = characterize.measure_memory(key, scale=scale,
-                                             epochs=args.epochs,
-                                             seed=args.seed,
-                                             strict=args.strict)
-        cap = report["capacity_bytes"]
-        print(f"== {key} (scale={scale}, epochs={args.epochs}): simulated HBM")
-        print(f"   peak live     {report['peak_live_bytes'] / 1e6:10.2f} MB")
-        print(f"   peak reserved {report['peak_reserved_bytes'] / 1e6:10.2f} MB"
-              f"  ({report['utilization'] * 100:.2f}% of"
-              f" {cap / 2**30:.0f} GiB capacity)")
-        print(f"   live at end   {report['live_bytes'] / 1e6:10.2f} MB"
-              f"  (reserved {report['reserved_bytes'] / 1e6:.2f} MB,"
-              f" fragmentation {report['fragmentation'] * 100:.1f}%)")
-        print(f"   allocator     {report['alloc_count']} allocs /"
-              f" {report['free_count']} frees,"
-              f" {report['segment_allocs']} segment allocs,"
-              f" {report['bucket_reuse_count']} bucket reuses,"
-              f" internal frag {report['internal_fragmentation'] * 100:.1f}%")
-        if report["oom_events"]:
-            print(f"   OOM           {report['oom_events']} capacity"
-                  f" violation(s) — rerun with --strict to raise")
-        print("   phase watermarks (peak live MB):")
-        for phase, peak in report["phase_watermarks"].items():
-            print(f"     {phase:<12}{peak / 1e6:10.2f}")
-        epochs = ", ".join(f"{w / 1e6:.2f}" for w in report["epoch_watermarks"])
-        print(f"   epoch watermarks (MB): {epochs}")
-        print("   top allocation labels (MB requested, count):")
-        for name, nbytes, count in report["top_labels"]:
-            print(f"     {name:<20}{nbytes / 1e6:10.2f}  x{count}")
-        print(f"   memory digest {report['memory_digest'][:16]}")
-    else:
-        reports = executor.suite("memstats", registry.WORKLOAD_KEYS,
-                                 jobs=args.jobs, cache=cache, scale=scale,
-                                 epochs=args.epochs, seed=args.seed,
-                                 strict=args.strict)
-        print(format_memory_table(reports))
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
+
+def _write_trace(timeline, path: str, key: str, **fields) -> dict:
+    """Stamp, schema-check and write one Chrome trace; return its manifest."""
+    from .profiling import insights, trace
+
+    manifest = insights.build_manifest(key, **fields).as_dict()
+    trace.validate_chrome(timeline.to_chrome(manifest=manifest))
+    timeline.write(path, manifest=manifest)
+    print(f"wrote {path}  (load in https://ui.perfetto.dev or "
+          f"chrome://tracing)")
+    return manifest
+
+
+def _gate(report: dict, baseline: str | None, check, verdict) -> int:
+    """Check ``report`` against a committed ``--baseline`` file, if given:
+    a ``REGRESSION:`` line per failure and exit 1, else "baseline check ok"
+    with ``verdict(committed)``."""
+    if not baseline:
+        return 0
+    committed = json.loads(Path(baseline).read_text())
+    failures = check(report, committed)
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    if failures:
+        return 1
+    print(f"baseline check ok ({verdict(committed)})")
     return 0
 
 
-def _run_golden(args, cache) -> int:
+# -- command runners: each takes the parsed namespace and returns the exit code
+
+
+def _run_table1(args) -> int:
+    print(GNNMark().render_table1())
+    return 0
+
+
+def _run_figures(args) -> int:
+    """``fig2``..``fig8`` and ``all``: render one suite characterization."""
+    mark = GNNMark(scale=args.scale, seed=args.seed)
+    suite = mark.characterize_suite(epochs=args.epochs, jobs=args.jobs,
+                                    cache=not args.no_cache)
+    for fig in FIGURES if args.command == "all" else [args.command]:
+        print(getattr(mark, FIGURES[fig])(suite))
+        print()
+    if args.command == "all":
+        print(mark.render_table1())
+        print()
+        _run_scaling(args)
+    return 0
+
+
+def _run_scaling(args) -> int:
+    mark = GNNMark(seed=args.seed)
+    print(mark.render_scaling(mark.scaling_study(
+        epochs=args.epochs, jobs=args.jobs, cache=not args.no_cache)))
+    return 0
+
+
+def _run_profile(args) -> int:
+    if args.workload:
+        key = _resolve_workload(args.workload)
+        _print_profile_stats(key, profile_workload(
+            key, scale=args.scale, epochs=args.epochs, seed=args.seed,
+            strict=args.strict))
+        return 0
+    suite = executor.run_suite(scale=args.scale, epochs=args.epochs,
+                               seed=args.seed, strict=args.strict,
+                               jobs=args.jobs, cache=not args.no_cache)
+    for key, profile in suite.profiles.items():
+        _print_profile_stats(key, profile)
+        print()
+    return 0
+
+
+def _run_memory(args) -> int:
+    mark = GNNMark(scale=args.scale, seed=args.seed)
+    print(f"{'workload':<12}{'model MB':>10}{'data MB/epoch':>15}{'data %':>8}")
+    print("-" * 45)
+    for key in mark.workloads():
+        mem = profile_workload(key, scale=mark.scale, epochs=1,
+                               seed=mark.seed).memory_footprint()
+        print(f"{key:<12}{mem['model_bytes'] / 1e6:>10.2f}"
+              f"{mem['data_bytes_per_epoch'] / 1e6:>15.2f}"
+              f"{mem['data_fraction'] * 100:>7.1f}%")
+    return 0
+
+
+def _run_memstats(args) -> int:
+    from .core import characterize, registry
+    from .profiling.report import format_memory_table
+
+    if not args.workload:
+        reports = executor.suite("memstats", registry.WORKLOAD_KEYS,
+                                 jobs=args.jobs, cache=not args.no_cache,
+                                 scale=args.scale, epochs=args.epochs,
+                                 seed=args.seed, strict=args.strict)
+        print(format_memory_table(reports))
+        return 0
+    key = _resolve_workload(args.workload)
+    report = characterize.measure_memory(key, scale=args.scale,
+                                         epochs=args.epochs, seed=args.seed,
+                                         strict=args.strict)
+    cap = report["capacity_bytes"]
+    print(f"== {key} (scale={args.scale}, epochs={args.epochs}):"
+          f" simulated HBM")
+    print(f"   peak live     {report['peak_live_bytes'] / 1e6:10.2f} MB")
+    print(f"   peak reserved {report['peak_reserved_bytes'] / 1e6:10.2f} MB"
+          f"  ({report['utilization'] * 100:.2f}% of"
+          f" {cap / 2**30:.0f} GiB capacity)")
+    print(f"   live at end   {report['live_bytes'] / 1e6:10.2f} MB"
+          f"  (reserved {report['reserved_bytes'] / 1e6:.2f} MB,"
+          f" fragmentation {report['fragmentation'] * 100:.1f}%)")
+    print(f"   allocator     {report['alloc_count']} allocs /"
+          f" {report['free_count']} frees,"
+          f" {report['segment_allocs']} segment allocs,"
+          f" {report['bucket_reuse_count']} bucket reuses,"
+          f" internal frag {report['internal_fragmentation'] * 100:.1f}%")
+    if report["oom_events"]:
+        print(f"   OOM           {report['oom_events']} capacity"
+              f" violation(s) — rerun with --strict to raise")
+    print("   phase watermarks (peak live MB):")
+    for phase, peak in report["phase_watermarks"].items():
+        print(f"     {phase:<12}{peak / 1e6:10.2f}")
+    epochs = ", ".join(f"{w / 1e6:.2f}" for w in report["epoch_watermarks"])
+    print(f"   epoch watermarks (MB): {epochs}")
+    print("   top allocation labels (MB requested, count):")
+    for name, nbytes, count in report["top_labels"]:
+        print(f"     {name:<20}{nbytes / 1e6:10.2f}  x{count}")
+    print(f"   memory digest {report['memory_digest'][:16]}")
+    return 0
+
+
+def _run_golden(args) -> int:
     from .testing import golden
 
     fam = golden.FAMILIES[args.golden_family]
@@ -224,9 +278,9 @@ def _run_golden(args, cache) -> int:
     if args.workload:
         keys = [k for k in fam.domain if k.lower() == args.workload.lower()]
         if not keys:
-            print(f"unknown {fam.name} golden key {args.workload!r}; "
-                  f"have {sorted(fam.domain)}")
-            return 2
+            raise ValueError(f"unknown {fam.name} golden key "
+                             f"{args.workload!r}; have {sorted(fam.domain)}")
+    cache = not args.no_cache
     if args.update:
         for path in golden.update(fam.name, keys, jobs=args.jobs,
                                   cache=cache):
@@ -249,6 +303,89 @@ def _run_golden(args, cache) -> int:
         print(f"{failed} workload(s) diverged; regenerate intentionally with "
               f"`{fam.regenerate}`")
     return 1 if failed else 0
+
+
+def _run_bench(args) -> int:
+    # the bench times the harness, not the workloads: test-scale configs by
+    # default (--quick forces them), full profile scale via --scale profile
+    scale, keys = ("test" if args.quick else args.scale), None
+    if args.bench_workload:
+        # single-workload mode: reproduce one workload's hot-path numbers in
+        # isolation (skips the suite-level cold/parallel/warm timings)
+        keys = [_resolve_workload(args.bench_workload)]
+    else:
+        report = executor.benchmark_suite(scale=scale,
+                                          epochs=args.epochs or 1,
+                                          seed=args.seed, jobs=args.jobs)
+        print(f"suite of {len(report['suite'])} workloads"
+              f" (scale={report['scale']}, epochs={report['epochs']},"
+              f" jobs={report['jobs']}):")
+        print(f"  cold serial    {report['cold_serial_s']:8.2f} s")
+        print(f"  cold parallel  {report['cold_parallel_s']:8.2f} s"
+              f"  ({report['parallel_speedup']:.2f}x)")
+        print(f"  warm cache     {report['warm_cache_s']:8.2f} s"
+              f"  ({report['warm_speedup']:.1f}x,"
+              f" {report['warm_cache_hits']} hits)")
+        _write_json(args.output, report)
+    # steady-state launch-path microbench: warm (analysis cache on) vs cold
+    # (REPRO_ANALYSIS_CACHE=0 semantics) epochs/sec per workload
+    report = executor.benchmark_hotpath(keys=keys, scale=scale,
+                                        epochs=args.epochs or 3,
+                                        seed=args.seed,
+                                        capture_replay=args.capture_replay,
+                                        fuse=args.fuse)
+    mode = ("capture-replay+fuse" if report["fuse"]
+            else "capture-replay" if report["capture_replay"]
+            else "dispatch")
+    print(f"\nlaunch hot path (steady state, {report['epochs']} epoch(s)"
+          f" after warm-up, scale={report['scale']}, mode={mode}):")
+    print(f"  {'workload':<12}{'warm ep/s':>12}{'cold ep/s':>12}"
+          f"{'speedup':>9}{'hit rate':>10}{'replayed':>10}")
+    for key, row in report["workloads"].items():
+        replayed = (str(row.get("replayed_epochs", 0))
+                    if row["mode"] == "capture-replay" else "-")
+        print(f"  {key:<12}{row['warm_epochs_per_s']:>12.2f}"
+              f"{row['cold_epochs_per_s']:>12.2f}{row['speedup']:>8.2f}x"
+              f"{row['hit_rate'] * 100:>9.1f}%{replayed:>10}")
+    print(f"  {'suite':<12}{report['warm_epochs_per_s']:>12.2f}"
+          f"{report['cold_epochs_per_s']:>12.2f}{report['speedup']:>8.2f}x")
+    _write_json(args.hotpath_output, report)
+    return _gate(report, args.baseline, executor.check_hotpath_regression,
+                 lambda b: f"committed speedup {b.get('speedup', 0.0):.2f}x,"
+                           f" measured {report['speedup']:.2f}x")
+
+
+def _run_trace(args) -> int:
+    from .profiling import trace
+
+    key = _resolve_workload(args.workload)
+    # memory counter tracks ride along on single-device traces only
+    timeline = trace.trace_point(key, num_gpus=args.gpus, scale=args.scale,
+                                 epochs=args.epochs, seed=args.seed,
+                                 memory=args.gpus == 1)
+    summary = timeline.summary()
+    gpus = ", ".join(
+        f"gpu{pid} {dev['busy_s'] * 1e3:.2f} ms busy"
+        f" ({(1 - dev['idle_fraction']) * 100:.1f}%)"
+        for pid, dev in summary["devices"].items()
+    )
+    print(f"== {key} (scale={args.scale}, epochs={args.epochs},"
+          f" gpus={args.gpus}): {summary['wall_s'] * 1e3:.2f} ms wall")
+    print(f"   {gpus}")
+    _print_timeline_summary(summary)
+    args.manifest = _write_trace(timeline, args.output or f"{key}_trace.json",
+                                 key, scale=args.scale, epochs=args.epochs,
+                                 seed=args.seed, gpus=args.gpus)
+    return 0
+
+
+def _print_hbm(report: dict, oom_hint: str = "") -> None:
+    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
+          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
+          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
+    if report["oom_events"]:
+        print(f"   OOM           {report['oom_events']} capacity"
+              f" violation(s){oom_hint}")
 
 
 def _print_serve_report(report: dict) -> None:
@@ -274,47 +411,24 @@ def _print_serve_report(report: dict) -> None:
           f" (mean size {report['mean_batch_size']:.2f}; {hist})")
     print(f"   fast path     {report['captured_plans']} captured plan(s),"
           f" {report['replayed_batches']} replayed batch(es)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s)")
+    _print_hbm(report)
     print(f"   serve digest  {report['serve_digest'][:16]}")
 
 
 def _run_serve(args) -> int:
-    from .profiling import trace as trace_mod
     from .serve import serve_run
 
-    if not args.workload:
-        print("the 'serve' command needs a workload key, e.g. "
-              "`python -m repro serve psage-mvl --qps 100`")
-        return 2
     key = _resolve_workload(args.workload)
-    try:
-        report, timeline = serve_run(
-            key, scale=args.scale or "test", qps=args.qps,
-            arrival=args.arrival, batch_max=args.batch_max,
-            max_wait_us=args.max_wait_us, requests=args.requests,
-            seed=args.seed, strict=args.strict,
-            traced=args.output is not None)
-    except ValueError as exc:  # contradictory knobs / unserveable workload
-        print(exc)
-        return 2
+    report, timeline = serve_run(
+        key, scale=args.scale, qps=args.qps, arrival=args.arrival,
+        batch_max=args.batch_max, max_wait_us=args.max_wait_us,
+        requests=args.requests, seed=args.seed, strict=args.strict,
+        traced=args.output is not None)
     _print_serve_report(report)
     if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale=args.scale or "test", epochs=1, seed=args.seed,
-            capture_replay=bool(report.get("captured_plans"))).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
+        _write_trace(timeline, args.output, key, scale=args.scale, epochs=1,
+                     seed=args.seed,
+                     capture_replay=bool(report.get("captured_plans")))
     return 0
 
 
@@ -340,59 +454,38 @@ def _print_sample_report(report: dict) -> None:
     print(f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
           f" simulated second ({report['kernels']} kernels,"
           f" {report['h2d_bytes'] / 1e6:.2f} MB H2D)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s)")
+    _print_hbm(report)
     print(f"   sample digest {report['sample_digest'][:16]}")
 
 
-def _run_sample_cmd(args, cache) -> int:
-    from .profiling import trace as trace_mod
+def _run_sample(args) -> int:
     from .train.loader import sample_run
 
-    fanouts = tuple(int(f) for f in args.fanouts.split(","))
-    epochs = args.epochs if args.epochs > 1 else 2
     if not args.workload:
-        return _run_bench_sample(args, fanouts, epochs, cache)
+        return _run_bench_sample(args)
     key = _resolve_workload(args.workload)
-    try:
-        report, timeline = sample_run(
-            key, scale=args.scale or "test", fanouts=fanouts,
-            batch_size=args.batch_size, prefetch_depth=args.prefetch_depth,
-            epochs=epochs, nodes=args.nodes, seed=args.seed,
-            strict=args.strict, traced=args.output is not None)
-    except ValueError as exc:  # contradictory knobs / unsampleable workload
-        print(exc)
-        return 2
+    report, timeline = sample_run(
+        key, scale=args.scale, fanouts=args.fanouts,
+        batch_size=args.batch_size, prefetch_depth=args.prefetch_depth,
+        epochs=args.epochs, nodes=args.nodes, seed=args.seed,
+        strict=args.strict, traced=args.output is not None)
     _print_sample_report(report)
     if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale=args.scale or "test", epochs=epochs,
-            seed=args.seed).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
+        _write_trace(timeline, args.output, key, scale=args.scale,
+                     epochs=args.epochs, seed=args.seed)
     return 0
 
 
-def _run_bench_sample(args, fanouts: tuple, epochs: int, cache) -> int:
+def _run_bench_sample(args) -> int:
     # suite mode: the prefetch-vs-synchronous comparison (BENCH_sample.json),
     # gated against a committed baseline like the launch hot-path bench —
     # except these are simulated-clock numbers, so the gate can be strict
-    report = executor.benchmark_sample(scale=args.scale or "test",
-                                       fanouts=fanouts,
+    report = executor.benchmark_sample(scale=args.scale, fanouts=args.fanouts,
                                        batch_size=args.batch_size,
                                        prefetch_depth=args.prefetch_depth,
-                                       epochs=epochs, seed=args.seed,
-                                       jobs=args.jobs, cache=cache)
+                                       epochs=args.epochs, seed=args.seed,
+                                       jobs=args.jobs,
+                                       cache=not args.no_cache)
     print(f"mini-batch loader: prefetch_depth={report['prefetch_depth']} vs"
           f" synchronous ({report['epochs']} epoch(s),"
           f" scale={report['scale']},"
@@ -407,26 +500,10 @@ def _run_bench_sample(args, fanouts: tuple, epochs: int, cache) -> int:
               f"{row['sync_stall_s'] * 1e3:>10.2f}ms"
               f"{row['prefetch_stall_s'] * 1e3:>9.2f}ms")
     print(f"  {'suite':<12}{'':>12}{'':>15}{report['speedup']:>8.2f}x")
-    out = args.output or "BENCH_sample.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_sample_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (committed speedup"
-              f" {baseline.get('speedup', 0.0):.3f}x,"
-              f" measured {report['speedup']:.3f}x)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
+    _write_json(args.output or "BENCH_sample.json", report)
+    return _gate(report, args.baseline, executor.check_sample_regression,
+                 lambda b: f"committed speedup {b.get('speedup', 0.0):.3f}x,"
+                           f" measured {report['speedup']:.3f}x")
 
 
 def _print_shard_report(report: dict) -> None:
@@ -452,12 +529,7 @@ def _print_shard_report(report: dict) -> None:
     print(f"   throughput    {report['epochs_per_sim_s']:.2f} epochs per"
           f" simulated second ({report['kernels']} kernels,"
           f" {report['sim_wall_s'] * 1e3:.2f} ms wall)")
-    print(f"   HBM           peak live {report['peak_live_bytes'] / 1e6:.2f}"
-          f" MB, peak reserved {report['peak_reserved_bytes'] / 1e6:.2f} MB"
-          f" ({report['hbm_utilization'] * 100:.3f}% of capacity)")
-    if report["oom_events"]:
-        print(f"   OOM           {report['oom_events']} capacity"
-              f" violation(s) — rerun with --strict to raise")
+    _print_hbm(report, " — rerun with --strict to raise")
     if report["losses"]:
         losses = ", ".join(f"{x:.6f}" for x in report["losses"])
         print(f"   loss          {losses}")
@@ -465,62 +537,41 @@ def _print_shard_report(report: dict) -> None:
           f"  (halo trace {report['halo_trace_digest'][:12]})")
 
 
-def _run_shard_cmd(args, cache) -> int:
+def _run_shard(args) -> int:
     from .gpu.memory import OOMError
-    from .profiling import trace as trace_mod
     from .train.sharded import resolve_shard_config, shard_run
 
     if not args.workload:
-        return _run_bench_shard(args, cache)
-    try:
-        key, params = resolve_shard_config(args.workload.upper())
-    except ValueError as exc:
-        print(exc)
-        return 2
-    if args.parts is not None:
-        params["parts"] = args.parts
+        return _run_bench_shard(args)
+    key, params = resolve_shard_config(args.workload.upper())
+    # unset size knobs keep the named config's (else shard_run's) values
+    sizes = {"parts": args.parts, "nodes": args.nodes,
+             "feat_dim": args.feat_dim}
+    params.update({k: v for k, v in sizes.items() if v is not None})
     if args.offload:
         params["offload"] = True
-    if args.nodes is not None:
-        params["nodes"] = args.nodes
-    if args.feat_dim is not None:
-        params["feat_dim"] = args.feat_dim
-    if args.epochs > 1:
-        params["epochs"] = args.epochs
-    params["seed"] = args.seed
-    params["strict"] = args.strict
+    params.update(epochs=args.epochs, seed=args.seed, strict=args.strict)
     try:
         report, timeline = shard_run(key, traced=args.output is not None,
                                      **params)
-    except ValueError as exc:  # contradictory knobs / unshardable workload
-        print(exc)
-        return 2
     except OOMError as exc:
         print(f"OOM under --strict: {exc}")
         print("shard the graph over more --parts, or stage it with --offload")
         return 1
     _print_shard_report(report)
     if timeline is not None:
-        from .profiling import insights
-
-        manifest = insights.build_manifest(
-            key, scale="shard", epochs=report["epochs"], seed=args.seed,
-            gpus=report["gpus"], parts=report["parts"]).as_dict()
-        trace_mod.validate_chrome(timeline.to_chrome(manifest=manifest))
-        timeline.write(args.output, manifest=manifest)
-        print(f"wrote {args.output}  (load in https://ui.perfetto.dev or "
-              f"chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
+        _write_trace(timeline, args.output, key, scale="shard",
+                     epochs=report["epochs"], seed=args.seed,
+                     gpus=report["gpus"], parts=report["parts"])
     return 0
 
 
-def _run_bench_shard(args, cache) -> int:
+def _run_bench_shard(args) -> int:
     # suite mode: the capacity-frontier study (BENCH_shard.json) — largest
     # trainable node count per device configuration under the HBM model,
     # gated exactly against a committed baseline (simulated => deterministic)
     report = executor.benchmark_shard(epochs=1, seed=args.seed,
-                                      jobs=args.jobs, cache=cache)
+                                      jobs=args.jobs, cache=not args.no_cache)
     print(f"capacity frontier (feat_dim={report['feat_dim']},"
           f" hidden={report['hidden']}, {report['epochs']} epoch(s),"
           f" ladder {report['ladder'][0]}..{report['ladder'][-1]} nodes):")
@@ -533,367 +584,263 @@ def _run_bench_shard(args, cache) -> int:
         print(f"  {label:<10}{cfg['parts']:>6}"
               f"{'yes' if cfg['offload'] else 'no':>9}"
               f"{frontier:>10}{peak:>9.2f}")
-    out = args.output or "BENCH_shard.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_shard_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (frontiers"
-              f" {baseline.get('frontier', {})} reproduced exactly)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output)
-    return 0
+    _write_json(args.output or "BENCH_shard.json", report)
+    return _gate(report, args.baseline, executor.check_shard_regression,
+                 lambda b: f"frontiers {b.get('frontier', {})} reproduced"
+                           f" exactly")
 
 
-def _run_insights_cmd(args) -> int:
+def _run_insights(args) -> int:
     from .profiling import insights
     from .profiling.report import format_insights, format_insights_diff
 
     if args.diff:
-        ref_path, new_path = args.diff
-        with open(ref_path) as fh:
-            reference = json.load(fh)
-        with open(new_path) as fh:
-            measured = json.load(fh)
-        diff = insights.diff_insights(reference, measured)
+        diff = insights.diff_insights(*(json.loads(Path(p).read_text())
+                                        for p in args.diff))
         print(format_insights_diff(diff))
         if args.output:
-            with open(args.output, "w") as fh:
-                json.dump(diff, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.output}")
+            _write_json(args.output, diff)
         return 0
     if not args.workload:
-        print("the 'insights' command needs a workload key, e.g. "
-              "`python -m repro insights dgcn` "
-              "(or --diff REFERENCE.json MEASURED.json)")
-        return 2
+        raise ValueError("the 'insights' command needs a workload key, e.g. "
+                         "`python -m repro insights dgcn` "
+                         "(or --diff REFERENCE.json MEASURED.json)")
     key = _resolve_workload(args.workload)
-    epochs = args.epochs if args.epochs > 1 else 2
-    try:
-        report = insights.insights_report(key, scale=args.scale or "test",
-                                          epochs=epochs, seed=args.seed,
-                                          gpus=args.gpus)
-    except ValueError as exc:  # e.g. whole-graph workloads at --gpus > 1
-        print(exc)
-        return 2
+    report = insights.insights_report(key, scale=args.scale,
+                                      epochs=args.epochs, seed=args.seed,
+                                      gpus=args.gpus)
     print(format_insights(report))
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}  (insights digest "
-              f"{report['insights_digest'][:12]})")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output, manifest=report["manifest"])
+        _write_json(args.output, report, f"  (insights digest "
+                                         f"{report['insights_digest'][:12]})")
+    args.manifest = report["manifest"]
     return 0
 
 
-def _run_trace(args) -> int:
-    from .profiling import insights, trace
+# -- the command table --------------------------------------------------------
 
-    key = _resolve_workload(args.workload) if args.workload else None
-    if key is None:
-        print("the 'trace' command needs a workload key, e.g. "
-              "`python -m repro trace dgcn`")
-        return 2
-    scale = args.scale or "test"
+
+def _bounded(kind: type, low: int, strict: bool = False) -> Callable:
+    """An argparse ``type=``: a ``kind`` > ``low`` (>= unless ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            ok = value > low or (value == low and not strict)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} {'>' if strict else '>='} {low},"
+                f" got {text!r}")
+        return value
+
+    return parse
+
+
+POSITIVE_INT = _bounded(int, 1)
+NON_NEGATIVE_INT = _bounded(int, 0)
+
+
+def _fanouts(text: str) -> tuple[int, ...]:
     try:
-        # memory counter tracks ride along on single-device traces only
-        timeline = trace.trace_point(key, num_gpus=args.gpus, scale=scale,
-                                     epochs=args.epochs, seed=args.seed,
-                                     memory=args.gpus == 1)
-    except ValueError as exc:  # e.g. whole-graph workloads at --gpus > 1
-        print(exc)
-        return 2
-    manifest = insights.build_manifest(key, scale=scale, epochs=args.epochs,
-                                       seed=args.seed,
-                                       gpus=args.gpus).as_dict()
-    chrome = timeline.to_chrome(manifest=manifest)
-    trace.validate_chrome(chrome)
-    out = args.output or f"{key}_trace.json"
-    timeline.write(out, manifest=manifest)
-    summary = timeline.summary()
-    gpus = ", ".join(
-        f"gpu{pid} {dev['busy_s'] * 1e3:.2f} ms busy"
-        f" ({(1 - dev['idle_fraction']) * 100:.1f}%)"
-        for pid, dev in summary["devices"].items()
-    )
-    print(f"== {key} (scale={scale}, epochs={args.epochs},"
-          f" gpus={args.gpus}): {summary['wall_s'] * 1e3:.2f} ms wall")
-    print(f"   {gpus}")
-    _print_timeline_summary(summary)
-    print(f"wrote {out}  (load in https://ui.perfetto.dev or chrome://tracing)")
-    if args.metrics or args.metrics_output:
-        _dump_metrics(args.metrics_output, manifest=manifest)
-    return 0
+        return tuple(POSITIVE_INT(f) for f in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ints >= 1, got {text!r}") from None
 
 
-def _run_bench(args) -> int:
-    # the bench times the harness, not the workloads: test-scale configs by
-    # default (--quick forces them), full profile scale via --scale profile
-    scale = "test" if args.quick else (args.scale or "test")
-    if args.bench_workload:
-        # single-workload mode: reproduce one workload's hot-path numbers in
-        # isolation (skips the suite-level cold/parallel/warm timings)
-        key = _resolve_workload(args.bench_workload)
-        return _run_bench_hotpath(args, scale, keys=[key])
-    report = executor.benchmark_suite(scale=scale, epochs=args.epochs,
-                                      seed=args.seed, jobs=args.jobs)
-    print(f"suite of {len(report['suite'])} workloads"
-          f" (scale={report['scale']}, epochs={report['epochs']},"
-          f" jobs={report['jobs']}):")
-    print(f"  cold serial    {report['cold_serial_s']:8.2f} s")
-    print(f"  cold parallel  {report['cold_parallel_s']:8.2f} s"
-          f"  ({report['parallel_speedup']:.2f}x)")
-    print(f"  warm cache     {report['warm_cache_s']:8.2f} s"
-          f"  ({report['warm_speedup']:.1f}x,"
-          f" {report['warm_cache_hits']} hits)")
-    out = args.output or "BENCH_suite.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
-    return _run_bench_hotpath(args, scale)
+def _existing_file(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
 
 
-def _run_bench_hotpath(args, scale: str,
-                       keys: list[str] | None = None) -> int:
-    # steady-state launch-path microbench: warm (analysis cache on) vs cold
-    # (REPRO_ANALYSIS_CACHE=0 semantics) epochs/sec per workload
-    hotpath_epochs = args.epochs if args.epochs > 1 else 3
-    report = executor.benchmark_hotpath(keys=keys, scale=scale,
-                                        epochs=hotpath_epochs,
-                                        seed=args.seed,
-                                        capture_replay=args.capture_replay,
-                                        fuse=args.fuse)
-    mode = ("capture-replay+fuse" if report["fuse"]
-            else "capture-replay" if report["capture_replay"]
-            else "dispatch")
-    print(f"\nlaunch hot path (steady state, {report['epochs']} epoch(s)"
-          f" after warm-up, scale={report['scale']}, mode={mode}):")
-    print(f"  {'workload':<12}{'warm ep/s':>12}{'cold ep/s':>12}"
-          f"{'speedup':>9}{'hit rate':>10}{'replayed':>10}")
-    for key, row in report["workloads"].items():
-        replayed = (str(row.get("replayed_epochs", 0))
-                    if row["mode"] == "capture-replay" else "-")
-        print(f"  {key:<12}{row['warm_epochs_per_s']:>12.2f}"
-              f"{row['cold_epochs_per_s']:>12.2f}{row['speedup']:>8.2f}x"
-              f"{row['hit_rate'] * 100:>9.1f}%{replayed:>10}")
-    print(f"  {'suite':<12}{report['warm_epochs_per_s']:>12.2f}"
-          f"{report['cold_epochs_per_s']:>12.2f}{report['speedup']:>8.2f}x")
-    with open(args.hotpath_output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.hotpath_output}")
-
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        failures = executor.check_hotpath_regression(report, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"baseline check ok (committed speedup"
-              f" {baseline.get('speedup', 0.0):.2f}x,"
-              f" measured {report['speedup']:.2f}x)")
-    return 0
+def _option(*flags: str, **kwargs) -> Callable:
+    return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _golden_families(parser: argparse.ArgumentParser) -> None:
     from .testing import golden
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="GNNMark reproduction: regenerate the paper's artifacts",
-    )
-    parser.add_argument("command",
-                        choices=["table1", *FIGURES, "fig9", "all",
-                                 "profile", "memory", "memstats", "golden",
-                                 "bench", "trace", "serve", "sample",
-                                 "shard", "insights"],
-                        help="which artifact to regenerate")
-    parser.add_argument("workload", nargs="?",
-                        help="workload key (for 'profile', 'memstats', "
-                             "'golden', 'trace', 'serve', 'sample', 'shard' "
-                             "and 'insights'; case-insensitive for 'trace', "
-                             "'memstats', 'serve', 'sample', 'shard' and "
-                             "'insights')")
-    parser.add_argument("--epochs", type=int, default=1)
-    parser.add_argument("--scale", default=None,
-                        choices=["test", "profile", "scaling"],
-                        help="workload configs (default: profile; "
-                             "'bench' defaults to test)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for suite-level commands "
-                             "(default: $REPRO_JOBS or serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="always recompute; skip the persistent profile "
-                             "cache")
-    parser.add_argument("--update", action="store_true",
-                        help="regenerate golden snapshots instead of diffing")
     families = parser.add_mutually_exclusive_group()
     for fam in golden.FAMILIES.values():
         if fam.flag:
             families.add_argument(
                 fam.flag, dest="golden_family", action="store_const",
-                const=fam.name,
-                help=f"'golden': operate on {fam.noun}s "
-                     f"(tests/golden/{fam.prefix}*.json) instead of kernel "
-                     f"streams")
+                const=fam.name, help=f"diff or regenerate {fam.noun}s "
+                                     f"(tests/golden/{fam.prefix}*.json)")
     parser.set_defaults(golden_family="stream")
-    parser.add_argument("--diff", nargs=2,
-                        metavar=("REFERENCE", "MEASURED"),
-                        help="'insights': diagnose the delta between two "
-                             "saved reports (insights JSON or any bench "
-                             "payload/baseline) instead of running a "
-                             "workload")
-    parser.add_argument("--parts", type=int, default=None,
-                        help="'shard': number of graph partitions "
-                             "(default: the named config's, else 4)")
-    parser.add_argument("--offload", action="store_true",
-                        help="'shard': stage partitions out-of-core through "
-                             "one device's HBM instead of one GPU per part")
-    parser.add_argument("--feat-dim", type=int, default=None,
-                        help="'shard': synthetic feature width (default: the "
-                             "named config's, else 64)")
-    parser.add_argument("--fanouts", default="10,5",
-                        help="'sample': comma-separated per-layer neighbor "
-                             "fanouts, outermost first (default 10,5)")
-    parser.add_argument("--batch-size", type=int, default=64,
-                        help="'sample': seeds per mini-batch")
-    parser.add_argument("--prefetch-depth", type=int, default=2,
-                        help="'sample': bounded prefetch queue depth "
-                             "(0 = synchronous sampling)")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="'sample': synthesize a citation graph of this "
-                             "many nodes instead of the registry dataset "
-                             "(ARGA only)")
-    parser.add_argument("--qps", type=float, default=100.0,
-                        help="'serve': mean request arrival rate "
-                             "(requests per simulated second)")
-    parser.add_argument("--arrival", choices=["poisson", "bursty"],
-                        default="poisson",
-                        help="'serve': arrival process (bursty = 2-state "
-                             "MMPP averaging the same qps)")
-    parser.add_argument("--batch-max", type=int, default=8,
-                        help="'serve': dynamic batcher size cap")
-    parser.add_argument("--max-wait-us", type=float, default=2000.0,
-                        help="'serve': longest the batcher may hold the "
-                             "queue head (simulated microseconds)")
-    parser.add_argument("--requests", type=int, default=256,
-                        help="'serve': number of requests to generate")
-    parser.add_argument("--capture-replay", action="store_true",
-                        help="'bench': capture each workload's steady-state "
-                             "epoch and replay it instead of re-dispatching "
-                             "(repro.gpu.graph_capture)")
-    parser.add_argument("--fuse", action="store_true",
-                        help="'bench': with capture/replay, also merge "
-                             "adjacent elementwise launches in the replayed "
-                             "plan (implies --capture-replay)")
-    parser.add_argument("--workload", dest="bench_workload", default=None,
-                        help="'bench': time a single workload's hot path in "
-                             "isolation (case-insensitive key; skips the "
-                             "suite-level timings)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="after 'profile'/'trace'/'memstats': dump the "
-                             "process-wide metrics registry (Prometheus text "
-                             "format)")
-    parser.add_argument("--metrics-output", default=None,
-                        help="write the metrics snapshot as canonical JSON "
-                             "to this file, plus a sibling .prom dump")
-    parser.add_argument("--gpus", type=int, default=1,
-                        help="'trace'/'insights': number of simulated "
-                             "devices (multi-GPU runs trace the DDP "
-                             "allreduce)")
-    parser.add_argument("--strict", action="store_true",
-                        help="validate GPU-model invariants on every record "
-                             "(the 'profile' command)")
-    parser.add_argument("--quick", action="store_true",
-                        help="'bench': time the fast test-scale configs")
-    parser.add_argument("-o", "--output", default=None,
-                        help="output file ('trace': the Chrome JSON, default "
-                             "<KEY>_trace.json; 'bench': the timing report, "
-                             "default BENCH_suite.json; 'insights': the full "
-                             "report or diff JSON)")
-    parser.add_argument("--hotpath-output", default="BENCH_hotpath.json",
-                        help="'bench': where to write the launch hot-path "
-                             "microbench report")
-    parser.add_argument("--baseline", default=None,
-                        help="'bench': committed hot-path baseline JSON; "
-                             "exit 1 if warm steady-state throughput "
-                             "regresses >25%% against it. 'sample' (suite "
-                             "mode): committed BENCH_sample baseline; exit 1 "
-                             "unless prefetch strictly beats synchronous. "
-                             "'shard' (suite mode): committed BENCH_shard "
-                             "baseline; exit 1 unless capacity frontiers "
-                             "reproduce exactly")
-    args = parser.parse_args(argv)
-    cache = False if args.no_cache else True
 
-    if args.command == "golden":
-        return _run_golden(args, cache)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "insights":
-        return _run_insights_cmd(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "sample":
-        return _run_sample_cmd(args, cache)
-    if args.command == "shard":
-        return _run_shard_cmd(args, cache)
-    if args.command == "memstats":
-        return _print_memstats(args, cache)
 
-    mark = GNNMark(scale=args.scale or "profile", seed=args.seed)
+#: every option, declared once: name -> a function that adds it to one
+#: command's parser; each :class:`Command` row names the options it reads
+OPTIONS = {
+    "workload": _option("workload", help="workload key, case-insensitive"),
+    "workload?": _option("workload", nargs="?", help="workload key or "
+                         "named config (default: the whole suite)"),
+    "scale": _option("--scale", choices=("test", "profile", "scaling"),
+                     default="test", help="default: %(default)s"),
+    "seed": _option("--seed", type=NON_NEGATIVE_INT, default=0),
+    "epochs": _option("--epochs", type=POSITIVE_INT, default=1,
+                      help="default: %(default)s"),
+    "jobs": _option("--jobs", type=POSITIVE_INT, help="worker processes "
+                    "(default: $REPRO_JOBS or serial)"),
+    "no-cache": _option("--no-cache", action="store_true",
+                        help="skip the persistent profile cache"),
+    "strict": _option("--strict", action="store_true", help="check GPU-model "
+                      "invariants; an HBM overflow raises"),
+    "output": _option("-o", "--output", metavar="FILE",
+                      help="output file (see the command's help)"),
+    "metrics": _option("--metrics", action="store_true",
+                       help="print the metrics registry after the run"),
+    "metrics-output": _option("--metrics-output", metavar="FILE", help="write "
+                              "the metrics registry as JSON (+ .prom)"),
+    "gpus": _option("--gpus", type=POSITIVE_INT, default=1,
+                    help="simulated devices (default: %(default)s)"),
+    "baseline": _option("--baseline", type=_existing_file, metavar="FILE",
+                        help="committed baseline; exit 1 on a regression"),
+    "nodes": _option("--nodes", type=int, help="nodes of a synthetic ARGA "
+                     "citation graph"),
+    "families": _golden_families,
+    "update": _option("--update", action="store_true",
+                      help="regenerate the snapshots instead of diffing"),
+    "diff": _option("--diff", nargs=2, type=_existing_file,
+                    metavar=("REFERENCE", "MEASURED"), help="diagnose the "
+                    "delta between two saved reports or bench payloads"),
+    "parts": _option("--parts", type=POSITIVE_INT, help="graph partitions "
+                     "(default: the named config's, else 4)"),
+    "offload": _option("--offload", action="store_true", help="stage "
+                       "partitions out-of-core through one device's HBM"),
+    "feat-dim": _option("--feat-dim", type=POSITIVE_INT, help="synthetic "
+                        "feature width (default: the config's, else 64)"),
+    "fanouts": _option("--fanouts", type=_fanouts, default="10,5",
+                       help="per-layer neighbor fanouts, outermost first "
+                            "(default: %(default)s)"),
+    "batch-size": _option("--batch-size", type=POSITIVE_INT, default=64,
+                          help="seeds per mini-batch (default: %(default)s)"),
+    "prefetch-depth": _option("--prefetch-depth", type=NON_NEGATIVE_INT,
+                              default=2, help="0 = synchronous sampling "
+                                              "(default: %(default)s)"),
+    "qps": _option("--qps", type=_bounded(float, 0, strict=True),
+                   default=100.0, help="mean arrival rate per simulated "
+                                       "second (default: %(default)s)"),
+    "arrival": _option("--arrival", choices=("poisson", "bursty"),
+                       default="poisson", help="bursty = 2-state MMPP"),
+    "batch-max": _option("--batch-max", type=POSITIVE_INT, default=8,
+                         help="batcher size cap (default: %(default)s)"),
+    "max-wait-us": _option("--max-wait-us", type=_bounded(float, 0),
+                           default=2000.0, help="longest the batcher holds "
+                           "the queue head (default: %(default)s)"),
+    "requests": _option("--requests", type=POSITIVE_INT, default=256,
+                        help="default: %(default)s"),
+    "quick": _option("--quick", action="store_true",
+                     help="time the fast test-scale configs"),
+    "bench-workload": _option("--workload", dest="bench_workload",
+                              help="time one workload's hot path alone"),
+    "capture-replay": _option("--capture-replay", action="store_true",
+                              help="replay captured steady-state epochs"),
+    "fuse": _option("--fuse", action="store_true", help="also fuse "
+                    "elementwise runs in the replayed plan"),
+    "hotpath-output": _option("--hotpath-output", metavar="FILE",
+                              default="BENCH_hotpath.json",
+                              help="hot-path report (default: %(default)s)"),
+}
 
-    if args.command == "table1":
-        print(mark.render_table1())
-        return 0
-    if args.command == "profile":
-        if args.workload:
-            _print_profile(mark, _resolve_workload(args.workload),
-                           args.epochs, strict=args.strict)
-        else:
-            _print_profile_suite(mark, args.epochs, args.strict, args.jobs,
-                                 cache)
-        if args.metrics or args.metrics_output:
-            _dump_metrics(args.metrics_output)
-        return 0
-    if args.command == "memory":
-        _print_memory(mark)
-        return 0
-    if args.command == "fig9":
-        print(mark.render_scaling(mark.scaling_study(
-            epochs=args.epochs, jobs=args.jobs, cache=cache)))
-        return 0
 
-    wanted = list(FIGURES) if args.command == "all" else [args.command]
-    suite = mark.characterize_suite(epochs=args.epochs, jobs=args.jobs,
-                                    cache=cache)
-    for fig in wanted:
-        print(getattr(mark, FIGURES[fig])(suite))
-        print()
-    if args.command == "all":
-        print(mark.render_table1())
-        print()
-        print(mark.render_scaling(mark.scaling_study(
-            epochs=args.epochs, jobs=args.jobs, cache=cache)))
-    return 0
+class Command(NamedTuple):
+    """A subcommand: runner, help, the OPTIONS it reads, their defaults."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[str, ...] = ()
+    defaults: Mapping[str, object] = {}
+
+
+SUITE = ("scale", "seed", "epochs", "jobs", "no-cache")
+METRICS = ("metrics", "metrics-output")
+PROFILE_SCALE = {"scale": "profile"}
+
+COMMANDS = {
+    "table1": Command(_run_table1, "the suite inventory (Table I)"),
+    **{fig: Command(_run_figures, f"Figure {fig[3:]}: "
+                    + name[len("render_"):].replace("_", " "),
+                    SUITE, PROFILE_SCALE) for fig, name in FIGURES.items()},
+    "fig9": Command(_run_scaling, "Figure 9: strong scaling on 1/2/4 GPUs",
+                    ("seed", "epochs", "jobs", "no-cache")),
+    "all": Command(_run_figures, "every figure, Table I and Figure 9",
+                   SUITE, PROFILE_SCALE),
+    "profile": Command(_run_profile, "kernel profile of a workload or suite",
+                       ("workload?", *SUITE, "strict", *METRICS),
+                       PROFILE_SCALE),
+    "memory": Command(_run_memory, "device-memory occupancy table",
+                      ("scale", "seed"), PROFILE_SCALE),
+    "memstats": Command(_run_memstats, "HBM allocator report of a workload, "
+                        "or the suite's peak_mem table",
+                        ("workload?", *SUITE, "strict", *METRICS)),
+    "golden": Command(_run_golden, "diff golden snapshots (kernel streams "
+                      "unless a family flag is given)", ("workload?",
+                      "families", "update", "jobs", "no-cache")),
+    "bench": Command(_run_bench, "suite timings (-o) and the launch hot path;"
+                     " --epochs defaults to 1 and 3 for them",
+                     ("scale", "seed", "epochs", "jobs", "quick",
+                      "bench-workload", "capture-replay", "fuse", "output",
+                      "hotpath-output", "baseline"),
+                     {"epochs": None, "output": "BENCH_suite.json"}),
+    "trace": Command(_run_trace, "Chrome kernel timeline (-o, default "
+                     "KEY_trace.json)", ("workload", "scale", "seed", "epochs",
+                                         "gpus", "output", *METRICS)),
+    "serve": Command(_run_serve, "serving-latency report (-o: Chrome trace)",
+                     ("workload", "scale", "seed", "strict", "qps",
+                      "arrival", "batch-max", "max-wait-us", "requests",
+                      "output", *METRICS)),
+    "sample": Command(_run_sample, "sampled-training report (-o: Chrome "
+                      "trace); no key: the prefetch bench (-o: its JSON)",
+                      ("workload?", *SUITE, "strict", "fanouts",
+                       "batch-size", "prefetch-depth", "nodes", "output",
+                       "baseline", *METRICS), {"epochs": 2}),
+    "shard": Command(_run_shard, "sharded-training report of a workload or "
+                     "named config such as ARGA-P4 (-o: Chrome trace); no "
+                     "key: the capacity-frontier bench (-o: its JSON)",
+                     ("workload?", "seed", "epochs", "jobs", "no-cache",
+                      "strict", "parts", "offload", "nodes", "feat-dim",
+                      "output", "baseline", *METRICS), {"epochs": 2}),
+    "insights": Command(_run_insights, "bottleneck attribution of a workload"
+                        " (-o: its JSON), or --diff of two saved reports",
+                        ("workload?", "diff", "scale", "seed", "epochs",
+                         "gpus", "output", *METRICS), {"epochs": 2}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser: one subcommand per :data:`COMMANDS`
+    row, carrying exactly the options that row names."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="GNNMark reproduction: regenerate the paper's artifacts",
+    )
+    # main reads these for every command; ``manifest`` is a runner's stamp
+    parser.set_defaults(metrics=False, metrics_output=None, manifest=None)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, row in COMMANDS.items():
+        sub = commands.add_parser(name, help=row.help, description=row.help)
+        for option in row.options:
+            OPTIONS[option](sub)
+        sub.set_defaults(**row.defaults)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = COMMANDS[args.command].run(args)
+    except ValueError as exc:  # contradictory knobs the library rejects
+        print(exc)
+        return 2
+    if code == 0 and (args.metrics or args.metrics_output):
+        _dump_metrics(args.metrics_output, manifest=args.manifest)
+    return code
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ def run_queue(
     """
     if batch_max < 1:
         raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-    if max_wait_s < 0:
+    if not max_wait_s >= 0:
         raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
 
     order = sorted(requests, key=lambda r: (r.arrival_s, r.index))

@@ -54,7 +54,7 @@ def validate_serving_config(qps: float, batch_max: int, max_wait_us: float,
         raise ValueError(f"qps must be > 0, got {qps}")
     if batch_max < 1:
         raise ValueError(f"batch-max must be >= 1, got {batch_max}")
-    if max_wait_us < 0:
+    if not max_wait_us >= 0:
         raise ValueError(f"max-wait-us must be >= 0, got {max_wait_us}")
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")

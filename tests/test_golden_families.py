@@ -61,6 +61,18 @@ def test_every_golden_file_is_canonical_in_one_family(capsys):
     (["golden", "ARGA", "--serve", "--update"], 2,
      "['DGCN', 'PSAGE-MVL', 'PSAGE-NWP']"),
     (["profile", "NOPE"], 1, "unknown workload 'NOPE'"),
+    (["sample", "ARGA", "--fanouts", "abc"], 2, "argument --fanouts"),
+    (["sample", "ARGA", "--fanouts", "4,"], 2, "argument --fanouts"),
+    (["insights", "--diff", "/nonexistent", "x.json"], 2, "'/nonexistent'"),
+    (["sample", "--baseline", "/nonexistent"], 2, "'/nonexistent'"),
+    (["profile", "DGCN", "--epochs", "0"], 2, "argument --epochs"),
+    (["memstats", "DGCN", "--epochs", "-1"], 2, "argument --epochs"),
+    (["trace", "DGCN", "--gpus", "0"], 2, "argument --gpus"),
+    (["insights", "DGCN", "--gpus", "-2"], 2, "argument --gpus"),
+    (["golden", "DGCN", "--jobs", "-3"], 2, "argument --jobs"),
+    (["profile", "DGCN", "--seed", "-1"], 2, "argument --seed"),
+    (["fig2", "--qps", "5"], 2, "unrecognized arguments: --qps 5"),
+    (["table1", "--gpus", "0"], 2, "unrecognized arguments: --gpus 0"),
 ])
 def test_bad_input_fails_by_name(argv, code, message, capsys):
     res = run_cli(argv, capsys)

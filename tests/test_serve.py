@@ -133,6 +133,9 @@ class TestQueueing:
         with pytest.raises(ValueError, match="max_wait_s"):
             run_queue([], batch_max=1, max_wait_s=-1.0,
                       run_batch=_affine_runner())
+        with pytest.raises(ValueError, match="max_wait_s"):
+            run_queue([], batch_max=1, max_wait_s=float("nan"),
+                      run_batch=_affine_runner())
 
     def test_time_travelling_runner_rejected(self):
         reqs = self._mkreqs([0.001])
@@ -225,6 +228,8 @@ class TestServeRun:
             serve_run("DGCN", **dict(SERVE_KWARGS, batch_max=0))
         with pytest.raises(ValueError, match="max-wait-us"):
             serve_run("DGCN", **dict(SERVE_KWARGS, max_wait_us=-1.0))
+        with pytest.raises(ValueError, match="max-wait-us"):
+            serve_run("DGCN", **dict(SERVE_KWARGS, max_wait_us=float("nan")))
 
 
 class TestInferenceTimeline:

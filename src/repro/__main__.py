@@ -38,10 +38,11 @@ Usage::
 Each command accepts only the options it reads, with its own defaults
 (``python -m repro CMD -h`` lists them): any other option exits 2 with
 "unrecognized arguments", and a value outside its option's domain (an
-epoch count below 1, a NaN rate, a missing baseline file) exits 2 naming
-the option before any workload runs.  ``--metrics`` prints the metrics
-registry after a successful run; ``--metrics-output FILE`` writes it as
-canonical JSON plus a sibling ``.prom`` Prometheus dump.
+epoch count below 1, a NaN rate, a missing baseline file, an output file
+in a directory that does not exist) exits 2 naming the option before any
+workload runs.  ``--metrics`` prints the metrics registry after a
+successful run; ``--metrics-output FILE`` writes it as canonical JSON plus
+a sibling ``.prom`` Prometheus dump.
 """
 
 from __future__ import annotations
@@ -656,6 +657,13 @@ def _existing_file(text: str) -> str:
     return text
 
 
+def _output_file(text: str) -> str:
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    return text
+
+
 def _option(*flags: str, **kwargs) -> Callable:
     return lambda parser: parser.add_argument(*flags, **kwargs)
 
@@ -690,12 +698,13 @@ OPTIONS = {
                         help="skip the persistent profile cache"),
     "strict": _option("--strict", action="store_true", help="check GPU-model "
                       "invariants; an HBM overflow raises"),
-    "output": _option("-o", "--output", metavar="FILE",
+    "output": _option("-o", "--output", type=_output_file, metavar="FILE",
                       help="output file (see the command's help)"),
     "metrics": _option("--metrics", action="store_true",
                        help="print the metrics registry after the run"),
-    "metrics-output": _option("--metrics-output", metavar="FILE", help="write "
-                              "the metrics registry as JSON (+ .prom)"),
+    "metrics-output": _option("--metrics-output", type=_output_file,
+                              metavar="FILE", help="write the metrics "
+                              "registry as JSON (+ .prom)"),
     "gpus": _option("--gpus", type=POSITIVE_INT, default=1,
                     help="simulated devices (default: %(default)s)"),
     "baseline": _option("--baseline", type=_existing_file, metavar="FILE",
@@ -742,8 +751,8 @@ OPTIONS = {
                               help="replay captured steady-state epochs"),
     "fuse": _option("--fuse", action="store_true", help="also fuse "
                     "elementwise runs in the replayed plan"),
-    "hotpath-output": _option("--hotpath-output", metavar="FILE",
-                              default="BENCH_hotpath.json",
+    "hotpath-output": _option("--hotpath-output", type=_output_file,
+                              metavar="FILE", default="BENCH_hotpath.json",
                               help="hot-path report (default: %(default)s)"),
 }
 

@@ -22,10 +22,11 @@ off, which ``tests/test_analysis_cache.py`` asserts for every workload.
 
 Caches are held per :class:`SimulationConfig` *object* (config dataclasses
 are frozen, so an object's calibration can never drift under its cache) and
-evicted when the config is garbage collected.  Set ``REPRO_ANALYSIS_CACHE=0``
-to bypass every memoization layer — this module, the per-pattern divergence
-cache, and the ``irregular_row_access`` expansion cache — and run the
-original cold pipeline on every launch.
+evicted when the config is garbage collected.  Divergence measurements are
+memoized here too (:data:`DIVERGENCE`), keyed by the same content
+fingerprint.  Set ``REPRO_ANALYSIS_CACHE=0`` to bypass every memoization
+layer — this module, the per-device launch-site memo and the workloads'
+host-prep memos — and run the original cold pipeline on every launch.
 """
 
 from __future__ import annotations
@@ -115,8 +116,12 @@ class AnalysisCache:
 #: live caches keyed by ``id(sim)``; a finalizer evicts the slot when the
 #: config dies, so configs created per-experiment don't leak records.
 _CACHES: dict[int, AnalysisCache] = {}
-#: extra invalidation hooks run by :func:`clear` (the tensor layer registers
-#: its ``irregular_row_access`` memo here without a reverse import).
+#: irregular-stream divergence results (``divergence.measure``) keyed by
+#: ``(pattern fingerprint, line_bytes, warp_size, sample)``: patterns over
+#: equal index content share one measurement
+DIVERGENCE: dict[tuple, object] = {}
+#: extra invalidation hooks run by :func:`clear` (the device layer registers
+#: its per-device launch-site memos here without a reverse import).
 _CLEAR_HOOKS: list[Callable[[], None]] = []
 #: hooks fired when the *effective* enabled() flag flips (the device layer
 #: resets its per-device hit/miss telemetry there: counters sampled under
@@ -208,6 +213,7 @@ def clear() -> None:
         cache.records.clear()
         cache.hits = 0
         cache.misses = 0
+    DIVERGENCE.clear()
     for hook in _CLEAR_HOOKS:
         hook()
 

@@ -138,11 +138,7 @@ class SimulatedGPU:
         descriptor — every layer and epoch of GNN training re-emits them over
         the same adjacency — degrade to a dict lookup plus clock arithmetic.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
-        return self._finish_launch(desc, record, hit)
+        return self._finish_launch(desc, *self._analyze(desc))
 
     def launch_fast(self, desc: KernelDescriptor) -> Optional[KernelLaunch]:
         """:meth:`launch` for the tensor-ops hot path.
@@ -152,12 +148,9 @@ class SimulatedGPU:
         no profiler is listening and returns ``None``.  :meth:`launch` keeps
         the always-return-a-launch contract for direct callers.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-            if hit:
-                return self.replay(desc, record)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
+        record, hit = self._analyze(desc)
+        if hit:
+            return self.replay(desc, record)
         return self._finish_launch(desc, record, hit)
 
     def launch_analyzed(
@@ -169,11 +162,16 @@ class SimulatedGPU:
         to capture the record it will replay on subsequent hits without a
         second cache probe.
         """
-        if analysis_cache.enabled():
-            record, hit = self._analysis.analyze(desc, self.sim)
-        else:
-            record, hit = analysis_cache.compute(desc, self.sim), False
+        record, hit = self._analyze(desc)
         return record, self._finish_launch(desc, record, hit)
+
+    def _analyze(
+        self, desc: KernelDescriptor
+    ) -> tuple["analysis_cache.AnalysisRecord", bool]:
+        """``(record, was_cache_hit)``: memoized, or cold when the cache is off."""
+        if analysis_cache.enabled():
+            return self._analysis.analyze(desc, self.sim)
+        return analysis_cache.compute(desc, self.sim), False
 
     def replay(self, desc: KernelDescriptor, record) -> Optional[KernelLaunch]:
         """Re-issue a memoized launch: clock arithmetic plus counters only.

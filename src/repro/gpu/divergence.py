@@ -22,8 +22,8 @@ from .kernel import AccessKind, AccessPattern
 class DivergenceResult:
     """Outcome of inspecting one kernel's dominant access stream.
 
-    Frozen: results for irregular streams are cached on the pattern object
-    and shared across launches (SpMM/gather/scatter over the same CSR graph
+    Frozen: results for irregular streams are memoized by index content and
+    shared across launches (SpMM/gather/scatter over the same CSR graph
     re-measure nothing after the first launch).
     """
 
@@ -69,24 +69,21 @@ def measure(
     from . import analysis_cache
 
     if not analysis_cache.enabled():
-        return _measure_irregular(pattern, line_bytes, warp_size, sample,
-                                  cache=False)
+        return _measure_irregular(pattern, line_bytes, warp_size, sample)
     # numpy measurement over the sampled stream is the single hottest piece
-    # of the analysis pipeline; memoize it on the pattern object so repeated
-    # launches over the same index array (same CSR graph, every layer and
-    # epoch) measure exactly once.
-    store = pattern.__dict__.setdefault("_divergence", {})
-    key = (line_bytes, warp_size, sample)
-    result = store.get(key)
+    # of the analysis pipeline; memoize it by the sample's content so
+    # launches over equal indices (same CSR graph, every layer and epoch,
+    # forward gather and backward scatter alike) measure exactly once.
+    key = (pattern.fingerprint(sample), line_bytes, warp_size, sample)
+    result = analysis_cache.DIVERGENCE.get(key)
     if result is None:
         result = _measure_irregular(pattern, line_bytes, warp_size, sample)
-        store[key] = result
+        analysis_cache.DIVERGENCE[key] = result
     return result
 
 
 def _measure_irregular(
     pattern: AccessPattern, line_bytes: int, warp_size: int, sample: int,
-    cache: bool = True,
 ) -> DivergenceResult:
     indices = pattern.indices
     if indices is None or indices.size == 0:
@@ -94,7 +91,7 @@ def _measure_irregular(
         return DivergenceResult(1.0, float(warp_size), 1.0)
     # Deterministic stratified sample: keep whole warps so the per-warp
     # statistics stay meaningful.
-    flat = pattern.sampled_indices(sample, cache=cache)
+    flat = pattern.sampled_indices(sample)
     byte_addr = flat.astype(np.int64, copy=False) * int(pattern.element_bytes)
     lines = byte_addr // line_bytes
 

@@ -106,7 +106,7 @@ class AccessPattern:
     element_bytes: int = 4
     indices: Optional[np.ndarray] = None
 
-    def sampled_indices(self, sample: int, cache: bool = True) -> Optional[np.ndarray]:
+    def sampled_indices(self, sample: int) -> Optional[np.ndarray]:
         """Deterministic stratified sample of the index stream.
 
         This is exactly the slice the divergence model inspects (whole warps
@@ -115,16 +115,11 @@ class AccessPattern:
         """
         if self.indices is None:
             return None
-        store = self.__dict__.setdefault("_samples", {}) if cache else None
-        if store is not None and sample in store:
-            return store[sample]
         flat = np.ascontiguousarray(self.indices).reshape(-1)
         if flat.size > sample:
             step = flat.size // sample
             start = (flat.size % sample) // 2
             flat = flat[start : start + sample * step : step]
-        if store is not None:
-            store[sample] = flat
         return flat
 
     def fingerprint(self, sample: int = 4096) -> tuple:
@@ -138,8 +133,9 @@ class AccessPattern:
 
         Fingerprints are in-process cache keys only (they are never
         persisted or compared across runs), so the siphash built into
-        ``hash()`` is enough identity: per-batch index arrays hand a fresh
-        pattern to every launch, and hashing the sample is on that path.
+        ``hash()`` is enough identity: every irregular launch hands a fresh
+        pattern to the analysis cache, and hashing the sample is on that
+        path.
         """
         if self.kind is AccessKind.COALESCED:
             return ("C", self.element_bytes)

@@ -12,7 +12,6 @@ launch.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -355,35 +354,6 @@ def launch_gemm(
     )
 
 
-#: memoized irregular_row_access patterns, keyed by the identity of the index
-#: array's root buffer plus its view geometry and the expansion parameters.
-#: Entries are evicted by a weakref finalizer when the owning array dies, so
-#: per-batch throwaway index arrays never accumulate.
-_ROW_ACCESS_CACHE: dict[tuple, AccessPattern] = {}
-_ROW_ACCESS_KEYS: dict[int, list[tuple]] = {}
-
-
-def _row_access_root(arr: np.ndarray):
-    """Root buffer owner of a view chain (the object whose lifetime we track)."""
-    base = arr
-    while isinstance(getattr(base, "base", None), np.ndarray):
-        base = base.base
-    return base
-
-
-def _evict_row_access(owner_id: int) -> None:
-    for key in _ROW_ACCESS_KEYS.pop(owner_id, ()):
-        _ROW_ACCESS_CACHE.pop(key, None)
-
-
-def _clear_row_access_cache() -> None:
-    _ROW_ACCESS_CACHE.clear()
-    _ROW_ACCESS_KEYS.clear()
-
-
-analysis_cache.register_clear_hook(_clear_row_access_cache)
-
-
 def irregular_row_access(
     indices: np.ndarray, row_width: int, element_bytes: int = FLOAT_BYTES
 ) -> AccessPattern:
@@ -392,41 +362,16 @@ def irregular_row_access(
     Threads are laid out feature-major (adjacent threads read adjacent
     features of the same row), the layout DGL/PyG kernels use; divergence
     then comes from *row* transitions inside a warp, measured on the real
-    index array.
-
-    The expansion is memoized per ``(index array, row_width)``: SpMM,
-    gathers and scatters over the same CSR graph hand the *same* index
-    array to every layer of every epoch, so after the first launch they
-    reuse one pattern object — along with its cached divergence measurement
-    and content fingerprint.  The key is the array's buffer identity + view
-    geometry (kept alive only weakly); assumes index arrays are not mutated
-    in place between launches, which holds for adjacency structures and is
-    the same contract real frameworks' CSR caches rely on.
+    index array.  Every call expands afresh: repeat launches over equal
+    index content share their analysis and divergence results through the
+    pattern's content fingerprint, not through this function.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
         return coalesced_access(element_bytes)
-    key = None
-    if analysis_cache.enabled():
-        root = _row_access_root(indices)
-        key = (id(root), indices.__array_interface__["data"][0],
-               indices.shape, indices.strides, indices.dtype.str,
-               row_width, element_bytes)
-        cached = _ROW_ACCESS_CACHE.get(key)
-        if cached is not None:
-            return cached
     flat = indices.reshape(-1)
     lanes = max(1, min(row_width, 32))
     # Element address of what each consecutive thread touches: row*width+lane.
     sample = flat[: 4096 // lanes + 1]
     addr = (sample[:, None].astype(np.int64) * row_width + np.arange(lanes)[None, :]).reshape(-1)
-    pattern = AccessPattern.irregular(addr, element_bytes)
-    if key is not None:
-        try:
-            if key[0] not in _ROW_ACCESS_KEYS:
-                weakref.finalize(root, _evict_row_access, key[0])
-            _ROW_ACCESS_KEYS.setdefault(key[0], []).append(key)
-            _ROW_ACCESS_CACHE[key] = pattern
-        except TypeError:  # pragma: no cover - root doesn't support weakrefs
-            pass
-    return pattern
+    return AccessPattern.irregular(addr, element_bytes)

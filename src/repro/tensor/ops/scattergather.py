@@ -8,18 +8,15 @@ divergence and locality — the simulator's stand-in for NVBit.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 import scipy.sparse as sp
 
-from ...gpu import OpClass, analysis_cache
+from ...gpu import OpClass
 from ..autograd import Function
 from .base import (
     COSTS,
     FLOAT_BYTES,
     INDEX_BYTES,
-    _row_access_root,
     as_array,
     irregular_row_access,
     launch,
@@ -33,10 +30,10 @@ def _data(x):
 def _as_index(x) -> np.ndarray:
     """Index payload as int64, without copying when it already is.
 
-    Preserving the identity of persistent index arrays (edge lists, batch
-    assignments held by the workload) is what lets the launch-analysis
-    layer memoize ``irregular_row_access`` expansions and divergence
-    measurements across layers and epochs.
+    The launch-analysis memos key on index *content*, so the result's
+    identity does not matter; skipping the copy still spares every op a
+    pass over persistent index arrays (edge lists, batch assignments held
+    by the workload), which are int64 already.
     """
     return np.asarray(_data(x)).astype(np.int64, copy=False)
 
@@ -82,58 +79,18 @@ def launch_scatter(device, name: str, indices: np.ndarray, row_width: int) -> No
     )
 
 
-#: memoized segment-sum *plans* — the index-only prep of a segment sum (the
-#: CSR selection matrix for wide rows, the flattened (segment, column) keys
-#: for narrow ones) keyed by the index array's buffer identity + geometry.
-#: GNN aggregation sums over the same edge array every layer of every epoch,
-#: so the argsort/CSR construction runs once per graph.  Same contract as
-#: ``irregular_row_access``: index arrays are never mutated in place.
-_SEGSUM_PLANS: dict[tuple, object] = {}
-_SEGSUM_KEYS: dict[int, list[tuple]] = {}
-
-
-def _evict_segsum(owner_id: int) -> None:
-    for key in _SEGSUM_KEYS.pop(owner_id, ()):
-        _SEGSUM_PLANS.pop(key, None)
-
-
-def _clear_segsum_plans() -> None:
-    _SEGSUM_PLANS.clear()
-    _SEGSUM_KEYS.clear()
-
-
-analysis_cache.register_clear_hook(_clear_segsum_plans)
-
-
 def _segsum_plan(idx: np.ndarray, num_segments: int, cols: int):
-    """Index-only prep of a segment sum, memoized per index array."""
-    key = None
-    if analysis_cache.enabled():
-        root = _row_access_root(idx)
-        key = (id(root), idx.__array_interface__["data"][0], idx.shape,
-               idx.strides, idx.dtype.str, num_segments, cols)
-        plan = _SEGSUM_PLANS.get(key)
-        if plan is not None:
-            return plan
+    """Index-only prep of a segment sum: the CSR selection matrix for wide
+    rows, the flattened (segment, column) keys for narrow ones."""
     if cols >= 24:
         order = np.argsort(idx, kind="stable")
         indptr = np.zeros(num_segments + 1, np.int64)
         np.cumsum(np.bincount(idx, minlength=num_segments), out=indptr[1:])
-        plan = sp.csr_matrix(
+        return sp.csr_matrix(
             (np.ones(idx.size, np.float64), order, indptr),
             shape=(num_segments, idx.size),
         )
-    else:
-        plan = (idx[:, None] * cols + np.arange(cols)[None, :]).reshape(-1)
-    if key is not None:
-        try:
-            if key[0] not in _SEGSUM_KEYS:
-                weakref.finalize(root, _evict_segsum, key[0])
-            _SEGSUM_KEYS.setdefault(key[0], []).append(key)
-            _SEGSUM_PLANS[key] = plan
-        except TypeError:  # pragma: no cover - root doesn't support weakrefs
-            pass
-    return plan
+    return (idx[:, None] * cols + np.arange(cols)[None, :]).reshape(-1)
 
 
 def segment_sum_data(src: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
@@ -146,8 +103,7 @@ def segment_sum_data(src: np.ndarray, index: np.ndarray, num_segments: int) -> n
     bincount element for element while skipping its ``rows x cols``
     key/weight temporaries); narrow rows keep the bincount over flattened
     (segment, column) keys, where the one stable argsort of the CSR route
-    would dominate.  The index-only prep of either branch is memoized per
-    index array (:func:`_segsum_plan`).
+    would dominate.
     """
     # reshape(n, -1) cannot infer the trailing dim when n == 0, so spell it
     # out; an empty source (e.g. a sampled block with no edges) scatters to

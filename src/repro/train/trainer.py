@@ -10,6 +10,10 @@ from ..gpu import memory as gpu_memory
 from ..gpu.device import SimulatedGPU
 from ..profiling import trace
 
+#: most recent epoch results :attr:`Trainer.history` keeps; long runs keep
+#: counting epochs and timing sums past it without retaining every result
+HISTORY_WINDOW = 16
+
 
 @dataclass
 class EpochResult:
@@ -57,7 +61,12 @@ class Trainer:
     #: a PrefetchPipeline for mini-batch sampled training; each epoch calls
     #: ``loader.run_epoch(epoch, seed)`` instead of ``workload.train_epoch``
     loader: object = None
+    #: the last :data:`HISTORY_WINDOW` epoch results
     history: list[EpochResult] = field(default_factory=list)
+    #: epochs run over the trainer's life (the next epoch's number)
+    epochs_run: int = field(default=0, init=False)
+    _first_epoch_s: float = field(default=0.0, init=False, repr=False)
+    _later_epochs_s: float = field(default=0.0, init=False, repr=False)
     _controller: object = field(default=None, init=False, repr=False)
 
     def run(self, epochs: int, seed: int = 0) -> list[EpochResult]:
@@ -88,28 +97,36 @@ class Trainer:
             controller = self._controller
         else:
             rng = np.random.default_rng(seed)
-        for epoch in range(epochs):
+        results = []
+        for _ in range(epochs):
+            epoch = self.epochs_run
             t0 = self.device.elapsed_s()
             k0 = self.device.stats.kernel_count
             if self.loader is not None:
-                metrics = self.loader.run_epoch(len(self.history), seed=seed)
+                metrics = self.loader.run_epoch(epoch, seed=seed)
             elif controller is not None:
                 metrics = controller.step(memtracker=memtracker)
             else:
                 metrics = self.workload.train_epoch(rng)
             if tracer is not None:
-                tracer.end_epoch(self.device, len(self.history), t0)
+                tracer.end_epoch(self.device, epoch, t0)
             if memtracker is not None:
                 memtracker.end_epoch()
-            self.history.append(
-                EpochResult(
-                    epoch=len(self.history),
-                    metrics=metrics,
-                    sim_time_s=self.device.elapsed_s() - t0,
-                    kernels=self.device.stats.kernel_count - k0,
-                )
+            result = EpochResult(
+                epoch=epoch,
+                metrics=metrics,
+                sim_time_s=self.device.elapsed_s() - t0,
+                kernels=self.device.stats.kernel_count - k0,
             )
-        return self.history[-epochs:]
+            if epoch == 0:
+                self._first_epoch_s = result.sim_time_s
+            else:
+                self._later_epochs_s += result.sim_time_s
+            self.epochs_run += 1
+            results.append(result)
+            self.history.append(result)
+            del self.history[:-HISTORY_WINDOW]
+        return results
 
     def train_to_target(
         self,
@@ -154,7 +171,8 @@ class Trainer:
 
     def average_epoch_time(self, skip_first: bool = True) -> float:
         """Mean simulated time-per-epoch (first epoch skipped as warm-up)."""
-        runs = self.history[1:] if skip_first and len(self.history) > 1 else self.history
-        if not runs:
+        if skip_first and self.epochs_run > 1:
+            return self._later_epochs_s / (self.epochs_run - 1)
+        if not self.epochs_run:
             return 0.0
-        return float(np.mean([r.sim_time_s for r in runs]))
+        return (self._first_epoch_s + self._later_epochs_s) / self.epochs_run

@@ -5,9 +5,10 @@ Three layers of evidence:
 * property tests — randomized descriptors analyzed through the cache return
   records *exactly* equal (dataclass equality over every float) to the cold
   pipeline's;
-* memo plumbing — fingerprints, the ``irregular_row_access`` expansion memo,
-  the segment-sum plan memo and the per-device launch-site memo all hit when
-  they should, evict with their owning arrays, and stand down entirely under
+* memo plumbing — fingerprints, the content-keyed divergence memo and the
+  per-device launch-site memo hit when they should, follow index content
+  (equal indices in different arrays share a result; an array mutated in
+  place gets a fresh one), and stand down entirely under
   ``REPRO_ANALYSIS_CACHE=0`` semantics;
 * end-to-end — every registry workload's one-epoch kernel-stream fingerprint
   (ordered stream digest included) is byte-identical with the cache on and
@@ -16,15 +17,13 @@ Three layers of evidence:
 
 from __future__ import annotations
 
-import gc
-
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.registry import WORKLOAD_KEYS
-from repro.gpu import SimulatedGPU, analysis_cache
+from repro.gpu import SimulatedGPU, analysis_cache, divergence
 from repro.gpu.analysis_cache import AnalysisCache, compute, signature
 from repro.gpu.config import DEFAULT_SIMULATION
 from repro.gpu.kernel import AccessPattern, KernelDescriptor, OpClass
@@ -111,39 +110,37 @@ class TestFingerprints:
         assert pat.fingerprint() is pat.fingerprint()
 
 
-class TestRowAccessMemo:
-    def test_hit_requires_cache_enabled(self):
+class TestDivergenceByContent:
+    def test_equal_content_measures_once(self, monkeypatch):
+        calls = []
+        cold = divergence._measure_irregular
+        monkeypatch.setattr(divergence, "_measure_irregular",
+                            lambda *args: calls.append(args) or cold(*args))
+        idx = np.arange(10_000) % 97
+        a = ops_base.irregular_row_access(idx.copy(), 16)
+        b = ops_base.irregular_row_access(idx.copy(), 16)
+        assert a is not b and a.indices is not b.indices
+        with analysis_cache.override(True):
+            analysis_cache.clear()
+            first = divergence.measure(a)
+            assert divergence.measure(b) is first
+            assert len(calls) == 1
+            analysis_cache.clear()
+            assert not analysis_cache.DIVERGENCE
+        with analysis_cache.override(False):
+            assert divergence.measure(a) == first
+            assert not analysis_cache.DIVERGENCE
+        assert len(calls) == 2
+
+    def test_index_array_mutated_in_place(self):
         idx = np.arange(4096, dtype=np.int64)
         with analysis_cache.override(True):
-            analysis_cache.clear()
-            a = ops_base.irregular_row_access(idx, 16)
-            b = ops_base.irregular_row_access(idx, 16)
-            assert b is a
-            c = ops_base.irregular_row_access(idx, 32)
-            assert c is not a
-        with analysis_cache.override(False):
-            d = ops_base.irregular_row_access(idx, 16)
-            e = ops_base.irregular_row_access(idx, 16)
-            assert d is not e
-
-    def test_eviction_when_index_array_dies(self):
-        with analysis_cache.override(True):
-            analysis_cache.clear()
-            idx = np.arange(2048, dtype=np.int64)
-            ops_base.irregular_row_access(idx, 8)
-            assert len(ops_base._ROW_ACCESS_CACHE) == 1
-            del idx
-            gc.collect()
-            assert len(ops_base._ROW_ACCESS_CACHE) == 0
-
-    def test_clear_flushes_memo(self):
-        with analysis_cache.override(True):
-            analysis_cache.clear()
-            idx = np.arange(1024, dtype=np.int64)
-            ops_base.irregular_row_access(idx, 8)
-            assert len(ops_base._ROW_ACCESS_CACHE) == 1
-            analysis_cache.clear()
-            assert len(ops_base._ROW_ACCESS_CACHE) == 0
+            before = ops_base.irregular_row_access(idx, 16).fingerprint()
+            idx[:] = idx[::-1]
+            after = ops_base.irregular_row_access(idx, 16).fingerprint()
+        assert after != before
+        assert after == ops_base.irregular_row_access(idx.copy(),
+                                                      16).fingerprint()
 
 
 class TestSegmentSumPlans:
@@ -155,29 +152,11 @@ class TestSegmentSumPlans:
             with analysis_cache.override(True):
                 analysis_cache.clear()
                 warm1 = sg.segment_sum_data(src, idx, 40)
-                warm2 = sg.segment_sum_data(src, idx, 40)  # plan-cache hit
+                warm2 = sg.segment_sum_data(src, idx, 40)
             with analysis_cache.override(False):
                 cold = sg.segment_sum_data(src, idx, 40)
             assert np.array_equal(warm1, cold)
             assert np.array_equal(warm2, cold)
-
-    def test_plan_memo_and_eviction(self):
-        with analysis_cache.override(True):
-            analysis_cache.clear()
-            idx = np.arange(256, dtype=np.int64) % 16
-            src = np.ones((256, 64), dtype=np.float32)
-            sg.segment_sum_data(src, idx, 16)
-            assert len(sg._SEGSUM_PLANS) == 1
-            del idx
-            gc.collect()
-            assert len(sg._SEGSUM_PLANS) == 0
-
-    def test_disabled_caches_nothing(self):
-        with analysis_cache.override(False):
-            analysis_cache.clear()
-            idx = np.arange(128, dtype=np.int64) % 4
-            sg.segment_sum_data(np.ones((128, 64), np.float32), idx, 4)
-            assert len(sg._SEGSUM_PLANS) == 0
 
 
 class TestDeviceCounters:

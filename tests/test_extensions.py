@@ -279,13 +279,27 @@ class TestCLI:
                 "cold_serial_s": 1.0, "cold_parallel_s": 0.6,
                 "warm_cache_s": 0.01, "warm_cache_hits": 1,
                 "parallel_speedup": 1.67, "warm_speedup": 100.0}
+        row = {"mode": "dispatch", "warm_epochs_per_s": 2.0,
+               "cold_epochs_per_s": 1.0, "speedup": 2.0, "hit_rate": 1.0}
+        hotpath = {"fuse": False, "capture_replay": False, "epochs": 3,
+                   "scale": "test", "workloads": {"TLSTM": row}, **row}
         monkeypatch.setattr(cli.executor, "benchmark_suite",
                             lambda **kw: fake)
+        monkeypatch.setattr(cli.executor, "benchmark_hotpath",
+                            lambda **kw: hotpath)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
         out_path = tmp_path / "BENCH_suite.json"
-        assert cli.main(["bench", "--quick", "--output", str(out_path)]) == 0
+        hot_path = tmp_path / "BENCH_hotpath.json"
+        assert cli.main(["bench", "--quick", "--output", str(out_path),
+                         "--hotpath-output", str(hot_path)]) == 0
         report = json.loads(out_path.read_text())
         assert report["warm_speedup"] == 100.0
-        assert "warm cache" in capsys.readouterr().out
+        assert json.loads(hot_path.read_text())["speedup"] == 2.0
+        out = capsys.readouterr().out
+        assert "warm cache" in out and "launch hot path" in out
+        assert list(cwd.iterdir()) == []
 
     def test_unknown_command_rejected(self):
         from repro.__main__ import main

@@ -73,6 +73,13 @@ def test_every_golden_file_is_canonical_in_one_family(capsys):
     (["profile", "DGCN", "--seed", "-1"], 2, "argument --seed"),
     (["fig2", "--qps", "5"], 2, "unrecognized arguments: --qps 5"),
     (["table1", "--gpus", "0"], 2, "unrecognized arguments: --gpus 0"),
+    (["memstats", "DGCN", "--metrics-output", "/nonexistent/m.json"], 2,
+     "argument --metrics-output: no such directory: '/nonexistent'"),
+    (["trace", "dgcn", "-o", "/nonexistent/t.json"], 2,
+     "argument -o/--output: no such directory: '/nonexistent'"),
+    (["bench", "--workload", "kgnnl", "--quick", "--hotpath-output",
+      "/nonexistent/h.json"], 2,
+     "argument --hotpath-output: no such directory: '/nonexistent'"),
 ])
 def test_bad_input_fails_by_name(argv, code, message, capsys):
     res = run_cli(argv, capsys)

@@ -6,8 +6,10 @@ import pytest
 from repro.core import registry
 from repro.gpu import SimulatedGPU
 from repro.profiling import trace
+from repro.tensor.ops.base import launch_elementwise
 from repro.train import Trainer, run_scaling_point, trace_scaling_point
 from repro.train.ddp import _count_steps, _shard_batch
+from repro.train.trainer import HISTORY_WINDOW
 
 
 class TestTrainer:
@@ -28,6 +30,34 @@ class TestTrainer:
         avg = trainer.average_epoch_time()
         later = [r.sim_time_s for r in trainer.history[1:]]
         assert avg == pytest.approx(np.mean(later))
+
+
+class _GrowingWorkload:
+    """Each epoch launches one kernel larger than the last."""
+
+    def __init__(self, device):
+        self.device = device
+        self.epochs = 0
+
+    def train_epoch(self, rng):
+        self.epochs += 1
+        launch_elementwise(self.device, "stub", (1 << 18) * self.epochs)
+        return {"loss": float(self.epochs)}
+
+
+def test_history_keeps_a_window_of_long_runs():
+    device = SimulatedGPU()
+    trainer = Trainer(workload=_GrowingWorkload(device), device=device)
+    first = trainer.run(epochs=3)
+    rest = trainer.run(epochs=HISTORY_WINDOW + 5)
+    assert [r.epoch for r in first + rest] == list(range(HISTORY_WINDOW + 8))
+    assert trainer.epochs_run == HISTORY_WINDOW + 8
+    assert trainer.history == rest[-HISTORY_WINDOW:]
+    times = [r.sim_time_s for r in first + rest]
+    assert len(set(times)) == len(times)
+    assert trainer.average_epoch_time() == pytest.approx(np.mean(times[1:]))
+    assert trainer.average_epoch_time(skip_first=False) == pytest.approx(
+        np.mean(times))
 
 
 class TestDDPHelpers:

@@ -24,16 +24,19 @@ def main() -> None:
     device = SimulatedGPU()
     workload = STGCNWorkload.build(dataset, device=device, batch_size=8,
                                    batches_per_epoch=8, lr=2e-3)
-    profiler = KernelProfiler().attach(device)
 
     rng = np.random.default_rng(0)
     print(f"{'epoch':>5} {'train mse':>12} {'val MAE':>10} {'sim ms/epoch':>14}")
-    for epoch in range(5):
-        t0 = device.elapsed_s()
-        metrics = workload.train_epoch(rng)
-        mae = workload.evaluate_mae(num_batches=2)
-        sim_ms = (device.elapsed_s() - t0) * 1e3
-        print(f"{epoch:>5} {metrics['loss']:>12.4f} {mae:>10.4f} {sim_ms:>14.2f}")
+    with device.observe() as window:
+        for epoch in range(5):
+            t0 = device.elapsed_s()
+            metrics = workload.train_epoch(rng)
+            mae = workload.evaluate_mae(num_batches=2)
+            sim_ms = (device.elapsed_s() - t0) * 1e3
+            print(f"{epoch:>5} {metrics['loss']:>12.4f} {mae:>10.4f}"
+                  f" {sim_ms:>14.2f}")
+    profiler = KernelProfiler()
+    profiler.on_launch(window.entries())
 
     print("\noperation breakdown (conv dominates, as in the paper's Figure 2):")
     for cat, share in profiler.op_time_breakdown().items():

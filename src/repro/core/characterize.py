@@ -3,6 +3,7 @@ toolchain and collect every metric the paper's figures report."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,45 +132,52 @@ def profile_workload(
     # setup work (weight H2D copies, dataset staging) is excluded.
     workload = spec.build(device=device, scale=scale)
     device.reset()
-    checker = None
-    if strict:
-        from ..testing.invariants import InvariantChecker
-
-        checker = InvariantChecker().attach(device)
-    kernels = KernelProfiler().attach(device)
-    sparsity = SparsityTracker().attach(device)
-    divergence = DivergenceInstrument().attach(device)
-    # Timeline tracing rides along unless the caller brought a tracer of
-    # their own (then their trace owns the run and the summary is theirs).
-    tracer = None
-    if trace.active() is None:
-        tracer = trace.install(trace.Tracer().attach(device))
     trainer = Trainer(workload=workload, device=device)
-    try:
-        results = trainer.run(epochs=epochs, seed=seed)
-    finally:
-        if tracer is not None:
-            trace.uninstall()
-            tracer.detach()
-        if checker is not None:
-            checker.detach()
 
-    kernels.detach()
-    sparsity.detach()
-    divergence.detach()
+    def run() -> tuple[list[float], list[dict]]:
+        results = trainer.run(epochs=epochs, seed=seed)
+        return [r.sim_time_s for r in results], [r.metrics for r in results]
+
+    return _observed_profile(key, spec, device, workload, run, strict)
+
+
+def _observed_profile(key: str, spec: registry.WorkloadSpec,
+                      device: SimulatedGPU, workload, run,
+                      strict: bool = False) -> WorkloadProfile:
+    """Run ``run()`` (-> epoch times, train metrics) on a freshly reset
+    device under one observed window, then fold the window into a profile.
+
+    Timeline tracing rides along unless the caller brought a tracer of their
+    own (then their trace owns the run and the summary is theirs).
+    """
+    owned = trace.active() is None
+    checking = contextlib.nullcontext()
+    if strict:
+        from ..testing.invariants import strict_mode
+
+        checking = strict_mode(device)
+    with checking, device.observe() as window, \
+            trace.session(devices=(device,)) as tracer:
+        epoch_times, train_metrics = run()
+    entries = window.entries()
+    kernels, divergence = KernelProfiler(), DivergenceInstrument()
+    sparsity = SparsityTracker()
+    kernels.on_launch(entries)
+    divergence.on_launch(entries)
+    sparsity.on_transfer(entries)
     profile = WorkloadProfile(
         key=key,
         spec=spec,
         kernels=kernels,
         sparsity=sparsity,
         divergence=divergence,
-        epoch_times=[r.sim_time_s for r in results],
-        train_metrics=[r.metrics for r in results],
+        epoch_times=epoch_times,
+        train_metrics=train_metrics,
         sim_time_s=device.elapsed_s(),
         launch_count=device.stats.kernel_count,
         analysis_hits=device.stats.analysis_hits,
         analysis_misses=device.stats.analysis_misses,
-        timeline_summary=tracer.timeline().summary() if tracer else {},
+        timeline_summary=tracer.timeline().summary() if owned else {},
     )
     if hasattr(workload, "model"):
         # Adam keeps two fp32 moments per parameter
@@ -301,59 +309,23 @@ def profile_inference(
     One warm-up training epoch brings the model off its initialization;
     instrumentation then captures only the no-grad evaluation pass.
 
-    Instrumentation matches :func:`profile_workload`: a timeline tracer
-    rides along (unless the caller already installed one), so inference
-    profiles carry ``timeline_summary`` with forward-phase spans, and the
-    finished profile lands in the metrics registry.
+    Instrumentation is :func:`profile_workload`'s, so inference profiles
+    carry ``timeline_summary`` with forward-phase spans and the model
+    footprint, and land in the metrics registry.
     """
-    import numpy as np
-
     spec = registry.get(key)
     manual_seed(seed)
     device = SimulatedGPU(sim)
     workload = spec.build(device=device, scale=scale)
     rng = np.random.default_rng(seed)
     workload.train_epoch(rng)
-
     device.reset()
-    kernels = KernelProfiler().attach(device)
-    sparsity = SparsityTracker().attach(device)
-    divergence = DivergenceInstrument().attach(device)
-    tracer = None
-    if trace.active() is None:
-        tracer = trace.install(trace.Tracer().attach(device))
 
-    try:
-        t0 = device.elapsed_s()
+    def run() -> tuple[list[float], list[dict]]:
         _run_inference(key, workload, rng)
-        elapsed = device.elapsed_s() - t0
-    finally:
-        if tracer is not None:
-            trace.uninstall()
-            tracer.detach()
+        return [device.elapsed_s()], []
 
-    kernels.detach()
-    sparsity.detach()
-    divergence.detach()
-    profile = WorkloadProfile(
-        key=key,
-        spec=spec,
-        kernels=kernels,
-        sparsity=sparsity,
-        divergence=divergence,
-        epoch_times=[elapsed],
-        train_metrics=[],
-        sim_time_s=elapsed,
-        launch_count=device.stats.kernel_count,
-        analysis_hits=device.stats.analysis_hits,
-        analysis_misses=device.stats.analysis_misses,
-        timeline_summary=tracer.timeline().summary() if tracer else {},
-    )
-    from ..profiling import metrics as metrics_mod
-
-    metrics_mod.collect_device(device)
-    metrics_mod.collect_profile(profile)
-    return profile
+    return _observed_profile(key, spec, device, workload, run)
 
 
 def _run_inference(key: str, workload, rng) -> None:

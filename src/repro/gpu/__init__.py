@@ -2,10 +2,11 @@
 
 Public surface:
 
-* :class:`SimulatedGPU` — one device; run kernels, copy data, read the clock.
+* :class:`SimulatedGPU` — one device; run kernels, copy data, read the
+  clock, and open its event log for profilers (``observe()``).
 * :class:`MultiGPUSystem` — several devices plus an NVLink allreduce model.
 * :class:`KernelDescriptor` / :class:`KernelLaunch` — what ops emit and what
-  the device hands to profilers.
+  ``SimulatedGPU.launch`` returns.
 * Config dataclasses (:class:`DeviceConfig`, :data:`V100`, ...).
 """
 

@@ -7,8 +7,16 @@ by the kernel duration plus launch overhead.  Host<->device copies go through
 :meth:`h2d` / :meth:`d2h`, which measure the value sparsity of the actual
 buffer — the paper's transfer-sparsity instrumentation.
 
-Profilers subscribe as listeners; the device itself only keeps aggregate
-counters so that arbitrarily long training runs stay cheap.
+The device itself only keeps aggregate counters, so arbitrarily long training
+runs stay cheap.  Profilers observe it through one append-only event log,
+open only while something observes (:meth:`SimulatedGPU.observe`; ``reset()``
+closes it): each launch appends ``("K", launch_id, start_s, descriptor,
+analysis_record)`` and each copy ``("T", TransferRecord)``, and while a
+capture records, the memory pool's tap appends its ``("A", ...)``/
+``("F", ...)`` events to the same list, keeping their order.  Every profiler
+is a fold over its own window of the log.  Strict mode's invariant checker is
+the one per-event hook (:attr:`SimulatedGPU.checker`), so a violation still
+raises at the faulting launch.
 """
 
 from __future__ import annotations
@@ -22,9 +30,6 @@ import numpy as np
 from . import analysis_cache, memory, timing
 from .config import DEFAULT_SIMULATION, SimulationConfig
 from .kernel import KernelDescriptor, KernelLaunch, TransferRecord
-
-LaunchListener = Callable[[KernelLaunch], None]
-TransferListener = Callable[[TransferRecord], None]
 
 #: live devices, tracked weakly so ``analysis_cache.clear()`` can flush every
 #: per-device launch-site memo without pinning retired devices in memory.
@@ -80,6 +85,52 @@ class DeviceStats:
         self.analysis_misses = 0
 
 
+class LogWindow:
+    """One observer's span of a device's event log.
+
+    Entering opens the device's log unless one is already open (observers
+    nest and share one list); exiting ends the window, and closes the log
+    if this window opened it.  :meth:`entries` lists the window's entries:
+    those so far while it is open, all of them after.  An observer that
+    folds as it goes (the tracer) calls :meth:`restart` once it has taken
+    the entries it folds.
+    """
+
+    __slots__ = ("device", "log", "start", "stop", "_opened")
+
+    def __init__(self, device: "SimulatedGPU") -> None:
+        self.device = device
+
+    def __enter__(self) -> "LogWindow":
+        device = self.device
+        self._opened = device.log is None
+        if self._opened:
+            device.log = []
+        self.log = device.log
+        self.start, self.stop = len(self.log), None
+        device.observers += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop = len(self.log)
+        self.device.observers -= 1
+        if self._opened and self.device.log is self.log:
+            self.device.log = None
+
+    def entries(self, skip: int = 0) -> list[tuple]:
+        """The window's entries after its first ``skip``."""
+        return self.log[self.start + skip:self.stop]
+
+    def restart(self) -> bool:
+        """Continue on a fresh log, dropping the entries so far, if no
+        other open window shares this one (nothing else can need them)."""
+        if self.device.observers != 1 or self.device.log is not self.log:
+            return False
+        self.__exit__()
+        self.__enter__()
+        return True
+
+
 class SimulatedGPU:
     """An analytical model of one GPU (default: NVIDIA V100)."""
 
@@ -111,23 +162,26 @@ class SimulatedGPU:
         #: simulated HBM occupancy (repro.gpu.memory); passive until a
         #: DeviceMemoryTracker drives it — never touched on the launch path
         self.memory = memory.MemoryPool(self.sim.device.dram_size_bytes)
-        self._launch_listeners: list[LaunchListener] = []
-        self._transfer_listeners: list[TransferListener] = []
+        #: the open event log, ``None`` while nothing observes
+        self.log: Optional[list[tuple]] = None
+        #: open log windows
+        self.observers = 0
+        #: strict mode's validator (repro.testing.invariants): called with
+        #: each launch and transfer entry as it happens
+        self.checker: Optional[Callable[[tuple], None]] = None
         self._launch_counter = 0
         _DEVICES.add(self)
 
-    # -- listener management -------------------------------------------------
-    def add_launch_listener(self, listener: LaunchListener) -> None:
-        self._launch_listeners.append(listener)
+    # -- observation -----------------------------------------------------------
+    def observe(self) -> LogWindow:
+        """A window on the event log, for a ``with`` block."""
+        return LogWindow(self)
 
-    def remove_launch_listener(self, listener: LaunchListener) -> None:
-        self._launch_listeners.remove(listener)
-
-    def add_transfer_listener(self, listener: TransferListener) -> None:
-        self._transfer_listeners.append(listener)
-
-    def remove_transfer_listener(self, listener: TransferListener) -> None:
-        self._transfer_listeners.remove(listener)
+    def _emit(self, entry: tuple) -> None:
+        if self.log is not None:
+            self.log.append(entry)
+        if self.checker is not None:
+            self.checker(entry)
 
     # -- execution ------------------------------------------------------------
     def launch(self, desc: KernelDescriptor) -> KernelLaunch:
@@ -138,32 +192,34 @@ class SimulatedGPU:
         descriptor — every layer and epoch of GNN training re-emits them over
         the same adjacency — degrade to a dict lookup plus clock arithmetic.
         """
-        return self._finish_launch(desc, *self._analyze(desc))
+        record, hit = self._analyze(desc)
+        launch_id, start = self._finish_launch(desc, record, hit)
+        return KernelLaunch.of(desc, record, launch_id, self.device_id, start)
 
-    def launch_fast(self, desc: KernelDescriptor) -> Optional[KernelLaunch]:
+    def launch_fast(self, desc: KernelDescriptor) -> None:
         """:meth:`launch` for the tensor-ops hot path.
 
         Identical clock/stat effects, but analysis-cache hits go through
-        :meth:`replay`, which skips the :class:`KernelLaunch` envelope when
-        no profiler is listening and returns ``None``.  :meth:`launch` keeps
-        the always-return-a-launch contract for direct callers.
+        :meth:`replay` and no :class:`KernelLaunch` envelope is built.
         """
         record, hit = self._analyze(desc)
         if hit:
-            return self.replay(desc, record)
-        return self._finish_launch(desc, record, hit)
+            self.replay(desc, record)
+        else:
+            self._finish_launch(desc, record, False)
 
     def launch_analyzed(
         self, desc: KernelDescriptor
-    ) -> tuple["analysis_cache.AnalysisRecord", Optional[KernelLaunch]]:
-        """:meth:`launch` that also hands back the analysis record.
+    ) -> "analysis_cache.AnalysisRecord":
+        """:meth:`launch_fast` that hands back the analysis record.
 
         The miss path of the launch-site memo (``ops.base.launch``) uses this
         to capture the record it will replay on subsequent hits without a
         second cache probe.
         """
         record, hit = self._analyze(desc)
-        return record, self._finish_launch(desc, record, hit)
+        self._finish_launch(desc, record, hit)
+        return record
 
     def _analyze(
         self, desc: KernelDescriptor
@@ -173,13 +229,12 @@ class SimulatedGPU:
             return self._analysis.analyze(desc, self.sim)
         return analysis_cache.compute(desc, self.sim), False
 
-    def replay(self, desc: KernelDescriptor, record) -> Optional[KernelLaunch]:
+    def replay(self, desc: KernelDescriptor, record) -> None:
         """Re-issue a memoized launch: clock arithmetic plus counters only.
 
         Byte-identical to :meth:`launch` of the same descriptor — the record
         was produced from exactly this descriptor, and the clock/stat updates
-        below mirror :meth:`_finish_launch` — but skips rebuilding the
-        :class:`KernelLaunch` envelope unless a profiler is listening.
+        below mirror :meth:`_finish_launch` — but builds no envelope.
         """
         tim = record.timing
         self.host_clock_s += self.sim.device.kernel_launch_overhead_s
@@ -196,53 +251,19 @@ class SimulatedGPU:
         stats.fp32_flops += desc.fp32_flops
         stats.int32_iops += desc.int32_iops
         stats.analysis_hits += 1
+        if self.log is not None or self.checker is not None:
+            self._emit(("K", launch_id, start, desc, record))
 
-        if not self._launch_listeners:
-            return None
-        launch = KernelLaunch(
-            descriptor=desc,
-            launch_id=launch_id,
-            device_id=self.device_id,
-            cycles=tim.cycles,
-            duration_s=tim.duration_s,
-            start_s=start,
-            instructions=tim.instructions,
-            fp32_instrs=tim.fp32_instrs,
-            int32_instrs=tim.int32_instrs,
-            ipc=tim.ipc,
-            occupancy=tim.occupancy,
-            memory=record.memory,
-            stalls=record.stalls,
-        )
-        for listener in self._launch_listeners:
-            listener(launch)
-        return launch
-
-    def _finish_launch(self, desc: KernelDescriptor, record, hit: bool) -> KernelLaunch:
-        mem = record.memory
+    def _finish_launch(self, desc: KernelDescriptor, record,
+                       hit: bool) -> tuple[int, float]:
+        """Issue one analysed launch; returns its ``(launch_id, start_s)``."""
         tim = record.timing
-        stall = record.stalls
-
         self.host_clock_s += self.sim.device.kernel_launch_overhead_s
         start = max(self.clock_s, self.host_clock_s)
         gap = start - self.clock_s
-        launch = KernelLaunch(
-            descriptor=desc,
-            launch_id=self._launch_counter,
-            device_id=self.device_id,
-            cycles=tim.cycles,
-            duration_s=tim.duration_s,
-            start_s=start,
-            instructions=tim.instructions,
-            fp32_instrs=tim.fp32_instrs,
-            int32_instrs=tim.int32_instrs,
-            ipc=tim.ipc,
-            occupancy=tim.occupancy,
-            memory=mem,
-            stalls=stall,
-        )
+        launch_id = self._launch_counter
         self._launch_counter += 1
-        self.clock_s = launch.end_s
+        self.clock_s = start + tim.duration_s
 
         self.stats.kernel_count += 1
         self.stats.kernel_time_s += tim.duration_s
@@ -253,10 +274,9 @@ class SimulatedGPU:
             self.stats.analysis_hits += 1
         else:
             self.stats.analysis_misses += 1
-
-        for listener in self._launch_listeners:
-            listener(launch)
-        return launch
+        if self.log is not None or self.checker is not None:
+            self._emit(("K", launch_id, start, desc, record))
+        return launch_id, start
 
     def _transfer(
         self, array: np.ndarray, direction: str, label: str
@@ -279,6 +299,19 @@ class SimulatedGPU:
             from .compression import compress
 
             wire_bytes = compress(values, self.sim.transfer_compression).compressed_bytes
+        record = self._copy(direction, nbytes, int(values.size), num_zeros,
+                            label, wire_bytes)
+        if direction == "h2d":
+            # after the copy's log entry, so a recorded epoch holds the
+            # buffer's pool allocation after its transfer, as replay runs it
+            tracker = memory._TRACKER
+            if tracker is not None and tracker.device is self:
+                tracker.register(values, label=label)
+        return record
+
+    def _copy(self, direction: str, nbytes: int, num_values: int,
+              num_zeros: int, label: str, wire_bytes: int) -> TransferRecord:
+        """Advance both clocks past one copy, count it and log it."""
         duration = timing.h2d_time(wire_bytes, self.sim)
         # PyTorch-1.5-style pageable copies are synchronous: the host stalls
         # until the copy completes, re-aligning both clocks.
@@ -286,7 +319,7 @@ class SimulatedGPU:
         record = TransferRecord(
             direction=direction,
             nbytes=nbytes,
-            num_values=int(values.size),
+            num_values=num_values,
             num_zeros=num_zeros,
             label=label,
             start_s=start,
@@ -302,12 +335,8 @@ class SimulatedGPU:
             self.stats.h2d_bytes += nbytes
         else:
             self.stats.d2h_bytes += nbytes
-        if direction == "h2d":
-            tracker = memory._TRACKER
-            if tracker is not None and tracker.device is self:
-                tracker.register(values, label=label)
-        for listener in self._transfer_listeners:
-            listener(record)
+        if self.log is not None or self.checker is not None:
+            self._emit(("T", record))
         return record
 
     def h2d(self, array: np.ndarray, label: str = "") -> TransferRecord:
@@ -329,52 +358,29 @@ class SimulatedGPU:
         cost model with a bare byte count: no payload to measure sparsity
         on, no compression (nothing to compress), and no tracker
         registration — capacity-mode callers drive the memory pool
-        directly.  Clock advance, stats and transfer listeners behave
-        exactly like :meth:`h2d`/:meth:`d2h`.
+        directly.  Clock advance, stats and the event log behave exactly
+        like :meth:`h2d`/:meth:`d2h`.
         """
         if direction not in ("h2d", "d2h"):
             raise ValueError(f"unknown transfer direction {direction!r}")
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        label = label or direction
-        duration = timing.h2d_time(nbytes, self.sim)
-        start = max(self.clock_s, self.host_clock_s)
-        record = TransferRecord(
-            direction=direction,
-            nbytes=nbytes,
-            num_values=int(num_values),
-            num_zeros=0,
-            label=label,
-            start_s=start,
-            duration_s=duration,
-            device_id=self.device_id,
-            wire_bytes=nbytes,
-        )
-        self.clock_s = start + duration
-        self.host_clock_s = self.clock_s
-        self.stats.transfer_count += 1
-        self.stats.transfer_time_s += duration
-        if direction == "h2d":
-            self.stats.h2d_bytes += nbytes
-        else:
-            self.stats.d2h_bytes += nbytes
-        for listener in self._transfer_listeners:
-            listener(record)
-        return record
+        return self._copy(direction, nbytes, int(num_values), 0,
+                          label or direction, nbytes)
 
     # -- clock ---------------------------------------------------------------
     def elapsed_s(self) -> float:
         return self.clock_s
 
     def reset(self) -> None:
-        """Start a fresh measurement run: clocks, counters, and any listener
-        or launch-site memo state left behind by earlier instrumentation.
+        """Start a fresh measurement run: clocks, counters, and any event
+        log, strict checker or launch-site memo left by earlier runs.
 
-        Every profiler/tracer/recorder in the repo attaches *after* reset,
-        so dropping stale listeners here means a detached-in-error tracer
-        from a previous run can never skew a later one on a reused device.
-        The memory pool is deliberately untouched — its lifecycle belongs to
+        Every profiler/tracer/recorder in the repo starts observing *after*
+        reset, so closing the log here means an observer left open by a
+        previous run can never skew a later one on a reused device.  The
+        memory pool is deliberately untouched — its lifecycle belongs to
         :func:`repro.gpu.memory.track`, which may span a reset (allocations
         made during build survive into the measured run).
         """
@@ -382,8 +388,8 @@ class SimulatedGPU:
         self.host_clock_s = 0.0
         self._launch_counter = 0
         self.stats.reset()
-        self._launch_listeners.clear()
-        self._transfer_listeners.clear()
+        self.log = None
+        self.checker = None
         self.site_records.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -18,8 +18,9 @@ The controller runs a four-stage state machine over training epochs:
     exact static-input discipline CUDA Graphs demands.
 ``capture``
     Restore, dispatch once more, and record every device side effect in
-    order: kernel launches (with their resolved analysis triples), transfers,
-    and memory-pool alloc/free events (via :attr:`MemoryPool.tap`).
+    order from the device's event log: kernel launches (with their resolved
+    analysis triples), transfers, and the memory-pool alloc/free events that
+    :attr:`MemoryPool.tap` writes into the same log while the recorder runs.
 ``validate``
     Restore and dispatch a third epoch under the same recorder; the captured
     plan is only trusted if this epoch is *bit-identical* to the captured one
@@ -31,9 +32,12 @@ The controller runs a four-stage state machine over training epochs:
 ``replay``
     All remaining epochs re-apply the plan in a tight loop: pure clock
     arithmetic and batched counter updates, no workload code, no dispatch, no
-    descriptor hashing.  Unwatched replays run the plan's compiled view
-    (kernel/transfer steps plus one allocator delta); watched ones re-issue
-    every event.  Floating-point stat accumulation preserves the
+    descriptor hashing.  Replays run the plan's compiled view (kernel/
+    transfer steps plus one allocator delta), appending the plan's launches
+    and transfers to the event log when one is open; only a pool tap, a
+    memory-counter sink, strict mode or a pool whose free lists cannot cover
+    the plan make a replay re-issue every event.  Floating-point stat
+    accumulation preserves the
     per-event operation order so replayed epochs are *byte-identical* to
     dispatched ones — the differential suite in ``tests/test_graph_capture``
     enforces this on golden streams, traces and memory snapshots.
@@ -51,13 +55,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import analysis_cache
 from .device import SimulatedGPU
-from .kernel import AccessKind, KernelDescriptor, KernelLaunch, OpClass, TransferRecord
+from .kernel import AccessKind, KernelDescriptor, KernelLaunch, OpClass
 from .memory import PoolDelta
 
 #: bump when the captured-plan event model changes shape
@@ -130,83 +134,39 @@ class SteadyState:
 
 
 class _EpochRecorder:
-    """Collects every device side effect of one epoch, in call order.
+    """Records every device side effect of one epoch, in call order.
 
-    Events:
+    A window on the device's event log, with the memory pool's tap writing
+    into the same log.  :meth:`finish` turns the window into plan events:
       ``("K", KernelLaunch)``          a kernel launch (analysis resolved)
       ``("T", TransferRecord)``        a host<->device copy
       ``("A", nbytes, label, phase)``  a memory-pool allocation
       ``("F", block, requested)``      a memory-pool free
-
-    Pool events arrive via :attr:`MemoryPool.tap` carrying the device clock
-    at tap time; :meth:`finish` uses it to normalise event order (see below)
-    and then strips it.
     """
 
     def __init__(self, device: SimulatedGPU) -> None:
         self.device = device
-        self.events: list[tuple] = []
-
-    def on_launch(self, launch: KernelLaunch) -> None:
-        self.events.append(("K", launch))
-
-    def on_transfer(self, record: TransferRecord) -> None:
-        self.events.append(("T", record))
-
-    def on_pool_event(self, event: tuple) -> None:
-        # ("A", nbytes, label, phase) / ("F", block, requested) + tap clock
-        self.events.append(event + (self.device.clock_s,))
+        self.window = device.observe()
 
     def __enter__(self) -> "_EpochRecorder":
-        dev = self.device
-        dev.add_launch_listener(self.on_launch)
-        dev.add_transfer_listener(self.on_transfer)
-        self._prev_tap = dev.memory.tap
-        dev.memory.tap = self.on_pool_event
+        pool = self.device.memory
+        self._prev_tap = pool.tap
+        pool.tap = self.window.__enter__().log.append
         return self
 
     def __exit__(self, *exc) -> None:
-        dev = self.device
-        dev.remove_launch_listener(self.on_launch)
-        dev.remove_transfer_listener(self.on_transfer)
-        dev.memory.tap = self._prev_tap
+        self.device.memory.tap = self._prev_tap
+        self.window.__exit__(*exc)
 
     def finish(self) -> list[tuple]:
-        """Normalised event list, ready for :class:`EpochPlan`.
-
-        An h2d transfer registers its buffer with the memory tracker *after*
-        advancing the clock but *before* notifying transfer listeners, so its
-        pool allocation is recorded ahead of its own transfer event while its
-        tracker sample saw the post-transfer clock.  Replay processes events
-        strictly in order against a running clock, so such an allocation is
-        moved after its transfer (no other pool event can intervene); the
-        move is detected exactly, by the tap-time clock matching the
-        transfer's end time bit-for-bit.
-        """
-        out: list[tuple] = []
-        pending: Optional[tuple] = None  # pool event awaiting its transfer
-        for event in self.events:
-            tag = event[0]
-            if tag in ("A", "F"):
-                if pending is not None:
-                    out.append(pending[:-1])
-                pending = event
-                continue
-            if pending is not None:
-                if (
-                    tag == "T"
-                    and pending[-1] == event[1].start_s + event[1].duration_s
-                ):
-                    out.append(event)
-                    out.append(pending[:-1])
-                    pending = None
-                    continue
-                out.append(pending[:-1])
-                pending = None
-            out.append(event)
-        if pending is not None:
-            out.append(pending[:-1])
-        return out
+        """The window as an event list, ready for :class:`EpochPlan`."""
+        device_id = self.device.device_id
+        return [
+            ("K", KernelLaunch.of(entry[3], entry[4], entry[1], device_id,
+                                  entry[2]))
+            if entry[0] == "K" else entry
+            for entry in self.window.entries()
+        ]
 
 
 # -- the captured plan --------------------------------------------------------
@@ -216,7 +176,7 @@ class _EpochRecorder:
 class EpochPlan:
     """One steady-state epoch, flattened to a replayable event list.
 
-    Construction also compiles the events for unwatched replay (see
+    Construction also compiles the events for replay (see
     :func:`replay_epoch`): ``segments`` holds the kernel and transfer steps
     in plan order, as runs of kernel durations each closed by the
     :class:`TransferRecord` that follows them (``None`` after the last
@@ -373,25 +333,28 @@ def replay_epoch(
     (into locals, written back once), and integer stat fields — exact under
     addition — are applied as one per-epoch delta.
 
-    When nothing watches single events (no launch or transfer listener, no
-    pool tap, no tracker counter sink) and every bucket's cached free blocks
-    cover what the plan takes from it, the plan's compiled view runs: one
-    loop over its kernel and transfer steps, then its allocator delta.
-    Otherwise every event is re-issued: launch/transfer envelopes are
-    materialised for the listeners, and memory-pool events re-drive the pool
-    and the tracker's counter sample exactly as dispatch did.  Returns (a
-    copy of) the captured epoch metrics.
+    When nothing watches single pool events or launches (no pool tap, no
+    tracker counter sink, no strict checker) and every bucket's cached free
+    blocks cover what the plan takes from it, the plan's compiled view runs:
+    its kernel and transfer steps — one tight clock loop, or, while the
+    event log is open, the event loop that also appends each launch and
+    transfer to it — then its allocator delta.  Otherwise every event is
+    re-issued, memory-pool events re-driving the pool and the tracker's
+    counter sample exactly as dispatch did.  Returns (a copy of) the
+    captured epoch metrics.
     """
     pool = device.memory
     if (
-        not device._launch_listeners
-        and not device._transfer_listeners
+        device.checker is None
         and pool.tap is None
         and (tracker is None or tracker._counter_sink is None)
         and pool.covers(plan.pool_delta)
     ):
         plan.compiled_replays += 1
-        _replay_compiled(plan, device)
+        if device.log is None:
+            _replay_compiled(plan, device)
+        else:
+            _replay_events(plan, device, None, pool_events=False)
         pool.apply(plan.pool_delta)
     else:
         plan.event_replays += 1
@@ -445,8 +408,11 @@ def _replay_compiled(plan: EpochPlan, device: SimulatedGPU) -> None:
     stats.transfer_time_s = transfer_time
 
 
-def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker) -> None:
-    """Re-issue every event of the plan, for watched replays."""
+def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker,
+                   pool_events: bool = True) -> None:
+    """Re-issue the plan's events in order: launches and transfers onto the
+    clocks, the event log and strict mode, and (with ``pool_events``) its
+    memory-pool events onto the pool and the tracker's counter sample."""
     launch_overhead = device.sim.device.kernel_launch_overhead_s
     stats = device.stats
     clock = device.clock_s
@@ -457,8 +423,7 @@ def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker) -> None:
     fp32_flops = stats.fp32_flops
     int32_iops = stats.int32_iops
     launch_id = device._launch_counter
-    launch_listeners = device._launch_listeners or None
-    transfer_listeners = device._transfer_listeners or None
+    observed = device.log is not None or device.checker is not None
     pool = device.memory
     sample = tracker._sample if tracker is not None else None
 
@@ -474,12 +439,8 @@ def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker) -> None:
             desc = launch.descriptor
             fp32_flops += desc.fp32_flops
             int32_iops += desc.int32_iops
-            if launch_listeners is not None:
-                out = dataclasses.replace(
-                    launch, launch_id=launch_id, start_s=start
-                )
-                for listener in launch_listeners:
-                    listener(out)
+            if observed:
+                device._emit(("K", launch_id, start, desc, launch.record))
             launch_id += 1
         elif tag == "T":
             record = event[1]
@@ -487,10 +448,10 @@ def _replay_events(plan: EpochPlan, device: SimulatedGPU, tracker) -> None:
             clock = start + record.duration_s
             host = clock
             transfer_time += record.duration_s
-            if transfer_listeners is not None:
-                out = dataclasses.replace(record, start_s=start)
-                for listener in transfer_listeners:
-                    listener(out)
+            if observed:
+                device._emit(("T", dataclasses.replace(record, start_s=start)))
+        elif not pool_events:
+            continue
         elif tag == "A":
             device.clock_s = clock  # pool OOM events and tracker samples
             pool.alloc(event[1], label=event[2], phase=event[3])
@@ -570,23 +531,8 @@ def fuse_run(members: list[KernelLaunch], sim) -> KernelLaunch:
         phase=head.phase,
         compute_scale=1.0,
     )
-    record = analysis_cache.compute(desc, sim)
-    tim = record.timing
-    return KernelLaunch(
-        descriptor=desc,
-        launch_id=-1,
-        device_id=members[0].device_id,
-        cycles=tim.cycles,
-        duration_s=tim.duration_s,
-        start_s=0.0,
-        instructions=tim.instructions,
-        fp32_instrs=tim.fp32_instrs,
-        int32_instrs=tim.int32_instrs,
-        ipc=tim.ipc,
-        occupancy=tim.occupancy,
-        memory=record.memory,
-        stalls=record.stalls,
-    )
+    return KernelLaunch.of(desc, analysis_cache.compute(desc, sim), -1,
+                           members[0].device_id, 0.0)
 
 
 def fuse_events(

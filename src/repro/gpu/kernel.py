@@ -290,6 +290,24 @@ class KernelLaunch:
     occupancy: float
     memory: MemoryMetrics
     stalls: StallBreakdown
+    #: the analysis record the launch was resolved from (what a replayed
+    #: plan logs for it); ``None`` for hand-built launches
+    record: Optional[object] = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, desc: KernelDescriptor, record, launch_id: int,
+           device_id: int, start_s: float) -> "KernelLaunch":
+        """The envelope of one analysed launch (``record`` is its
+        :class:`~repro.gpu.analysis_cache.AnalysisRecord`)."""
+        tim = record.timing
+        return cls(
+            descriptor=desc, launch_id=launch_id, device_id=device_id,
+            cycles=tim.cycles, duration_s=tim.duration_s, start_s=start_s,
+            instructions=tim.instructions, fp32_instrs=tim.fp32_instrs,
+            int32_instrs=tim.int32_instrs, ipc=tim.ipc,
+            occupancy=tim.occupancy, memory=record.memory,
+            stalls=record.stalls, record=record,
+        )
 
     @property
     def name(self) -> str:

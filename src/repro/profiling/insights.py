@@ -32,9 +32,9 @@ these):
 
 * every number folds pure functions of ``(descriptor, SimulationConfig)``
   over the simulated clock — never wall time, never live cache state;
-* the collector memoizes ``timing.analyze`` in its *own* signature-keyed
-  dict, so reports are byte-identical with the global analysis cache on or
-  off;
+* the collector reads each launch's analysis record from the device's event
+  log, and a record is a pure function of its descriptor, so reports are
+  byte-identical with the global analysis cache on or off;
 * ``insights_digest`` is SHA-256 over the canonical JSON of the report with
   ``insights_digest`` itself and ``manifest.source_digest`` removed — the
   digest covers the measurements, while the source hash identifies the code
@@ -49,8 +49,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..canonical import canonical_digest
-from ..gpu import analysis_cache, timing
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
+from . import trace
+from .trace import Tracer
 
 INSIGHTS_VERSION = 1
 
@@ -161,43 +162,41 @@ class LaunchRow:
     stalls: dict
 
 
-class SiteCollector:
-    """Launch listener recording :class:`LaunchRow` per launch.
+class SiteCollector(Tracer):
+    """A tracer that also folds one :class:`LaunchRow` per device-0 launch.
 
-    ``KernelLaunch`` envelopes carry memory metrics and stall shares but not
-    the timing *components* (the per-bound cycle counts the classifier
-    needs), so the collector recomputes ``timing.analyze`` — memoized in its
-    own signature-keyed dict rather than the global analysis cache, keeping
-    the report byte-identical whether that cache is on or off.  ``replay``
-    rebuilds the envelope whenever a listener is attached, so the collector
-    sees every launch including fast-path replays.
+    Each logged launch carries its analysis record, whose timing
+    *components* (the per-bound cycle counts the classifier needs) come
+    from the same pure pipeline whether the analysis cache is on or off.
+    DDP replicas are symmetric, so device 0 characterizes every peer.
     """
 
-    def __init__(self, sim: Optional[SimulationConfig] = None) -> None:
-        self.sim = sim or DEFAULT_SIMULATION
+    def __init__(self) -> None:
+        super().__init__()
         self.rows: list[LaunchRow] = []
-        self._timings: dict[tuple, object] = {}
 
-    def on_launch(self, launch) -> None:
-        desc = launch.descriptor
-        sig = analysis_cache.signature(desc, self.sim)
-        result = self._timings.get(sig)
-        if result is None:
-            result = timing.analyze(desc, launch.memory, self.sim)
-            self._timings[sig] = result
-        self.rows.append(LaunchRow(
-            start_s=launch.start_s,
-            duration_s=launch.duration_s,
-            name=desc.name,
-            op=desc.op_class.value,
-            phase=desc.phase,
-            fp32_flops=desc.fp32_flops,
-            int32_iops=desc.int32_iops,
-            dram_bytes=launch.memory.dram_bytes,
-            l2_bytes=launch.memory.l2_bytes,
-            components=result.components,
-            stalls=launch.stalls.as_dict(),
-        ))
+    def on_launch(self, pid: int, entries: list[tuple]) -> None:
+        super().on_launch(pid, entries)
+        if pid != 0:
+            return
+        for entry in entries:
+            if entry[0] != "K":
+                continue
+            start, desc, record = entry[2], entry[3], entry[4]
+            mem = record.memory
+            self.rows.append(LaunchRow(
+                start_s=start,
+                duration_s=record.timing.duration_s,
+                name=desc.name,
+                op=desc.op_class.value,
+                phase=desc.phase,
+                fp32_flops=desc.fp32_flops,
+                int32_iops=desc.int32_iops,
+                dram_bytes=mem.dram_bytes,
+                l2_bytes=mem.l2_bytes,
+                components=record.timing.components,
+                stalls=record.stalls.as_dict(),
+            ))
 
 
 # -- the attribution tree ----------------------------------------------------
@@ -432,14 +431,11 @@ def insights_digest(report: dict) -> str:
 def insights_report(key: str, scale: str = "test", epochs: int = 2,
                     seed: int = 0, gpus: int = 1,
                     sim: Optional[SimulationConfig] = None) -> dict:
-    """Run one workload under the tracer + collector and attribute it."""
-    from . import trace
-
+    """Trace one workload, fold device 0's launches, and attribute them."""
     sim = sim or DEFAULT_SIMULATION
-    collector = SiteCollector(sim)
-    timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
-                                 epochs=epochs, seed=seed, sim=sim,
-                                 launch_listener=collector.on_launch)
+    with trace.session(tracer=SiteCollector()) as collector:
+        timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
+                                     epochs=epochs, seed=seed, sim=sim)
     tree, flat_sites = build_tree(timeline, collector.rows, sim=sim, pid=0)
     manifest = build_manifest(key, scale=scale, epochs=epochs, seed=seed,
                               gpus=gpus, sim=sim)

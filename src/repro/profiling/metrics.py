@@ -305,7 +305,9 @@ def reset() -> None:
 
 # -- collectors: pull existing ad-hoc stats into the registry ------------------
 def collect_device(device, registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one simulated device's ``DeviceStats`` + memory pool."""
+    """Absorb one simulated device's ``DeviceStats``, plus its memory pool
+    once the pool has seen an allocation (an unmeasured pool reports no
+    gauges rather than zeros)."""
     reg = registry if registry is not None else REGISTRY
     dev = str(device.device_id)
     stats = device.stats
@@ -336,7 +338,8 @@ def collect_device(device, registry: Optional[MetricsRegistry] = None) -> None:
       device=dev).set(stats.analysis_hits)
     g("repro_analysis_cache_misses_total", "Launch-analysis cache misses",
       device=dev).set(stats.analysis_misses)
-    collect_memory(device, registry=reg)
+    if device.memory.alloc_count:
+        collect_memory(device, registry=reg)
 
 
 def collect_memory(device, registry: Optional[MetricsRegistry] = None) -> None:

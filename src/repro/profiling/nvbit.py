@@ -3,18 +3,16 @@
 nvprof cannot report warp-level memory divergence, so the paper uses NVBit
 binary instrumentation to count, per load, how many 128-byte lines a warp
 touches.  In the simulator, irregular kernels carry their real index
-streams and the device computes per-launch divergence; this pass aggregates
-load-weighted divergence per kernel and per operation category.
+streams and the device computes per-launch divergence; this pass folds a
+window of the device's event log into load-weighted divergence per
+operation category.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
-
-from ..gpu import KernelLaunch
-from ..gpu.device import SimulatedGPU
+from typing import Iterable
 
 
 @dataclass
@@ -35,27 +33,20 @@ class DivergenceInstrument:
         self._lines: dict[str, float] = defaultdict(float)
         self.total_loads = 0.0
         self.total_divergent = 0.0
-        self._device: Optional[SimulatedGPU] = None
 
-    def attach(self, device: SimulatedGPU) -> "DivergenceInstrument":
-        device.add_launch_listener(self.on_launch)
-        self._device = device
-        return self
-
-    def detach(self) -> None:
-        if self._device is not None:
-            self._device.remove_launch_listener(self.on_launch)
-            self._device = None
-
-    def on_launch(self, launch: KernelLaunch) -> None:
-        desc = launch.descriptor
-        warp_loads = desc.ldst_instrs / 32.0
-        category = desc.op_class.figure_category()
-        self._loads[category] += warp_loads
-        self._divergent[category] += warp_loads * launch.memory.divergent_load_fraction
-        self._lines[category] += warp_loads * launch.memory.lines_per_warp
-        self.total_loads += warp_loads
-        self.total_divergent += warp_loads * launch.memory.divergent_load_fraction
+    def on_launch(self, entries: Iterable[tuple]) -> None:
+        """Fold the kernel launches among ``entries`` (event-log entries)."""
+        for entry in entries:
+            if entry[0] != "K":
+                continue
+            desc, mem = entry[3], entry[4].memory
+            warp_loads = desc.ldst_instrs / 32.0
+            category = desc.op_class.figure_category()
+            self._loads[category] += warp_loads
+            self._divergent[category] += warp_loads * mem.divergent_load_fraction
+            self._lines[category] += warp_loads * mem.lines_per_warp
+            self.total_loads += warp_loads
+            self.total_divergent += warp_loads * mem.divergent_load_fraction
 
     def divergent_load_fraction(self) -> float:
         """Suite metric: fraction of warp loads touching > 1 line."""

@@ -3,19 +3,17 @@
 The paper's methodology: hardware counters are collected per kernel for at
 most *fifty invocations of each kernel or one epoch, whichever is shorter*;
 timeline quantities (durations, launch counts) cover every launch.  The
-:class:`KernelProfiler` reproduces both collection modes.
+:class:`KernelProfiler` reproduces both collection modes as one fold over a
+window of the device's event log (:meth:`repro.gpu.SimulatedGPU.observe`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable
 
-import numpy as np
-
-from ..gpu import FIGURE_CATEGORIES, KernelLaunch, OpClass
-from ..gpu.device import SimulatedGPU
+from ..gpu import FIGURE_CATEGORIES, OpClass
 
 METRIC_SAMPLE_LIMIT = 50
 
@@ -75,7 +73,7 @@ class KernelStats:
 
 
 class KernelProfiler:
-    """Subscribes to a device and aggregates every kernel launch."""
+    """Aggregates every kernel launch of an event-log window."""
 
     def __init__(self, sample_limit: int = METRIC_SAMPLE_LIMIT) -> None:
         self.sample_limit = sample_limit
@@ -83,56 +81,42 @@ class KernelProfiler:
         self.phase_time: dict[str, float] = defaultdict(float)
         self.total_time_s = 0.0
         self.total_launches = 0
-        self._device: Optional[SimulatedGPU] = None
 
-    # -- attach/detach ----------------------------------------------------
-    def attach(self, device: SimulatedGPU) -> "KernelProfiler":
-        device.add_launch_listener(self.on_launch)
-        self._device = device
-        return self
+    def on_launch(self, entries: Iterable[tuple]) -> None:
+        """Fold the kernel launches among ``entries`` (event-log entries)."""
+        for entry in entries:
+            if entry[0] != "K":
+                continue
+            desc, record = entry[3], entry[4]
+            tim, mem = record.timing, record.memory
+            duration = tim.duration_s
+            stats = self.kernels.get(desc.name)
+            if stats is None:
+                stats = KernelStats(name=desc.name, op_class=desc.op_class)
+                self.kernels[desc.name] = stats
 
-    def detach(self) -> None:
-        if self._device is not None:
-            self._device.remove_launch_listener(self.on_launch)
-            self._device = None
+            stats.launches += 1
+            stats.total_time_s += duration
+            stats.flops += desc.fp32_flops
+            stats.iops += desc.int32_iops
+            stats.instructions += tim.instructions
+            stats.fp32_instrs += tim.fp32_instrs
+            stats.int32_instrs += tim.int32_instrs
+            stats.dram_bytes += mem.dram_bytes
+            self.total_time_s += duration
+            self.total_launches += 1
+            self.phase_time[desc.phase] += duration
 
-    def __enter__(self) -> "KernelProfiler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-    # -- collection ----------------------------------------------------------
-    def on_launch(self, launch: KernelLaunch) -> None:
-        desc = launch.descriptor
-        stats = self.kernels.get(desc.name)
-        if stats is None:
-            stats = KernelStats(name=desc.name, op_class=desc.op_class)
-            self.kernels[desc.name] = stats
-
-        stats.launches += 1
-        stats.total_time_s += launch.duration_s
-        stats.flops += desc.fp32_flops
-        stats.iops += desc.int32_iops
-        stats.instructions += launch.instructions
-        stats.fp32_instrs += launch.fp32_instrs
-        stats.int32_instrs += launch.int32_instrs
-        stats.dram_bytes += launch.memory.dram_bytes
-        self.total_time_s += launch.duration_s
-        self.total_launches += 1
-        self.phase_time[desc.phase] += launch.duration_s
-
-        if stats.sampled_launches < self.sample_limit:
-            w = launch.duration_s
-            stats.sampled_launches += 1
-            stats.sampled_time_s += w
-            stats.w_ipc += launch.ipc * w
-            stats.w_occupancy += launch.occupancy * w
-            stats.w_l1_hit += launch.memory.l1_hit_rate * w
-            stats.w_l2_hit += launch.memory.l2_hit_rate * w
-            stats.w_divergent += launch.memory.divergent_load_fraction * w
-            for key, value in launch.stalls.as_dict().items():
-                stats.w_stalls[key] += value * w
+            if stats.sampled_launches < self.sample_limit:
+                stats.sampled_launches += 1
+                stats.sampled_time_s += duration
+                stats.w_ipc += tim.ipc * duration
+                stats.w_occupancy += tim.occupancy * duration
+                stats.w_l1_hit += mem.l1_hit_rate * duration
+                stats.w_l2_hit += mem.l2_hit_rate * duration
+                stats.w_divergent += mem.divergent_load_fraction * duration
+                for key, value in record.stalls.as_dict().items():
+                    stats.w_stalls[key] += value * duration
 
     # -- aggregation (the figures' inputs) ---------------------------------------
     def op_time_breakdown(self) -> dict[str, float]:

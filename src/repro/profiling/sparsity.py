@@ -2,20 +2,17 @@
 
 The paper modified PyTorch's H2D copy path to count zero values in every
 CPU->GPU transfer during training (Figures 7 and 8).  Our simulated device
-measures the zero fraction of the real numpy buffers; this tracker
-aggregates per-transfer records into the average (Figure 7) and the
-transfer-indexed timeline (Figure 8).
+measures the zero fraction of the real numpy buffers; this tracker folds
+the transfer records of an event-log window into the average (Figure 7) and
+the transfer-indexed timeline (Figure 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
-
-from ..gpu import TransferRecord
-from ..gpu.device import SimulatedGPU
 
 
 @dataclass
@@ -34,31 +31,23 @@ class SparsityTracker:
 
     def __init__(self) -> None:
         self.samples: list[TransferSample] = []
-        self._device: Optional[SimulatedGPU] = None
 
-    def attach(self, device: SimulatedGPU) -> "SparsityTracker":
-        device.add_transfer_listener(self.on_transfer)
-        self._device = device
-        return self
-
-    def detach(self) -> None:
-        if self._device is not None:
-            self._device.remove_transfer_listener(self.on_transfer)
-            self._device = None
-
-    def on_transfer(self, record: TransferRecord) -> None:
-        if record.direction != "h2d":
-            return
-        self.samples.append(
-            TransferSample(
-                index=len(self.samples),
-                label=record.label,
-                nbytes=record.nbytes,
-                num_values=record.num_values,
-                sparsity=record.sparsity,
-                wire_bytes=record.wire_bytes,
+    def on_transfer(self, entries: Iterable[tuple]) -> None:
+        """Fold the H2D copies among ``entries`` (event-log entries)."""
+        for entry in entries:
+            if entry[0] != "T" or entry[1].direction != "h2d":
+                continue
+            record = entry[1]
+            self.samples.append(
+                TransferSample(
+                    index=len(self.samples),
+                    label=record.label,
+                    nbytes=record.nbytes,
+                    num_values=record.num_values,
+                    sparsity=record.sparsity,
+                    wire_bytes=record.wire_bytes,
+                )
             )
-        )
 
     # -- aggregation ---------------------------------------------------------
     def average_sparsity(self) -> float:

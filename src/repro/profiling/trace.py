@@ -21,9 +21,9 @@ tid            contents
                (``forward`` / ``backward`` / ``optimizer``) plus
                ``transfer`` runs — the sample→transfer→forward→backward→
                optimizer cadence of each training step
-``kernels``    every kernel launch (the launch-site fast path's replayed
-               timings included — replay rebuilds the launch envelope
-               whenever a listener is attached)
+``kernels``    every kernel launch (launch-site memo hits and replayed
+               capture plans included — every launch path appends to the
+               device's event log)
 ``h2d``/``d2h``  transfers, annotated with byte counts and (for H2D,
                where the payload is deterministic input data) sparsity
 ``allreduce``  NVLink ring-allreduce bucket spans (multi-GPU runs)
@@ -61,11 +61,14 @@ repeat runs, so golden trace digests are snapshot-testable:
 Zero-cost guard
 ---------------
 
-Tracing uses the same guard pattern as the launch-site memo: when no tracer
-is installed (:func:`active` returns ``None``) the per-kernel path is
-untouched — the device only builds :class:`KernelLaunch` envelopes when a
-listener is attached, and the Trainer/optimizer/allreduce hooks are single
-``is None`` checks per epoch/step/collective, never per kernel.
+A tracer never runs per kernel.  While a :func:`session` observes a device,
+its launches and transfers append plain tuples to the device's event log
+(:meth:`repro.gpu.SimulatedGPU.observe`); the tracer folds its window of
+the log into spans at each epoch end and at :meth:`Tracer.timeline`, and
+drops the folded entries when no other observer shares the log.  With no
+tracer installed (:func:`active` returns ``None``) the log stays closed
+and the Trainer/optimizer/allreduce hooks are single ``is None`` checks per
+epoch/step/collective.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from typing import Iterable, Optional, Sequence
 from ..canonical import canonical_digest, canonical_json
 from ..gpu import memory as gpu_memory
 from ..gpu.device import SimulatedGPU
-from ..gpu.kernel import KernelLaunch, TransferRecord
 
 TRACE_VERSION = 1
 
@@ -157,65 +159,85 @@ class Span:
 class Tracer:
     """Collects spans from simulated devices and host-side emitters.
 
-    Attach to one or more devices (kernel/transfer listeners) and install
-    globally (:func:`install`) so the Trainer, optimizer hooks and
-    :class:`~repro.gpu.multigpu.MultiGPUSystem` can emit host spans.  Phase
-    spans are *derived*: maximal runs of consecutive same-phase kernels (or
-    transfers) on one device collapse into one ``phase``-stream span, which
-    keeps them a pure function of the event stream — and therefore exactly
-    as deterministic as the golden kernel streams.
+    A :func:`session` hands the tracer a window on each observed device's
+    event log and installs it globally, so the Trainer, optimizer hooks and
+    :class:`~repro.gpu.multigpu.MultiGPUSystem` can emit host spans.  Kernel
+    and transfer spans are folded from the log windows at each epoch end
+    and at :meth:`timeline`.  Phase spans are *derived*: maximal runs of
+    consecutive same-phase kernels (or transfers) on one device collapse
+    into one ``phase``-stream span, which keeps them a pure function of the
+    event stream — and therefore exactly as deterministic as the golden
+    kernel streams.
     """
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self._devices: list[SimulatedGPU] = []
+        #: [device, log window, entries folded so far] per observed device
+        self._windows: list[list] = []
         #: pid -> [phase name, run start_s, run end_s]
         self._phase_runs: dict[int, list] = {}
         #: pid -> index of its latest counter span (same-timestamp coalescing)
         self._last_counter: dict[int, int] = {}
 
-    # -- device plumbing ---------------------------------------------------
-    def attach(self, device: SimulatedGPU) -> "Tracer":
-        device.add_launch_listener(self.on_launch)
-        device.add_transfer_listener(self.on_transfer)
-        self._devices.append(device)
-        return self
+    # -- event-log folds ---------------------------------------------------
+    def _fold(self, device: Optional[SimulatedGPU] = None) -> None:
+        """Fold every window's new entries (``device``'s alone if given);
+        a window no other observer shares restarts on a fresh log, so a
+        long trace holds at most one epoch of entries."""
+        for slot in self._windows:
+            dev, window, done = slot
+            if device is not None and dev is not device:
+                continue
+            entries = window.entries(done)
+            slot[2] = 0 if window.restart() else done + len(entries)
+            pid = dev.device_id
+            self.on_launch(pid, entries)
+            self.on_transfer(pid, entries)
+            for entry in entries:
+                if entry[0] == "K":
+                    start, duration = entry[2], entry[4].timing.duration_s
+                    self._extend_phase(pid, entry[3].phase, start,
+                                       start + duration)
+                elif entry[0] == "T":
+                    record = entry[1]
+                    self._extend_phase(pid, "transfer", record.start_s,
+                                       record.start_s + record.duration_s)
 
-    def detach(self) -> None:
-        for device in self._devices:
-            device.remove_launch_listener(self.on_launch)
-            device.remove_transfer_listener(self.on_transfer)
-        self._devices.clear()
-        self.flush_phases()
+    def on_launch(self, pid: int, entries: list[tuple]) -> None:
+        """Kernel spans of the launches among ``entries``."""
+        spans = self.spans
+        for entry in entries:
+            if entry[0] != "K":
+                continue
+            start, desc = entry[2], entry[3]
+            spans.append(Span.make(
+                desc.name, CAT_KERNEL, pid, "kernels",
+                start, start + entry[4].timing.duration_s,
+                {"op": desc.op_class.value, "phase": desc.phase},
+            ))
 
-    # -- event ingestion ---------------------------------------------------
-    def on_launch(self, launch: KernelLaunch) -> None:
-        desc = launch.descriptor
-        end = launch.start_s + launch.duration_s
-        self._extend_phase(launch.device_id, desc.phase, launch.start_s, end)
-        self.spans.append(Span.make(
-            desc.name, CAT_KERNEL, launch.device_id, "kernels",
-            launch.start_s, end,
-            {"op": desc.op_class.value, "phase": desc.phase},
-        ))
-
-    def on_transfer(self, record: TransferRecord) -> None:
-        end = record.start_s + record.duration_s
-        self._extend_phase(record.device_id, "transfer", record.start_s, end)
-        args = {
-            "label": record.label,
-            "nbytes": record.nbytes,
-            "wire_bytes": record.wire_bytes,
-            "num_values": record.num_values,
-        }
-        if record.direction == "h2d":
-            # D2H payloads are compute results; their zero counts must not
-            # enter the (byte-deterministic) trace — same rule as goldens.
-            args["sparsity"] = round(record.sparsity, 9)
-        self.spans.append(Span.make(
-            record.label or record.direction, CAT_TRANSFER, record.device_id,
-            record.direction, record.start_s, end, args,
-        ))
+    def on_transfer(self, pid: int, entries: list[tuple]) -> None:
+        """Transfer spans of the copies among ``entries``."""
+        for entry in entries:
+            if entry[0] != "T":
+                continue
+            record = entry[1]
+            args = {
+                "label": record.label,
+                "nbytes": record.nbytes,
+                "wire_bytes": record.wire_bytes,
+                "num_values": record.num_values,
+            }
+            if record.direction == "h2d":
+                # D2H payloads are compute results; their zero counts must
+                # not enter the (byte-deterministic) trace — same rule as
+                # goldens.
+                args["sparsity"] = round(record.sparsity, 9)
+            self.spans.append(Span.make(
+                record.label or record.direction, CAT_TRANSFER, pid,
+                record.direction, record.start_s,
+                record.start_s + record.duration_s, args,
+            ))
 
     def add_span(self, name: str, cat: str, pid: int, tid: str,
                  start_s: float, end_s: float,
@@ -277,12 +299,15 @@ class Tracer:
 
     def end_epoch(self, device: SimulatedGPU, index: int,
                   start_s: float) -> None:
-        """Trainer hook: close phase runs and emit the epoch span."""
+        """Trainer hook: fold the epoch's log entries, close phase runs and
+        emit the epoch span."""
+        self._fold(device)
         self.flush_phases(device.device_id)
         self.add_span(f"epoch {index}", CAT_EPOCH, device.device_id, "epoch",
                       start_s, device.elapsed_s())
 
     def timeline(self) -> "Timeline":
+        self._fold()
         self.flush_phases()
         return Timeline(self.spans)
 
@@ -312,16 +337,29 @@ def uninstall() -> None:
 @contextlib.contextmanager
 def session(devices: Sequence[SimulatedGPU] = (),
             tracer: Optional[Tracer] = None):
-    """Install a tracer (attached to ``devices``) for the duration of a block."""
-    tracer = tracer or Tracer()
-    for device in devices:
-        tracer.attach(device)
-    install(tracer)
-    try:
-        yield tracer
-    finally:
-        uninstall()
-        tracer.detach()
+    """Trace ``devices`` for the duration of a block.
+
+    Installs ``tracer`` (or a new one); with no ``tracer`` given while one
+    is installed, the devices join the installed tracer instead, so a
+    caller's trace owns the run.  Each device's event log is observed for
+    the block; on exit the rest of each window is folded into spans.
+    """
+    joined = tracer is None and _TRACER is not None
+    tracer = _TRACER if joined else tracer or Tracer()
+    with contextlib.ExitStack() as windows:
+        for device in devices:
+            tracer._windows.append(
+                [device, windows.enter_context(device.observe()), 0])
+        if not joined:
+            install(tracer)
+        try:
+            yield tracer
+        finally:
+            if not joined:
+                uninstall()
+            for device in devices:
+                tracer._fold(device)
+                tracer.flush_phases(device.device_id)
 
 
 class Timeline:
@@ -646,8 +684,7 @@ def validate_chrome(data: dict) -> None:
 # -- workload tracing entry points -------------------------------------------
 def trace_workload(key: str, scale: str = "test", epochs: int = 1,
                    seed: int = 0, sim=None, memory: bool = False,
-                   mode: Optional[str] = None,
-                   launch_listener=None) -> Timeline:
+                   mode: Optional[str] = None) -> Timeline:
     """Train ``epochs`` of one workload on a single traced device.
 
     Mirrors :func:`repro.testing.golden.fingerprint_workload`: reseed, build,
@@ -661,11 +698,6 @@ def trace_workload(key: str, scale: str = "test", epochs: int = 1,
     ``"steady"`` enforces the static-input discipline, ``"capture"`` runs
     capture/replay (repro.gpu.graph_capture) — the differential trace tests
     compare the latter two byte-for-byte.
-
-    ``launch_listener`` rides along as an extra device launch listener for
-    the duration of training (the insight engine's per-launch collector);
-    it is attached after the post-build ``reset()``, so it sees exactly the
-    launches the trace does.
     """
     from ..core import registry
     from ..tensor import manual_seed
@@ -679,42 +711,34 @@ def trace_workload(key: str, scale: str = "test", epochs: int = 1,
     with mem_ctx as memtracker:
         workload = spec.build(device=device, scale=scale)
         device.reset()
-        if launch_listener is not None:
-            device.add_launch_listener(launch_listener)
-        try:
-            with session(devices=(device,)) as tracer:
-                if memtracker is not None:
-                    memtracker.set_counter_sink(tracer.counter_sink(device))
-                Trainer(workload=workload, device=device,
-                        steady=mode == "steady",
-                        capture_replay=mode == "capture").run(epochs=epochs,
-                                                              seed=seed)
-        finally:
-            if launch_listener is not None:
-                device.remove_launch_listener(launch_listener)
+        with session(devices=(device,)) as tracer:
+            if memtracker is not None:
+                memtracker.set_counter_sink(tracer.counter_sink(device))
+            Trainer(workload=workload, device=device,
+                    steady=mode == "steady",
+                    capture_replay=mode == "capture").run(epochs=epochs,
+                                                          seed=seed)
     return tracer.timeline()
 
 
 def trace_point(key: str, num_gpus: int = 1, scale: str = "test",
                 epochs: int = 1, seed: int = 0, sim=None,
-                memory: bool = False, launch_listener=None) -> Timeline:
+                memory: bool = False) -> Timeline:
     """Trace one workload on ``num_gpus`` simulated devices.
 
     Memory counter tracks are single-device only: the DDP path replicates
     device 0's spans to every peer, and cloning footprint samples would
     assert knowledge the allocator model doesn't have about replicas.
-    ``launch_listener`` observes device 0's launches on either path (DDP
-    replicas are symmetric, so device 0's stream characterizes each peer).
+    Either path observes device 0 alone (DDP replicas are symmetric, so
+    device 0's stream characterizes each peer).
     """
     if num_gpus <= 1:
         return trace_workload(key, scale=scale, epochs=epochs, seed=seed,
-                              sim=sim, memory=memory,
-                              launch_listener=launch_listener)
+                              sim=sim, memory=memory)
     from ..train import ddp
 
     return ddp.trace_scaling_point(key, num_gpus, scale=scale, epochs=epochs,
-                                   seed=seed, sim=sim,
-                                   launch_listener=launch_listener)
+                                   seed=seed, sim=sim)
 
 
 def trace_fingerprint(key: str, scale: str = "test", epochs: int = 1,

@@ -186,7 +186,7 @@ def launch(
         compute_scale=compute_scale,
     )
     if fast:
-        record, _ = device.launch_analyzed(desc)
+        record = device.launch_analyzed(desc)
         device.site_records[key] = (desc, record)
         return
     device.launch_fast(desc)

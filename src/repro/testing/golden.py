@@ -37,7 +37,6 @@ import numpy as np
 from ..canonical import canonical_json
 from ..core import registry
 from ..gpu import SimulatedGPU
-from ..gpu.kernel import KernelLaunch, TransferRecord
 from ..serve.server import SERVEABLE
 from ..tensor import manual_seed
 from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
@@ -58,41 +57,27 @@ def golden_dir() -> Path:
 
 # -- payloads -----------------------------------------------------------------
 
-class StreamRecorder:
-    """Device listener that keeps the full ordered launch/transfer stream."""
-
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-        self._device: Optional[SimulatedGPU] = None
-
-    def attach(self, device: SimulatedGPU) -> "StreamRecorder":
-        device.add_launch_listener(self.on_launch)
-        device.add_transfer_listener(self.on_transfer)
-        self._device = device
-        return self
-
-    def detach(self) -> None:
-        if self._device is not None:
-            self._device.remove_launch_listener(self.on_launch)
-            self._device.remove_transfer_listener(self.on_transfer)
-            self._device = None
-
-    def on_launch(self, launch: KernelLaunch) -> None:
-        d = launch.descriptor
-        self.events.append((
-            "K", d.name, d.op_class.value, d.phase, d.threads, d.block_size,
+def _kernel_line(d) -> tuple:
+    return ("K", d.name, d.op_class.value, d.phase, d.threads, d.block_size,
             d.fp32_flops, d.int32_iops, d.ldst_instrs, d.control_instrs,
-            d.bytes_read, d.bytes_written,
-        ))
+            d.bytes_read, d.bytes_written)
 
-    def on_transfer(self, record: TransferRecord) -> None:
-        # num_zeros is intentionally absent: d2h payloads are compute results,
-        # and a borderline value flipping to exact zero must not change the
-        # structural digest.
-        self.events.append((
-            "T", record.direction, record.label, record.nbytes,
-            record.num_values, record.wire_bytes,
-        ))
+
+def _transfer_line(r) -> tuple:
+    # num_zeros is intentionally absent: d2h payloads are compute results,
+    # and a borderline value flipping to exact zero must not change the
+    # structural digest.
+    return ("T", r.direction, r.label, r.nbytes, r.num_values, r.wire_bytes)
+
+
+class StreamRecorder:
+    """The ordered launch/transfer stream of event-log entries."""
+
+    def __init__(self, entries) -> None:
+        self.events: list[tuple] = [
+            _kernel_line(e[3]) if e[0] == "K" else _transfer_line(e[1])
+            for e in entries if e[0] in ("K", "T")
+        ]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -119,10 +104,10 @@ def fingerprint_workload(
     device = SimulatedGPU()
     workload = spec.build(device=device, scale=scale)
     device.reset()
-    recorder = StreamRecorder().attach(device)
-    results = Trainer(workload=workload, device=device).run(epochs=epochs,
-                                                            seed=seed)
-    recorder.detach()
+    with device.observe() as window:
+        results = Trainer(workload=workload, device=device).run(epochs=epochs,
+                                                                seed=seed)
+    recorder = StreamRecorder(window.entries())
 
     launches = [e for e in recorder.events if e[0] == "K"]
     transfers = [e for e in recorder.events if e[0] == "T"]
@@ -209,15 +194,15 @@ def capture_fingerprint(
         device = SimulatedGPU()
         workload = spec.build(device=device, scale=scale)
         device.reset()
-        recorder = StreamRecorder().attach(device)
         trainer = Trainer(
             workload=workload,
             device=device,
             steady=mode == "steady",
             capture_replay=mode == "capture",
         )
-        results = trainer.run(epochs=epochs, seed=seed)
-        recorder.detach()
+        with device.observe() as window:
+            results = trainer.run(epochs=epochs, seed=seed)
+        recorder = StreamRecorder(window.entries())
         analysis_cache.clear()
 
     controller = trainer._controller
@@ -287,15 +272,11 @@ def fused_fingerprint(
     for event in fused.events:
         if event[0] == "K":
             d = event[1].descriptor
-            line = ("K", d.name, d.op_class.value, d.phase, d.threads,
-                    d.block_size, d.fp32_flops, d.int32_iops, d.ldst_instrs,
-                    d.control_instrs, d.bytes_read, d.bytes_written)
+            line = _kernel_line(d)
             if d.name.startswith("fused_elementwise_x"):
                 fused_names[d.name] = fused_names.get(d.name, 0) + 1
         elif event[0] == "T":
-            r = event[1]
-            line = ("T", r.direction, r.label, r.nbytes, r.num_values,
-                    r.wire_bytes)
+            line = _transfer_line(event[1])
         else:
             line = event
         h.update(repr(line).encode())

@@ -7,20 +7,23 @@ stall shares a probability distribution, hit rates genuine rates, byte flows
 consistent with the memory hierarchy — so a model refactor that breaks the
 physics fails loudly instead of skewing a figure.
 
-Use :class:`InvariantChecker` as a device listener ("strict mode"):
+Enable "strict mode" on a device with the :func:`strict_mode` context
+manager:
 
-    checker = InvariantChecker().attach(device)
-    ... run training ...
-    checker.detach()
+    with strict_mode(device) as checker:
+        ... run training ...
 
-or the :func:`strict_mode` context manager.  Violations raise
-:class:`InvariantViolation` (an ``AssertionError`` subclass, so pytest
-reports them as failures, not errors).
+It installs an :class:`InvariantChecker` as the device's one per-event hook
+(:attr:`~repro.gpu.SimulatedGPU.checker`), so a violation raises at the
+faulting launch or transfer.  Violations raise :class:`InvariantViolation`
+(an ``AssertionError`` subclass, so pytest reports them as failures, not
+errors).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import contextlib
+from typing import Iterator
 
 import numpy as np
 
@@ -157,36 +160,26 @@ def check_transfer(record: TransferRecord) -> None:
 
 
 class InvariantChecker:
-    """Device listener that validates every launch and transfer as it occurs.
+    """Validates every launch and transfer of a device as it occurs.
 
-    Also enforces stream-level ordering: record start times must be
+    Called with each event-log entry (see :func:`strict_mode`).  Also
+    enforces stream-level ordering: record start times must be
     nondecreasing (the simulated clock never rewinds), and launch starts
     never precede the previous launch's enqueue-constrained start.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, device_id: int = 0) -> None:
+        self.device_id = device_id
         self.launches_checked = 0
         self.transfers_checked = 0
         self._last_start_s = 0.0
-        self._device: Optional[SimulatedGPU] = None
 
-    def attach(self, device: SimulatedGPU) -> "InvariantChecker":
-        device.add_launch_listener(self.on_launch)
-        device.add_transfer_listener(self.on_transfer)
-        self._device = device
-        return self
-
-    def detach(self) -> None:
-        if self._device is not None:
-            self._device.remove_launch_listener(self.on_launch)
-            self._device.remove_transfer_listener(self.on_transfer)
-            self._device = None
-
-    def __enter__(self) -> "InvariantChecker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
+    def __call__(self, entry: tuple) -> None:
+        if entry[0] == "K":
+            self.on_launch(KernelLaunch.of(entry[3], entry[4], entry[1],
+                                           self.device_id, entry[2]))
+        else:
+            self.on_transfer(entry[1])
 
     def _check_monotone(self, start_s: float, where: str) -> None:
         if start_s + 1e-12 < self._last_start_s:
@@ -209,19 +202,16 @@ class InvariantChecker:
         self.transfers_checked += 1
 
 
-class strict_mode:
-    """Context manager enabling invariant checking on a device.
+@contextlib.contextmanager
+def strict_mode(device: SimulatedGPU) -> Iterator[InvariantChecker]:
+    """Check every launch and transfer of ``device`` within a block.
 
         with strict_mode(device):
             trainer.run(epochs=1, seed=0)
     """
-
-    def __init__(self, device: SimulatedGPU) -> None:
-        self.checker = InvariantChecker()
-        self._device = device
-
-    def __enter__(self) -> InvariantChecker:
-        return self.checker.attach(self._device)
-
-    def __exit__(self, *exc) -> None:
-        self.checker.detach()
+    checker = InvariantChecker(device.device_id)
+    previous, device.checker = device.checker, checker
+    try:
+        yield checker
+    finally:
+        device.checker = previous

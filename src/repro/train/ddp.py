@@ -178,7 +178,6 @@ def trace_scaling_point(
     epochs: int = 1,
     seed: int = 0,
     sim: SimulationConfig | None = None,
-    launch_listener=None,
 ):
     """Trace a DDP epoch: per-step allreduce interleaved with the stream.
 
@@ -210,10 +209,6 @@ def trace_scaling_point(
     device = system.devices[0]
     replica = spec.build(device=device, scale=scale)
     device.reset()
-    if launch_listener is not None:
-        # the insight engine's collector: DDP replicas are symmetric, so
-        # observing device 0 characterizes every peer
-        device.add_launch_listener(launch_listener)
     grad_bytes = replica.optimizer.gradient_bytes()
 
     hook = None
@@ -229,8 +224,6 @@ def trace_scaling_point(
     finally:
         if hook is not None:
             replica.optimizer.remove_pre_step_hook(hook)
-        if launch_listener is not None:
-            device.remove_launch_listener(launch_listener)
     timeline = tracer.timeline()
     if num_gpus > 1:
         timeline = timeline.replicate_device(0, range(1, num_gpus))

@@ -349,7 +349,8 @@ class PrefetchPipeline:
     ``loader_stall``, charged by jumping both device clocks forward (the
     idiom `repro.serve.BatchRunner` uses for idle gaps).  With
     ``prefetch_depth=0`` the sampler is synchronous: it only starts when the
-    device asks, so every batch stalls for its full sampler cost.
+    device asks, so every batch stalls for its full sampler cost.  Each
+    batch's launches are folded into :attr:`stalls` as the batch ends.
     """
 
     loader: NeighborLoader
@@ -357,6 +358,8 @@ class PrefetchPipeline:
     device: SimulatedGPU
     prefetch_depth: int = 2
     stats: LoaderStats = field(default_factory=LoaderStats)
+    stalls: _StallAccumulator = field(
+        default_factory=lambda: _StallAccumulator())
 
     def run_epoch(self, epoch: int, seed: int = 0) -> dict[str, float]:
         device = self.device
@@ -396,7 +399,9 @@ class PrefetchPipeline:
                      "edges": int(sum(b.edge_dst.size for b in blocks)),
                      "cost_us": cost * 1e6, "stall_us": stall * 1e6},
                 )
-            losses.append(self.engine.run_batch(blocks, ctx, rng))
+            with device.observe() as window:
+                losses.append(self.engine.run_batch(blocks, ctx, rng))
+            self.stalls.on_launch(window.entries())
             pop_times.append(start)
             ready_times.append(ready)
             ready_prev = ready
@@ -436,7 +441,7 @@ class PrefetchPipeline:
 
 
 class _StallAccumulator:
-    """Launch listener: duration-weighted per-kernel stall shares.
+    """Duration-weighted per-kernel stall shares of event-log entries.
 
     `attribute()` stays a pure memoized per-descriptor function; this
     aggregates its normalized shares across the run so the report can fold
@@ -448,18 +453,16 @@ class _StallAccumulator:
         self.weighted: dict[str, float] = {}
         self.busy_s = 0.0
 
-    def attach(self, device: SimulatedGPU) -> "_StallAccumulator":
-        device.add_launch_listener(self.on_launch)
-        return self
-
-    def detach(self, device: SimulatedGPU) -> None:
-        device.remove_launch_listener(self.on_launch)
-
-    def on_launch(self, launch) -> None:
-        d = launch.duration_s
-        self.busy_s += d
-        for name, share in launch.stalls.as_dict().items():
-            self.weighted[name] = self.weighted.get(name, 0.0) + share * d
+    def on_launch(self, entries) -> None:
+        """Fold the kernel launches among ``entries``."""
+        for entry in entries:
+            if entry[0] != "K":
+                continue
+            record = entry[4]
+            d = record.timing.duration_s
+            self.busy_s += d
+            for name, share in record.stalls.as_dict().items():
+                self.weighted[name] = self.weighted.get(name, 0.0) + share * d
 
     def breakdown(self, loader_stall_s: float, wall_s: float) -> dict:
         """The seven nvprof categories renormalized over the non-loader
@@ -487,8 +490,8 @@ def digest_sample_report(report: dict) -> str:
 def build_sample_report(
     key: str, scale: str, fanouts, batch_size: int, prefetch_depth: int,
     epochs: int, nodes: Optional[int], seed: int, engine,
-    pipeline: PrefetchPipeline, results, stalls: _StallAccumulator,
-    device: SimulatedGPU, memory_stats: dict,
+    pipeline: PrefetchPipeline, results, device: SimulatedGPU,
+    memory_stats: dict,
 ) -> dict:
     """Canonical sample report — every field exact-deterministic."""
     stats = pipeline.stats
@@ -519,7 +522,7 @@ def build_sample_report(
         "epochs_per_sim_s": (len(results) / wall) if wall else 0.0,
         "kernels": int(device.stats.kernel_count),
         "h2d_bytes": int(device.stats.h2d_bytes),
-        "stall_breakdown": stalls.breakdown(stats.stall_s, wall),
+        "stall_breakdown": pipeline.stalls.breakdown(stats.stall_s, wall),
         "peak_live_bytes": memory_stats["peak_live_bytes"],
         "peak_reserved_bytes": memory_stats["peak_reserved_bytes"],
         "hbm_utilization": memory_stats["utilization"],
@@ -577,18 +580,14 @@ def sample_run(
                                     batch_size, seed=seed)
             pipeline = PrefetchPipeline(loader, engine, device,
                                         prefetch_depth=prefetch_depth)
-            stalls = _StallAccumulator().attach(device)
             trace_ctx = (trace.session(devices=(device,)) if traced
                          else contextlib.nullcontext(None))
-            try:
-                with trace_ctx as tracer:
-                    if tracer is not None:
-                        tracker.set_counter_sink(tracer.counter_sink(device))
-                    trainer = Trainer(workload=engine, device=device,
-                                      loader=pipeline)
-                    results = trainer.run(epochs=epochs, seed=seed)
-            finally:
-                stalls.detach(device)
+            with trace_ctx as tracer:
+                if tracer is not None:
+                    tracker.set_counter_sink(tracer.counter_sink(device))
+                trainer = Trainer(workload=engine, device=device,
+                                  loader=pipeline)
+                results = trainer.run(epochs=epochs, seed=seed)
             memory_stats = device.memory.stats()
             if traced:
                 timeline = tracer.timeline()
@@ -598,8 +597,7 @@ def sample_run(
 
     report = build_sample_report(key, scale, fanouts, batch_size,
                                  prefetch_depth, epochs, nodes, seed, engine,
-                                 pipeline, results, stalls, device,
-                                 memory_stats)
+                                 pipeline, results, device, memory_stats)
     from ..profiling import metrics as metrics_mod
 
     metrics_mod.collect_device(device)

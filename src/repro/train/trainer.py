@@ -70,10 +70,7 @@ class Trainer:
     _controller: object = field(default=None, init=False, repr=False)
 
     def run(self, epochs: int, seed: int = 0) -> list[EpochResult]:
-        tracer = trace.active()  # one check per run, zero-cost when absent
-        memtracker = gpu_memory.active()
-        if memtracker is not None and memtracker.device is not self.device:
-            memtracker = None
+        tracer, memtracker = self._observers()  # one check per run
         if self.loader is not None and (
             self.capture_replay or self.fuse or self.steady
         ):
@@ -81,9 +78,10 @@ class Trainer:
                 "mini-batch loader mode is incompatible with capture/replay: "
                 "sampled batches change the launch sequence every step"
             )
-        controller = None
-        rng = None
-        if self.capture_replay or self.fuse or self.steady:
+        if self.loader is not None:
+            def step() -> dict:
+                return self.loader.run_epoch(self.epochs_run, seed=seed)
+        elif self.capture_replay or self.fuse or self.steady:
             if self._controller is None:
                 from ..gpu import graph_capture
 
@@ -95,38 +93,47 @@ class Trainer:
                     fuse=self.fuse,
                 )
             controller = self._controller
+
+            def step() -> dict:
+                return controller.step(memtracker=memtracker)
         else:
             rng = np.random.default_rng(seed)
-        results = []
-        for _ in range(epochs):
-            epoch = self.epochs_run
-            t0 = self.device.elapsed_s()
-            k0 = self.device.stats.kernel_count
-            if self.loader is not None:
-                metrics = self.loader.run_epoch(epoch, seed=seed)
-            elif controller is not None:
-                metrics = controller.step(memtracker=memtracker)
-            else:
-                metrics = self.workload.train_epoch(rng)
-            if tracer is not None:
-                tracer.end_epoch(self.device, epoch, t0)
-            if memtracker is not None:
-                memtracker.end_epoch()
-            result = EpochResult(
-                epoch=epoch,
-                metrics=metrics,
-                sim_time_s=self.device.elapsed_s() - t0,
-                kernels=self.device.stats.kernel_count - k0,
-            )
-            if epoch == 0:
-                self._first_epoch_s = result.sim_time_s
-            else:
-                self._later_epochs_s += result.sim_time_s
-            self.epochs_run += 1
-            results.append(result)
-            self.history.append(result)
-            del self.history[:-HISTORY_WINDOW]
-        return results
+
+            def step() -> dict:
+                return self.workload.train_epoch(rng)
+        return [self._epoch(step, tracer, memtracker) for _ in range(epochs)]
+
+    def _observers(self) -> tuple:
+        """The installed tracer and this device's memory tracker (or None)."""
+        memtracker = gpu_memory.active()
+        if memtracker is not None and memtracker.device is not self.device:
+            memtracker = None
+        return trace.active(), memtracker
+
+    def _epoch(self, step, tracer, memtracker) -> EpochResult:
+        """Run one epoch (``step()`` returns its metrics) and account it."""
+        epoch = self.epochs_run
+        t0 = self.device.elapsed_s()
+        k0 = self.device.stats.kernel_count
+        metrics = step()
+        if tracer is not None:
+            tracer.end_epoch(self.device, epoch, t0)
+        if memtracker is not None:
+            memtracker.end_epoch()
+        result = EpochResult(
+            epoch=epoch,
+            metrics=metrics,
+            sim_time_s=self.device.elapsed_s() - t0,
+            kernels=self.device.stats.kernel_count - k0,
+        )
+        if epoch == 0:
+            self._first_epoch_s = result.sim_time_s
+        else:
+            self._later_epochs_s += result.sim_time_s
+        self.epochs_run += 1
+        self.history.append(result)
+        del self.history[:-HISTORY_WINDOW]
+        return result
 
     def train_to_target(
         self,
@@ -139,18 +146,22 @@ class Trainer:
         """MLPerf-style time-to-train (the paper's planned metric update).
 
         Trains until ``metric`` crosses ``target`` (mode "min": <= target;
-        mode "max": >= target) and reports the simulated time spent.
+        mode "max": >= target) and reports the simulated time spent.  Its
+        epochs count as the trainer's own, exactly as :meth:`run`'s do.
         """
         if mode not in ("min", "max"):
             raise ValueError("mode must be 'min' or 'max'")
+        if max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {max_epochs}")
+        tracer, memtracker = self._observers()
         rng = np.random.default_rng(seed)
-        tracer = trace.active()
+
+        def step() -> dict:
+            return self.workload.train_epoch(rng)
+
         start = self.device.elapsed_s()
         for epoch in range(max_epochs):
-            t0 = self.device.elapsed_s()
-            metrics = self.workload.train_epoch(rng)
-            if tracer is not None:
-                tracer.end_epoch(self.device, epoch, t0)
+            metrics = self._epoch(step, tracer, memtracker).metrics
             if metric not in metrics:
                 raise KeyError(
                     f"workload reports {sorted(metrics)}, not {metric!r}"
@@ -158,16 +169,11 @@ class Trainer:
             value = metrics[metric]
             reached = value <= target if mode == "min" else value >= target
             if reached:
-                return TimeToTrain(
-                    metric=metric, target=target, achieved=value,
-                    epochs=epoch + 1,
-                    sim_time_s=self.device.elapsed_s() - start,
-                    converged=True,
-                )
+                break
         return TimeToTrain(metric=metric, target=target, achieved=value,
-                           epochs=max_epochs,
+                           epochs=epoch + 1,
                            sim_time_s=self.device.elapsed_s() - start,
-                           converged=False)
+                           converged=reached)
 
     def average_epoch_time(self, skip_first: bool = True) -> float:
         """Mean simulated time-per-epoch (first epoch skipped as warm-up)."""

@@ -94,10 +94,11 @@ class TestPhases:
 
     def test_backward_kernels_tagged(self):
         gpu = SimulatedGPU()
-        phases = []
-        gpu.add_launch_listener(lambda l: phases.append(l.descriptor.phase))
-        t = Tensor(np.ones(8, dtype=np.float32), device=gpu, requires_grad=True)
-        (t * 2).sum().backward()
+        with gpu.observe() as window:
+            t = Tensor(np.ones(8, dtype=np.float32), device=gpu,
+                       requires_grad=True)
+            (t * 2).sum().backward()
+        phases = [e[3].phase for e in window.entries() if e[0] == "K"]
         assert "forward" in phases
         assert "backward" in phases
 
@@ -123,11 +124,11 @@ def _recorded_backward(name, frozen):
     with input ``frozen`` not requiring grad."""
     op, arrays, kwargs = _skip_case(name)
     gpu = SimulatedGPU()
-    descs = []
-    gpu.add_launch_listener(lambda launch: descs.append(launch.descriptor))
-    leaves = [Tensor(a, device=gpu, requires_grad=i != frozen)
-              for i, a in enumerate(arrays)]
-    op.apply(*leaves, **kwargs).sum().backward()
+    with gpu.observe() as window:
+        leaves = [Tensor(a, device=gpu, requires_grad=i != frozen)
+                  for i, a in enumerate(arrays)]
+        op.apply(*leaves, **kwargs).sum().backward()
+    descs = [e[3] for e in window.entries() if e[0] == "K"]
     return descs, [leaf.grad for leaf in leaves]
 
 

@@ -182,6 +182,34 @@ class TestTimeToTrain:
         with pytest.raises(ValueError):
             self._trainer().train_to_target("loss", 1.0, mode="between")
 
+    def test_no_epochs_raises(self):
+        with pytest.raises(ValueError, match="max_epochs"):
+            self._trainer().train_to_target("loss", 1.0, max_epochs=0)
+
+    def test_epochs_count_as_the_trainers_own(self):
+        """train_to_target shares run()'s per-epoch bookkeeping: epoch
+        count and times, history, the memory tracker's epoch boundary and
+        the tracer's epoch numbering."""
+        from repro.gpu import memory as gpu_memory
+        from repro.profiling import trace
+
+        device = SimulatedGPU()
+        with gpu_memory.track(device):
+            workload = registry.get("DGCN").build(device=device,
+                                                  scale="test")
+            trainer = Trainer(workload=workload, device=device)
+            trainer.run(epochs=1, seed=0)
+            with trace.session(devices=(device,)) as tracer:
+                result = trainer.train_to_target("loss", 1e9, max_epochs=1)
+        assert result.converged and result.epochs == 1
+        assert trainer.epochs_run == 2
+        assert [r.epoch for r in trainer.history] == [0, 1]
+        assert trainer.history[-1].sim_time_s == result.sim_time_s
+        assert trainer.average_epoch_time() == result.sim_time_s > 0
+        assert len(device.memory.epoch_watermarks) == 2
+        epochs = tracer.timeline().query(cat=trace.CAT_EPOCH)
+        assert [s.name for s in epochs] == ["epoch 1"]
+
 
 class TestInferenceProfiling:
     def test_inference_has_no_backward_or_optimizer(self):
@@ -218,6 +246,12 @@ class TestMemoryFootprint:
     def test_model_bytes_include_adam_state(self):
         profile = profile_workload("TLSTM", scale="test", epochs=1)
         params = profile._workload.model.parameter_bytes()
+        assert profile.memory_footprint()["model_bytes"] == 3 * params
+
+    def test_inference_profile_carries_model_bytes(self):
+        profile = profile_inference("DGCN", scale="test")
+        params = profile._workload.model.parameter_bytes()
+        assert profile.model_bytes == 3 * params > 0
         assert profile.memory_footprint()["model_bytes"] == 3 * params
 
 

@@ -1,4 +1,4 @@
-"""SimulatedGPU device behaviour: clocks, listeners, transfers."""
+"""SimulatedGPU device behaviour: clocks, the event log, transfers."""
 
 import numpy as np
 import pytest
@@ -89,42 +89,61 @@ class TestTransfers:
 
 
 class TestListeners:
-    def test_launch_listener_sees_every_kernel(self, gpu):
-        seen = []
-        gpu.add_launch_listener(seen.append)
-        gpu.launch(_desc())
-        gpu.launch(_desc())
-        assert len(seen) == 2
-        assert seen[0].launch_id == 0 and seen[1].launch_id == 1
+    """Observation through the device's event log, which replaced the
+    per-launch listener lists."""
+
+    def test_event_log_sees_every_kernel(self, gpu):
+        with gpu.observe() as window:
+            first = gpu.launch(_desc())
+            gpu.launch(_desc())
+        launches = window.entries()
+        assert [e[0] for e in launches] == ["K", "K"]
+        assert launches[0][1] == 0 and launches[1][1] == 1
+        # the entry holds what the returned envelope was built from
+        _, launch_id, start, desc, record = launches[0]
+        assert (launch_id, start, desc) == (first.launch_id, first.start_s,
+                                            first.descriptor)
+        assert record is first.record
+        assert record.timing.duration_s == first.duration_s
 
     def test_removed_listener_stops_receiving(self, gpu):
-        seen = []
-        gpu.add_launch_listener(seen.append)
-        gpu.remove_launch_listener(seen.append)
+        with gpu.observe() as window:
+            assert gpu.log is window.log
+        assert gpu.log is None
         gpu.launch(_desc())
-        assert seen == []
+        assert window.entries() == []
+
+    def test_nested_windows_share_one_log(self, gpu):
+        with gpu.observe() as outer:
+            gpu.launch(_desc())
+            with gpu.observe() as inner:
+                assert inner.log is outer.log
+                gpu.launch(_desc())
+            assert gpu.log is outer.log
+            gpu.launch(_desc())
+        assert [e[1] for e in outer.entries()] == [0, 1, 2]
+        assert [e[1] for e in inner.entries()] == [1]
+        assert gpu.log is None
 
     def test_transfer_listener(self, gpu):
-        seen = []
-        gpu.add_transfer_listener(seen.append)
-        gpu.h2d(np.zeros(8))
+        with gpu.observe() as window:
+            record = gpu.h2d(np.zeros(8))
         # unlabelled copies default to their direction, never ""
-        assert len(seen) == 1 and seen[0].label == "h2d"
+        assert window.entries() == [("T", record)]
+        assert record.label == "h2d"
 
     def test_reset_clears_listeners_and_site_memo(self, gpu):
-        """A tracer detached (or leaked) before reset must not leak into the
-        next measurement run on a reused device."""
-        seen = []
-        gpu.add_launch_listener(seen.append)
-        gpu.add_transfer_listener(seen.append)
+        """An observer left open (or leaked) before reset must not leak into
+        the next measurement run on a reused device."""
+        window = gpu.observe().__enter__()
+        gpu.checker = lambda entry: None
         gpu.site_records[("stale",)] = ("whatever",)
         gpu.reset()
-        assert gpu._launch_listeners == []
-        assert gpu._transfer_listeners == []
+        assert gpu.log is None and gpu.checker is None
         assert gpu.site_records == {}
         gpu.launch(_desc())
         gpu.h2d(np.zeros(8))
-        assert seen == []
+        assert window.entries() == []
 
     def test_override_toggle_resets_analysis_counters(self, gpu):
         """Hit/miss telemetry sampled with the cache on must not bleed into

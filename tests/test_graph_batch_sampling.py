@@ -96,10 +96,10 @@ class TestNeighborSampling:
 
     def test_device_sampling_emits_sorts(self, rng):
         gpu = SimulatedGPU()
-        ops = []
-        gpu.add_launch_listener(lambda l: ops.append(l.op_class))
-        uniform_neighbor_block(self._graph(), np.array([0, 1]), 4, rng,
-                               device=gpu)
+        with gpu.observe() as window:
+            uniform_neighbor_block(self._graph(), np.array([0, 1]), 4, rng,
+                                   device=gpu)
+        ops = [e[3].op_class for e in window.entries() if e[0] == "K"]
         assert OpClass.SORT in ops
 
     def test_isolated_seeds_keep_dst_slots(self, rng):
@@ -186,9 +186,9 @@ class TestPinSAGESampling:
 
     def test_device_emits_visit_count_sort(self, rng):
         gpu = SimulatedGPU()
-        names = []
-        gpu.add_launch_listener(lambda l: names.append(l.name))
-        pinsage_neighbors(self._graph(), np.array([0, 1]), 8, 2, 3, rng,
-                          device=gpu)
+        with gpu.observe() as window:
+            pinsage_neighbors(self._graph(), np.array([0, 1]), 8, 2, 3, rng,
+                              device=gpu)
+        names = [e[3].name for e in window.entries() if e[0] == "K"]
         assert "radix_sort_visit_counts" in names
         assert "radix_sort_block_edges" in names

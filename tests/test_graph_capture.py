@@ -7,8 +7,10 @@ the kernel/transfer event stream, the final device clocks, the complete
 ``DeviceStats``, the kernel-timeline trace (memory counter samples included),
 and the full memory report.  Every test here compares a steady-dispatch run
 against a capture-replay run of the same workload and asserts equality, not
-closeness.  Runs with a recorder or tracer attached replay event by event;
-runs with nothing attached take the compiled path, and are compared too.
+closeness.  Replays take the compiled path whether or not the device's
+event log is open (a recorder or tracer observing); only a memory-counter
+sink or pool tap re-issues pool events one by one.  Every export of kernel
+time agrees across dispatch and replay.
 """
 
 import dataclasses
@@ -16,13 +18,14 @@ import dataclasses
 import pytest
 
 from repro.core import executor, registry
-from repro.core.characterize import measure_memory
+from repro.core.characterize import measure_memory, profile_workload
 from repro.gpu import SimulatedGPU, analysis_cache
 from repro.gpu.graph_capture import (
     CaptureReplayController,
     replay_epoch,
     validate_events,
 )
+from repro.profiling import KernelProfiler, insights, metrics, trace
 from repro.profiling.trace import trace_workload
 from repro.tensor import manual_seed
 from repro.testing.golden import StreamRecorder
@@ -70,9 +73,9 @@ class TestDifferentialReplay:
             assert ctrl["state"] == "replay", (key, ctrl)
             assert ctrl["fallback_reason"] is None
             assert ctrl["replayed_epochs"] == 2
-            # the stream recorder watches every launch
-            assert ctrl["event_replays"] == 2
-            assert ctrl["compiled_replays"] == 0
+            # the stream recorder's open event log keeps replay compiled
+            assert ctrl["compiled_replays"] == 2
+            assert ctrl["event_replays"] == 0
             assert ctrl["plan_kernels"] > 0
             assert steady[key]["controller"]["state"] == "steady"
             assert steady[key]["controller"]["replayed_epochs"] == 0
@@ -98,7 +101,7 @@ class TestDifferentialReplay:
 
 
 def _unwatched_run(key, mode, epochs=6):
-    """A trainer run with no listener, tracker or tap attached."""
+    """A trainer run with no event log, tracker or tap."""
     analysis_cache.clear()
     manual_seed(0)
     device = SimulatedGPU()
@@ -150,6 +153,63 @@ class TestUnwatchedReplay:
         assert all(p.event_replays == 0 for p in plans.values())
 
 
+def _observed_capture_run(key, epochs=5):
+    """A capture-replay run under a tracer and a kernel profiler."""
+    analysis_cache.clear()
+    manual_seed(0)
+    device = SimulatedGPU()
+    workload = registry.get(key).build(device=device, scale="test")
+    device.reset()
+    trainer = Trainer(workload=workload, device=device, capture_replay=True)
+    with device.observe() as window, \
+            trace.session(devices=(device,)) as tracer:
+        trainer.run(epochs=epochs, seed=0)
+    analysis_cache.clear()
+    profiler = KernelProfiler()
+    profiler.on_launch(window.entries())
+    return device, tracer.timeline(), profiler, trainer._controller
+
+
+def _kernel_span_s(timeline) -> float:
+    return sum(s.dur_us for s in timeline.query(cat=trace.CAT_KERNEL)) / 1e6
+
+
+class TestObservedReplay:
+    """Profilers read one event log, which replay appends to: observed
+    replays stay compiled, and every export of kernel time agrees."""
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_observed_replays_compile_and_agree(self, key):
+        device, timeline, profiler, ctrl = _observed_capture_run(key)
+        info = ctrl.describe()
+        assert info["state"] == "replay", info
+        # warmup + capture + validate, then 2 replays, both compiled
+        assert info["compiled_replays"] == info["replayed_epochs"] == 2
+        assert info["event_replays"] == 0
+        registry_ = metrics.MetricsRegistry()
+        metrics.collect_device(device, registry=registry_)
+        gauge = registry_.gauge("repro_device_kernel_seconds_total",
+                                device="0").value
+        assert device.stats.kernel_time_s == profiler.total_time_s == gauge
+        assert profiler.total_launches == device.stats.kernel_count
+        assert _kernel_span_s(timeline) == pytest.approx(
+            device.stats.kernel_time_s, rel=1e-9)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_dispatch_exports_agree(self, key):
+        with trace.session() as tracer:  # the profile's run joins it
+            profile = profile_workload(key, scale="test", epochs=2, seed=0)
+        kernel_s = profile._workload.device.stats.kernel_time_s
+        gauge = metrics.REGISTRY.gauge("repro_device_kernel_seconds_total",
+                                       device="0").value
+        assert kernel_s == profile.kernels.total_time_s == gauge
+        assert _kernel_span_s(tracer.timeline()) == pytest.approx(
+            kernel_s, rel=1e-9)
+        report = insights.insights_report(key, scale="test", epochs=2)
+        assert report["stream_summary"]["kernels"] / 1e6 == pytest.approx(
+            kernel_s, rel=1e-9)
+
+
 def _controller_run(key, replay, epochs=5, corrupt=False):
     """Drive a controller epoch-by-epoch under a stream recorder."""
     analysis_cache.clear()
@@ -158,17 +218,16 @@ def _controller_run(key, replay, epochs=5, corrupt=False):
     device = SimulatedGPU()
     workload = spec.build(device=device, scale="test")
     device.reset()
-    recorder = StreamRecorder().attach(device)
     controller = CaptureReplayController(workload, device, seed=0,
                                          replay=replay)
-    for _ in range(epochs):
-        if corrupt and controller.state == "validate":
-            events, metrics = controller._captured
-            controller._captured = (events[:-1], metrics)
-        controller.step()
-    recorder.detach()
+    with device.observe() as window:
+        for _ in range(epochs):
+            if corrupt and controller.state == "validate":
+                events, epoch_metrics = controller._captured
+                controller._captured = (events[:-1], epoch_metrics)
+            controller.step()
     return {
-        "digest": recorder.digest(),
+        "digest": StreamRecorder(window.entries()).digest(),
         "clock_s": device.clock_s,
         "host_clock_s": device.host_clock_s,
         "stats": dataclasses.asdict(device.stats),

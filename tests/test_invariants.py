@@ -155,8 +155,19 @@ def test_clock_rewind_detected():
 
 def test_detach_stops_checking():
     device = SimulatedGPU()
-    checker = InvariantChecker().attach(device)
-    _launch_one(device)
-    checker.detach()
+    with strict_mode(device) as checker:
+        assert device.checker is checker
+        _launch_one(device)
+    assert device.checker is None
     _launch_one(device)
     assert checker.launches_checked == 1
+
+
+def test_strict_mode_raises_at_the_faulting_launch():
+    device = SimulatedGPU()
+    with strict_mode(device):
+        _launch_one(device)
+        with pytest.raises(InvariantViolation, match="unknown phase"):
+            _launch_one(device, phase="sideways")
+    # the faulting launch was the second one the device issued
+    assert device.stats.kernel_count == 2

@@ -224,5 +224,9 @@ class TestCollectors:
                        for k in snap["repro_stall_share"]["series"])
             dev = '{device="0"}'
             assert snap["repro_device_kernel_launches_total"]["series"][dev] > 0
+            # the profile run never drives the allocator: no memory gauges,
+            # rather than gauges that read 0
+            assert not [name for name in snap
+                        if name.startswith("repro_memory_")]
         finally:
             metrics.reset()

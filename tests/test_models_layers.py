@@ -67,13 +67,12 @@ class TestConvLayers:
 
     def test_gcn_dynamic_norm_emits_norm_kernels(self):
         gpu = SimulatedGPU()
-        names = []
-        gpu.add_launch_listener(lambda l: names.append(l.name))
         conv = GCNConv(4, 6, dynamic_norm=True)
         conv.to(gpu)
         x = _features(8, 4).to(gpu)
-        names.clear()
-        conv(_adj(), x)
+        with gpu.observe() as window:
+            conv(_adj(), x)
+        names = [e[3].name for e in window.entries() if e[0] == "K"]
         assert "gcn_norm_degree_scatter" in names
         assert "ew_edge_norm_mul" in names
 

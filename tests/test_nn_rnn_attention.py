@@ -15,10 +15,11 @@ class TestLSTMCell:
 
     def test_fused_kernel_emitted(self):
         gpu = SimulatedGPU()
-        names = []
-        gpu.add_launch_listener(lambda l: names.append(l.name))
         cell = nn.LSTMCell(4, 4).to(gpu)
-        cell(Tensor(np.zeros((2, 4), dtype=np.float32), device=gpu, _skip_copy=True))
+        with gpu.observe() as window:
+            cell(Tensor(np.zeros((2, 4), dtype=np.float32), device=gpu,
+                        _skip_copy=True))
+        names = [e[3].name for e in window.entries() if e[0] == "K"]
         assert "fused_lstm_cell" in names
 
     def test_state_carries_information(self):

@@ -52,40 +52,37 @@ class TestKernelEmission:
     def test_adam_is_unfused_seven_kernels_per_param(self):
         """PyTorch 1.5 (the paper's version) had no fused Adam."""
         gpu = SimulatedGPU()
-        names = []
-        gpu.add_launch_listener(lambda l: names.append(l.name))
         layer = nn.Linear(4, 4).to(gpu)
         opt = Adam(layer.parameters())
         out = layer(Tensor(np.ones((2, 4), dtype=np.float32), device=gpu,
                            _skip_copy=True))
         out.sum().backward()
-        names.clear()
-        opt.step()
+        with gpu.observe() as window:
+            opt.step()
+        names = [e[3].name for e in window.entries() if e[0] == "K"]
         adam_kernels = [n for n in names if n.startswith("adam_")]
         assert len(adam_kernels) == 7 * 2  # 7 kernels x (weight, bias)
 
     def test_optimizer_kernels_tagged_optimizer_phase(self):
         gpu = SimulatedGPU()
-        phases = []
-        gpu.add_launch_listener(lambda l: phases.append(l.descriptor.phase))
         layer = nn.Linear(2, 2).to(gpu)
         opt = SGD(layer.parameters(), lr=0.1)
         layer(Tensor(np.ones((1, 2), dtype=np.float32), device=gpu,
                      _skip_copy=True)).sum().backward()
-        phases.clear()
-        opt.step()
+        with gpu.observe() as window:
+            opt.step()
+        phases = [e[3].phase for e in window.entries() if e[0] == "K"]
         assert phases and all(p == "optimizer" for p in phases)
 
     def test_zero_grad_emits_fill_kernels(self):
         gpu = SimulatedGPU()
-        names = []
-        gpu.add_launch_listener(lambda l: names.append(l.name))
         layer = nn.Linear(2, 2).to(gpu)
         opt = SGD(layer.parameters(), lr=0.1)
         layer(Tensor(np.ones((1, 2), dtype=np.float32), device=gpu,
                      _skip_copy=True)).sum().backward()
-        names.clear()
-        opt.zero_grad()
+        with gpu.observe() as window:
+            opt.zero_grad()
+        names = [e[3].name for e in window.entries() if e[0] == "K"]
         assert names.count("zero_fill") == 2
 
     def test_gradient_bytes(self):

@@ -2,14 +2,18 @@
 
 :func:`repro.gpu.graph_capture.replay_epoch` runs a plan's compiled view
 (kernel/transfer steps plus one allocator delta) when nothing watches single
-events and the pool's cached free blocks cover what the plan takes from
+pool events and the pool's cached free blocks cover what the plan takes from
 them; otherwise it re-issues every event.  The per-event path is the
-reference here, forced by attaching a launch listener.  From random clocks
-(host ahead of, level with and behind the device), random stats and a
-randomly pre-warmed pool, both paths must leave identical clocks, launch
-counter, ``DeviceStats`` and every ``MemoryPool`` field, replay after
-replay, for raw and fused plans; and exactly the replays whose allocations
-would reserve new device memory must take the per-event path.
+reference here, forced by a pool tap.  The compiled view runs twice: with
+the device's event log closed (the tight clock loop) and open (the loop that
+also logs each launch and transfer).  From random clocks (host ahead of,
+level with and behind the device), random stats and a randomly pre-warmed
+pool, all three must leave identical clocks, launch counter, ``DeviceStats``
+and every ``MemoryPool`` field, replay after replay, for raw and fused
+plans; the two logging replays must log identical entries (launch ids,
+starts, descriptors, analysis records, transfers); and exactly the replays
+whose allocations would reserve new device memory must take the per-event
+path.
 """
 
 import dataclasses
@@ -109,26 +113,32 @@ def _ignore_sample(clock_s, live, reserved) -> None:
 
 
 def check_replays(plan: EpochPlan, start: Start, rounds: int = 3) -> list:
-    """Replay ``plan`` ``rounds`` times on two identical devices, compiled
-    where possible and per-event; returns the path each round took."""
-    compiled, reference = make_device(start), make_device(start)
-    reference.add_launch_listener(_ignore)
+    """Replay ``plan`` ``rounds`` times on three identical devices: compiled
+    where possible with the event log closed and open, and per-event;
+    returns the path each round took."""
+    compiled, logged, reference = (make_device(start) for _ in range(3))
+    reference.memory.tap = _ignore  # forces the per-event path
     paths = []
-    for _ in range(rounds):
-        reserved = reference.memory.segment_allocs
-        before = plan.event_replays
-        assert replay_epoch(plan, reference) == plan.metrics
-        assert plan.event_replays == before + 1
-        # compiled replay is allowed exactly when every allocation of the
-        # plan reuses a cached block
-        covered = reference.memory.segment_allocs == reserved
-        counts = (plan.compiled_replays, plan.event_replays)
-        assert replay_epoch(plan, compiled) == plan.metrics
-        took = (plan.compiled_replays - counts[0],
-                plan.event_replays - counts[1])
-        assert took == ((1, 0) if covered else (0, 1))
-        assert state(compiled) == state(reference)
-        paths.append("compiled" if covered else "events")
+    with logged.observe() as seen, reference.observe() as expected:
+        for _ in range(rounds):
+            reserved = reference.memory.segment_allocs
+            before = plan.event_replays
+            assert replay_epoch(plan, reference) == plan.metrics
+            assert plan.event_replays == before + 1
+            # compiled replay is allowed exactly when every allocation of
+            # the plan reuses a cached block
+            covered = reference.memory.segment_allocs == reserved
+            for device in (compiled, logged):
+                counts = (plan.compiled_replays, plan.event_replays)
+                assert replay_epoch(plan, device) == plan.metrics
+                took = (plan.compiled_replays - counts[0],
+                        plan.event_replays - counts[1])
+                assert took == ((1, 0) if covered else (0, 1))
+                assert state(device) == state(reference)
+            paths.append("compiled" if covered else "events")
+    assert seen.entries() == expected.entries()
+    assert [e[0] for e in seen.entries()] == [
+        e[0] for e in plan.events if e[0] in ("K", "T")] * rounds
     return paths
 
 
@@ -230,13 +240,12 @@ def test_watchers_force_the_per_event_path():
     tracker.set_counter_sink(_ignore_sample)
     assert replay(tracker=tracker) == "events"
     tracker.close()
-    for add, remove in (
-        (device.add_launch_listener, device.remove_launch_listener),
-        (device.add_transfer_listener, device.remove_transfer_listener),
-    ):
-        add(_ignore)
-        assert replay() == "events"
-        remove(_ignore)
+    with device.observe() as window:  # an open event log still compiles
+        assert replay() == "compiled"
+    assert [e[0] for e in window.entries()] == ["K", "T"]
+    device.checker = _ignore  # strict mode checks every replayed event
+    assert replay() == "events"
+    device.checker = None
     device.memory.tap = _ignore
     assert replay() == "events"
     device.memory.tap = None

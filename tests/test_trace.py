@@ -12,6 +12,8 @@ Two layers of evidence:
 
 import json
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,15 +67,40 @@ class TestGuards:
             with trace.session(devices=(gpu,)):
                 raise ValueError("boom")
         assert trace.active() is None
-        assert not gpu._launch_listeners
+        assert gpu.log is None
 
     def test_untraced_run_records_nothing(self, gpu):
-        """The zero-cost guard: no tracer → no listeners on the device."""
+        """The zero-cost guard: no tracer → the device's log stays closed."""
         spec = registry.get("GW")
         workload = spec.build(device=gpu, scale="test")
-        assert not gpu._launch_listeners and not gpu._transfer_listeners
+        assert gpu.log is None
         Trainer(workload=workload, device=gpu).run(epochs=1, seed=0)
-        assert not gpu._launch_listeners and not gpu._transfer_listeners
+        assert gpu.log is None
+
+    def test_session_joins_an_installed_tracer(self, gpu):
+        """A session under an installed tracer feeds that tracer."""
+        outer = trace.install(trace.Tracer())
+        try:
+            with trace.session(devices=(gpu,)) as tracer:
+                assert tracer is outer
+                gpu.h2d(np.zeros(4, dtype=np.float32), "x")
+            assert trace.active() is outer
+        finally:
+            trace.uninstall()
+        assert len(outer.timeline().query(tid="h2d")) == 1
+
+    def test_sole_tracer_drops_folded_entries(self):
+        """A tracer that alone observes a device restarts its log at each
+        epoch fold; one sharing the log with another window keeps it."""
+        trainer, device = TestMidRunAttach()._warmed_trainer()
+        with trace.session(devices=(device,)):
+            trainer.run(epochs=1, seed=0)
+            assert device.log == []
+            with device.observe() as window:
+                trainer.run(epochs=1, seed=0)
+                assert len(device.log) > 0
+        launches = [e for e in window.entries() if e[0] == "K"]
+        assert len(launches) == trainer.history[-1].kernels
 
 
 class TestStreamInvariants:
@@ -223,13 +250,13 @@ class TestChromeExport:
 
 
 class TestMidRunAttach:
-    """Attaching a profiler mid-run must see the launch-site fast path.
+    """Observing mid-run must see the launch-site fast path.
 
     After a warm-up epoch the launch-site memo is populated and launches go
-    through ``SimulatedGPU.replay``; replay re-checks the listener list on
-    every call, so a tracer attached *between* epochs still receives a full
-    ``KernelLaunch`` envelope (correct timings included) for every replayed
-    kernel — no stale "no listeners" state may survive the warm-up.
+    through ``SimulatedGPU.replay``; replay re-checks the event log on every
+    call, so a tracer started *between* epochs still folds every replayed
+    kernel (correct timings included) — no stale "nothing observes" state
+    may survive the warm-up.
     """
 
     def _warmed_trainer(self):
@@ -273,18 +300,18 @@ class TestMidRunAttach:
         assert device_b.stats.kernel_count == device_a.stats.kernel_count
 
     def test_detach_mid_run_stops_collection(self):
+        """Leaving the session stops collection."""
         trainer, device = self._warmed_trainer()
-        tracer = trace.install(trace.Tracer().attach(device))
-        trainer.run(epochs=1, seed=0)
-        trace.uninstall()
-        tracer.detach()
-        seen = len(tracer.spans)
+        with trace.session(devices=(device,)) as tracer:
+            trainer.run(epochs=1, seed=0)
+        seen = len(tracer.timeline())
         assert seen > 0
         k0 = device.stats.kernel_count
         trainer.run(epochs=1, seed=0)
-        # stats keep counting; the detached tracer sees nothing new
+        # stats keep counting; the finished session's tracer sees nothing new
         assert device.stats.kernel_count > k0
-        assert len(tracer.spans) == seen
+        assert device.log is None
+        assert len(tracer.timeline()) == seen
 
 
 # -- hypothesis: the Timeline algebra on synthetic spans ----------------------

@@ -23,7 +23,13 @@ from . import registry
 
 @dataclass
 class WorkloadProfile:
-    """Everything measured from profiling one workload's training."""
+    """Everything measured from profiling one workload's training.
+
+    A profile holds aggregates only: the profilers fold the run's event log
+    epoch by epoch (see :func:`_observed_profile`), and nothing here refers
+    to the trained workload, its model or its device, so a suite of
+    profiles keeps none of its runs alive.
+    """
 
     key: str
     spec: registry.WorkloadSpec
@@ -47,15 +53,6 @@ class WorkloadProfile:
     #: per-phase occupancy (small and picklable; the full span list is not
     #: retained across cache/process boundaries)
     timeline_summary: dict = field(default_factory=dict)
-    #: back-reference to the trained workload (set by profile_workload);
-    #: in-process only — dropped when the profile crosses a process or
-    #: cache boundary (it drags the whole device graph along)
-    _workload: object = None
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_workload"] = None
-        return state
 
     # -- figure accessors ---------------------------------------------------
     def op_breakdown(self) -> dict[str, float]:
@@ -86,11 +83,6 @@ class WorkloadProfile:
         training data shipped per epoch, plus the data fraction.
         """
         model_bytes = float(self.model_bytes)
-        workload = getattr(self, "_workload", None)
-        if not model_bytes and workload is not None and hasattr(workload, "model"):
-            param_bytes = workload.model.parameter_bytes()
-            # Adam keeps two fp32 moments per parameter
-            model_bytes = float(param_bytes * 3)
         data_bytes = float(self.sparsity.total_bytes())
         epochs = max(1, len(self.epoch_times))
         data_bytes /= epochs
@@ -145,26 +137,31 @@ def _observed_profile(key: str, spec: registry.WorkloadSpec,
                       device: SimulatedGPU, workload, run,
                       strict: bool = False) -> WorkloadProfile:
     """Run ``run()`` (-> epoch times, train metrics) on a freshly reset
-    device under one observed window, then fold the window into a profile.
+    device under a trace session, folding its event log into a profile.
 
-    Timeline tracing rides along unless the caller brought a tracer of their
-    own (then their trace owns the run and the summary is theirs).
+    The profilers fold inside the tracer's per-epoch fold over one log
+    window, which restarts after each fold, so the run holds at most one
+    epoch of log; all three folds are sequential, so epoch chunks give the
+    aggregates a whole-run fold would.  This holds too when the caller
+    brought a tracer of their own: their trace owns the run and the
+    timeline summary is theirs.
     """
+    kernels, divergence = KernelProfiler(), DivergenceInstrument()
+    sparsity = SparsityTracker()
+
+    def fold(entries: list[tuple]) -> None:
+        kernels.on_launch(entries)
+        divergence.on_launch(entries)
+        sparsity.on_transfer(entries)
+
     owned = trace.active() is None
     checking = contextlib.nullcontext()
     if strict:
         from ..testing.invariants import strict_mode
 
         checking = strict_mode(device)
-    with checking, device.observe() as window, \
-            trace.session(devices=(device,)) as tracer:
+    with checking, trace.session(devices=(device,), fold=fold) as tracer:
         epoch_times, train_metrics = run()
-    entries = window.entries()
-    kernels, divergence = KernelProfiler(), DivergenceInstrument()
-    sparsity = SparsityTracker()
-    kernels.on_launch(entries)
-    divergence.on_launch(entries)
-    sparsity.on_transfer(entries)
     profile = WorkloadProfile(
         key=key,
         spec=spec,
@@ -182,7 +179,6 @@ def _observed_profile(key: str, spec: registry.WorkloadSpec,
     if hasattr(workload, "model"):
         # Adam keeps two fp32 moments per parameter
         profile.model_bytes = float(workload.model.parameter_bytes() * 3)
-    profile._workload = workload
     # Absorb the run's ad-hoc stats into the process-wide metrics registry
     # (pull-model: a handful of gauge writes, nothing on the launch path).
     from ..profiling import metrics as metrics_mod

@@ -65,7 +65,11 @@ A tracer never runs per kernel.  While a :func:`session` observes a device,
 its launches and transfers append plain tuples to the device's event log
 (:meth:`repro.gpu.SimulatedGPU.observe`); the tracer folds its window of
 the log into spans at each epoch end and at :meth:`Tracer.timeline`, and
-drops the folded entries when no other observer shares the log.  With no
+drops the folded entries when no other observer shares the log.  A
+profiler that rides along folds the same entries in the same pass (the
+session's ``fold``), so a profiled run holds at most one epoch of log and
+the profile only aggregates.  A session's windows leave the tracer when
+its block ends: a caller's tracer keeps spans, not devices.  With no
 tracer installed (:func:`active` returns ``None``) the log stays closed
 and the Trainer/optimizer/allreduce hooks are single ``is None`` checks per
 epoch/step/collective.
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..canonical import canonical_digest, canonical_json
 from ..gpu import memory as gpu_memory
@@ -172,7 +176,8 @@ class Tracer:
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        #: [device, log window, entries folded so far] per observed device
+        #: [device, log window, entries folded so far, the session's fold]
+        #: per device an open session observes
         self._windows: list[list] = []
         #: pid -> [phase name, run start_s, run end_s]
         self._phase_runs: dict[int, list] = {}
@@ -181,11 +186,12 @@ class Tracer:
 
     # -- event-log folds ---------------------------------------------------
     def _fold(self, device: Optional[SimulatedGPU] = None) -> None:
-        """Fold every window's new entries (``device``'s alone if given);
-        a window no other observer shares restarts on a fresh log, so a
-        long trace holds at most one epoch of entries."""
+        """Fold every window's new entries (``device``'s alone if given),
+        into spans and through the session's ``fold``; a window no other
+        observer shares restarts on a fresh log, so a long trace holds at
+        most one epoch of entries."""
         for slot in self._windows:
-            dev, window, done = slot
+            dev, window, done, fold = slot
             if device is not None and dev is not device:
                 continue
             entries = window.entries(done)
@@ -193,6 +199,8 @@ class Tracer:
             pid = dev.device_id
             self.on_launch(pid, entries)
             self.on_transfer(pid, entries)
+            if fold is not None:
+                fold(entries)
             for entry in entries:
                 if entry[0] == "K":
                     start, duration = entry[2], entry[4].timing.duration_s
@@ -336,20 +344,25 @@ def uninstall() -> None:
 
 @contextlib.contextmanager
 def session(devices: Sequence[SimulatedGPU] = (),
-            tracer: Optional[Tracer] = None):
+            tracer: Optional[Tracer] = None,
+            fold: Optional[Callable[[list[tuple]], None]] = None):
     """Trace ``devices`` for the duration of a block.
 
     Installs ``tracer`` (or a new one); with no ``tracer`` given while one
     is installed, the devices join the installed tracer instead, so a
     caller's trace owns the run.  Each device's event log is observed for
-    the block; on exit the rest of each window is folded into spans.
+    the block and folded into spans at each epoch end and on exit.
+    ``fold`` receives the same entries in the same passes, in log order, so
+    a profile folds per epoch alongside the tracer and keeps aggregates,
+    not the run's log.  On exit the block's windows leave the tracer: it
+    keeps their spans, not their devices.
     """
     joined = tracer is None and _TRACER is not None
     tracer = _TRACER if joined else tracer or Tracer()
     with contextlib.ExitStack() as windows:
-        for device in devices:
-            tracer._windows.append(
-                [device, windows.enter_context(device.observe()), 0])
+        slots = [[device, windows.enter_context(device.observe()), 0, fold]
+                 for device in devices]
+        tracer._windows += slots
         if not joined:
             install(tracer)
         try:
@@ -360,6 +373,8 @@ def session(devices: Sequence[SimulatedGPU] = (),
             for device in devices:
                 tracer._fold(device)
                 tracer.flush_phases(device.device_id)
+            for slot in slots:
+                tracer._windows.remove(slot)
 
 
 class Timeline:

@@ -97,28 +97,33 @@ class BCEWithLogits(Function):
         td = _data(target).astype(ld.dtype, copy=False)
         # log(1 + exp(-|x|)) + max(x, 0) - x*t, stable for any x.  ARGA's
         # reconstruction loss runs this over a dense N x N adjacency, so the
-        # element chain works in-place on two temporaries instead of
-        # allocating one per ufunc (same per-element operation order, hence
-        # bit-identical to the naive expression).
+        # chain runs in place: one scratch buffer holds x*t, then the log1p
+        # tail, then the sigmoid saved for backward.  Each element sees the
+        # naive expression's operations in its order, hence bit-identical.
         loss_elems = np.maximum(ld, 0)
-        loss_elems -= ld * td
-        tail = np.abs(ld)
-        np.negative(tail, out=tail)
-        np.exp(tail, out=tail)
-        np.log1p(tail, out=tail)
-        loss_elems += tail
+        scratch = np.multiply(ld, td)
+        loss_elems -= scratch
+        np.abs(ld, out=scratch)
+        np.negative(scratch, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.log1p(scratch, out=scratch)
+        loss_elems += scratch
+        positive = None
         if pos_weight != 1.0:
-            weights = np.where(td > 0.5, np.float32(pos_weight), np.float32(1.0))
-            loss_elems *= weights
-            ctx.extras["weights"] = weights
+            # a weight of 1 leaves an element as it is: scale positives only
+            positive = td > 0.5
+            np.multiply(loss_elems, np.float32(pos_weight), out=loss_elems,
+                        where=positive)
         loss = loss_elems.mean()
-        sig = np.clip(ld, -60, 60)
+        del loss_elems
+        sig = np.clip(ld, -60, 60, out=scratch)
         np.negative(sig, out=sig)
         np.exp(sig, out=sig)
         sig += 1.0
         np.reciprocal(sig, out=sig)
         ctx.save_for_backward(sig, td)
         ctx.extras["pos_weight"] = pos_weight
+        ctx.extras["positive"] = positive
         launch_elementwise(ctx.device, "ew_bce_fwd", int(ld.size), 2,
                            kind="unary", flops_per_elem=5.0)
         launch_reduction(ctx.device, "reduce_loss", int(ld.size), 1)
@@ -127,12 +132,15 @@ class BCEWithLogits(Function):
     @staticmethod
     def backward(ctx, grad):
         sig, td = ctx.saved
-        g = (sig - td) / sig.size
-        if ctx.extras["pos_weight"] != 1.0:
-            g = g * ctx.extras["weights"]
-        g = g * np.asarray(grad)
+        g = np.subtract(sig, td)
+        g /= sig.size
+        positive = ctx.extras["positive"]
+        if positive is not None:
+            np.multiply(g, np.float32(ctx.extras["pos_weight"]), out=g,
+                        where=positive)
+        g *= np.asarray(grad)
         launch_elementwise(ctx.device, "ew_bce_bwd", int(g.size), 2)
-        return (g.astype(sig.dtype, copy=False),)
+        return (g,)
 
 
 class MSELoss(Function):

@@ -1,10 +1,14 @@
 """GNNMark core: registry (Table I), characterization pipeline, suite API."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import GNNMark
 from repro.core import profile_workload, registry
+from repro.profiling import trace
 
 
 class TestRegistry:
@@ -72,6 +76,44 @@ class TestProfileWorkload:
 
     def test_epoch_time_positive(self, tlstm_profile):
         assert tlstm_profile.epoch_times[0] > 0
+
+    def test_profile_pins_neither_workload_nor_device(self, monkeypatch):
+        """A profile holds aggregates: once it returns, the workload it
+        trained and that workload's device can be collected."""
+        runs = []
+        build = registry.WorkloadSpec.build
+
+        def recording_build(spec, device=None, scale="profile"):
+            workload = build(spec, device=device, scale=scale)
+            runs.append((weakref.ref(workload), weakref.ref(device)))
+            return workload
+
+        monkeypatch.setattr(registry.WorkloadSpec, "build", recording_build)
+        profile = profile_workload("DGCN", scale="test", epochs=2)
+        gc.collect()
+        assert len(runs) == 1
+        assert [ref() for ref in runs[0]] == [None, None]
+        assert profile.memory_footprint()["model_bytes"] > 0
+
+    def test_profile_holds_at_most_one_epoch_of_log(self, monkeypatch):
+        """The profilers fold at every epoch end with the tracer, so the
+        device's log never holds more than the epoch being folded."""
+        seen = []
+        end_epoch = trace.Tracer.end_epoch
+
+        def recording_end_epoch(tracer, device, index, start_s):
+            stats = device.stats
+            seen.append((len(device.log),
+                          stats.kernel_count + stats.transfer_count))
+            end_epoch(tracer, device, index, start_s)
+
+        monkeypatch.setattr(trace.Tracer, "end_epoch", recording_end_epoch)
+        profile = profile_workload("DGCN", scale="test", epochs=4)
+        assert len(seen) == 4
+        events = [0] + [total for _, total in seen]
+        for (held, _), before, after in zip(seen, events, events[1:]):
+            assert 0 < held <= after - before
+        assert profile.kernels.total_launches == profile.launch_count
 
 
 class TestGNNMarkFacade:

@@ -228,6 +228,12 @@ class TestInferenceProfiling:
             assert profile.launch_count > 0, key
 
 
+def _parameter_bytes(key: str) -> int:
+    """Parameter bytes of a separately built test-scale workload (a profile
+    keeps no reference to the workload it trained)."""
+    return registry.get(key).build(scale="test").model.parameter_bytes()
+
+
 class TestMemoryFootprint:
     def test_arga_graph_dominates_memory(self):
         """The paper: the input graph can occupy up to 90% of GPU memory."""
@@ -245,12 +251,12 @@ class TestMemoryFootprint:
 
     def test_model_bytes_include_adam_state(self):
         profile = profile_workload("TLSTM", scale="test", epochs=1)
-        params = profile._workload.model.parameter_bytes()
+        params = _parameter_bytes("TLSTM")
         assert profile.memory_footprint()["model_bytes"] == 3 * params
 
     def test_inference_profile_carries_model_bytes(self):
         profile = profile_inference("DGCN", scale="test")
-        params = profile._workload.model.parameter_bytes()
+        params = _parameter_bytes("DGCN")
         assert profile.model_bytes == 3 * params > 0
         assert profile.memory_footprint()["model_bytes"] == 3 * params
 

@@ -199,10 +199,10 @@ class TestObservedReplay:
     def test_dispatch_exports_agree(self, key):
         with trace.session() as tracer:  # the profile's run joins it
             profile = profile_workload(key, scale="test", epochs=2, seed=0)
-        kernel_s = profile._workload.device.stats.kernel_time_s
-        gauge = metrics.REGISTRY.gauge("repro_device_kernel_seconds_total",
-                                       device="0").value
-        assert kernel_s == profile.kernels.total_time_s == gauge
+        # the profile collects this gauge from its run's device.stats
+        kernel_s = metrics.REGISTRY.gauge("repro_device_kernel_seconds_total",
+                                          device="0").value
+        assert kernel_s == profile.kernels.total_time_s
         assert _kernel_span_s(tracer.timeline()) == pytest.approx(
             kernel_s, rel=1e-9)
         report = insights.insights_report(key, scale="test", epochs=2)

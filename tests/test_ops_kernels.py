@@ -1,11 +1,15 @@
 """Operations emit the right kernel classes to the device."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.gpu import OpClass, SimulatedGPU
 from repro.tensor import SparseTensor, Tensor, functional as F
+from repro.tensor.autograd import Context
+from repro.tensor.ops.loss import BCEWithLogits
 
 
 @pytest.fixture
@@ -171,3 +175,66 @@ class TestNumericsMatchNumpy:
         loss = F.margin_ranking_loss(pos, neg, margin=1.0)
         # relu(0-2+1)=0, relu(3-2+1)=2 -> mean 1
         assert loss.item() == pytest.approx(1.0)
+
+
+def _reference_bce(x, t, pos_weight, grad):
+    """BCE-with-logits written naively, one temporary per ufunc: the
+    formulation the in-place :class:`BCEWithLogits` must reproduce byte for
+    byte.  Returns the loss and the gradient."""
+    weights = np.where(t > 0.5, np.float32(pos_weight), np.float32(1.0))
+    elems = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
+    loss = np.asarray((elems * weights).mean(), dtype=x.dtype)
+    sig = np.reciprocal(np.exp(np.negative(np.clip(x, -60, 60))) + 1.0)
+    g = (sig - t) / x.size * weights * grad
+    return loss, g.astype(x.dtype, copy=False)
+
+
+class TestBCEWithLogitsInPlace:
+    """ARGA's dense N x N reconstruction loss runs in place: the same bytes
+    as the naive formulation, from a bounded number of input-sized
+    buffers."""
+
+    @pytest.mark.parametrize("shape", [(48, 48), (37, 91)])
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("pos_weight", [1.0, 3.7])
+    def test_bytes_match_reference(self, shape, soft, pos_weight):
+        rng = np.random.default_rng(7)
+        x = (rng.normal(size=shape) * 30).astype(np.float32)
+        x.flat[:6] = [0.0, -0.0, 75.0, -75.0, 1e-30, -1e-30]
+        t = rng.random(shape).astype(np.float32)
+        if not soft:
+            t = (t < 0.2).astype(np.float32)
+        grad = np.asarray(np.float32(0.7))
+        ctx = Context()
+        loss = BCEWithLogits.forward(ctx, x, t, pos_weight)
+        (g,) = BCEWithLogits.backward(ctx, grad)
+        ref_loss, ref_g = _reference_bce(x, t, pos_weight, grad)
+        assert loss.dtype == ref_loss.dtype
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert g.dtype == ref_g.dtype and g.shape == shape
+        assert g.tobytes() == ref_g.tobytes()
+
+    def test_transient_footprint(self):
+        """tracemalloc peaks, as multiples of the input's bytes: forward
+        2.25x (the loss elements, one scratch buffer, a boolean positives
+        mask), 1.25x kept for backward (the sigmoid and the mask), and
+        backward 1x (the gradient itself)."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(512, 512)).astype(np.float32)
+        t = (rng.random((512, 512)) < 0.1).astype(np.float32)
+        ctx, grad = Context(), np.asarray(np.float32(1.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            BCEWithLogits.forward(ctx, x, t, 3.7)
+            kept, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            BCEWithLogits.backward(ctx, grad)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 1.01 * x.nbytes
+        assert forward_peak - base <= 2.25 * slack
+        assert kept - base <= 1.25 * slack
+        assert backward_peak - kept <= 1.0 * slack

@@ -10,7 +10,9 @@ Two layers of evidence:
   round-trips) far outside the shapes real workloads produce.
 """
 
+import gc
 import json
+import weakref
 
 import numpy as np
 
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import registry
+from repro.core import profile_workload, registry
 from repro.gpu import SimulatedGPU
 from repro.profiling import trace
 from repro.tensor import manual_seed
@@ -88,6 +90,27 @@ class TestGuards:
         finally:
             trace.uninstall()
         assert len(outer.timeline().query(tid="h2d")) == 1
+
+    def test_session_leaves_no_device_behind(self, monkeypatch):
+        """A caller's tracer keeps the spans of each session that joined
+        it, not the session's devices or their logs."""
+        devices = []
+        build = registry.WorkloadSpec.build
+
+        def recording_build(spec, device=None, scale="profile"):
+            devices.append(weakref.ref(device))
+            return build(spec, device=device, scale=scale)
+
+        monkeypatch.setattr(registry.WorkloadSpec, "build", recording_build)
+        with trace.session() as tracer:
+            for _ in range(3):
+                profile_workload("DGCN", scale="test", epochs=3)
+            gc.collect()
+            assert len(devices) == 3
+            assert [ref() for ref in devices] == [None, None, None]
+        timeline = tracer.timeline()
+        assert len(timeline.query(cat=trace.CAT_EPOCH)) == 9
+        assert timeline.query(cat=trace.CAT_KERNEL)
 
     def test_sole_tracer_drops_folded_entries(self):
         """A tracer that alone observes a device restarts its log at each

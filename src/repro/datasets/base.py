@@ -50,14 +50,32 @@ def sparse_bag_of_words(
 
     Dense float32 output (the H2D copies the paper instruments transfer the
     dense tensor), but with realistic ~99% sparsity like citation datasets.
+
+    Each row draws ``k = poisson(nnz_per_row)`` distinct words the way
+    ``rng.choice(num_features, k, replace=False, p=probs)`` does, inlined so
+    the Zipf CDF is summed once per call instead of once per row: ``k``
+    uniforms are looked up in the CDF, and while some word repeats, the
+    words found get probability zero and the shortfall is drawn from the
+    re-normalized rest.  The draws and the words are ``choice``'s own.
     """
     ranks = np.arange(1, num_features + 1, dtype=np.float64)
     probs = ranks ** (-skew)
     probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
     out = np.zeros((num_rows, num_features), dtype=np.float32)
-    for row in range(num_rows):
-        k = max(1, int(rng.poisson(nnz_per_row)))
-        words = rng.choice(num_features, size=min(k, num_features),
-                           replace=False, p=probs)
-        out[row, words] = 1.0
+    for line in out:
+        k = min(max(1, int(rng.poisson(nnz_per_row))), num_features)
+        words = cdf.searchsorted(rng.random(k), side="right")
+        found = len(set(words.tolist()))
+        while found < k:
+            rest = probs.copy()
+            rest[words] = 0.0
+            rest.cumsum(out=rest)
+            rest /= rest[-1]
+            # a word of probability zero is never drawn: new ones are new
+            new = rest.searchsorted(rng.random(k - found), side="right")
+            found += len(set(new.tolist()))
+            words = np.concatenate([words, new])
+        line[words] = 1.0
     return out

@@ -15,6 +15,9 @@ import numpy as np
 from ..graph import HeteroGraph, generators
 from .base import DatasetInfo
 
+#: item-feature rows drawn at a time: bounds the float64 draws held at once
+_FEATURE_BLOCK_ROWS = 256
+
 
 @dataclass
 class InteractionDataset:
@@ -39,6 +42,27 @@ class InteractionDataset:
         return int(self.item_features.shape[1])
 
 
+def _item_features(num_items: int, feature_dim: int, sparsity: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Dense item features: a low-rank "embedding" block plus categorical
+    one-hots, with zero entries controlled so H2D sparsity matches the
+    family.
+
+    The values of ``normal((num_items, feature_dim)).astype(float32)`` with
+    the entries where ``random((num_items, feature_dim)) < sparsity``
+    zeroed, drawn in row blocks straight into the float32 array (all the
+    normals, then all the uniforms), so neither float64 matrix is held.
+    """
+    latent = np.empty((num_items, feature_dim), dtype=np.float32)
+    blocks = [latent[start:start + _FEATURE_BLOCK_ROWS]
+              for start in range(0, num_items, _FEATURE_BLOCK_ROWS)]
+    for block in blocks:
+        block[...] = rng.normal(size=block.shape)
+    for block in blocks:
+        np.putmask(block, rng.random(block.shape) < sparsity, 0.0)
+    return latent
+
+
 def _build(
     name: str,
     substitutes_for: str,
@@ -58,12 +82,7 @@ def _build(
     users, items = users[order], items[order]
     timestamps = np.sort(rng.integers(0, 1 << 30, size=users.size))
 
-    # Dense item features: a low-rank "embedding" block plus categorical
-    # one-hots; zero entries controlled so H2D sparsity matches the family.
-    latent = rng.normal(size=(num_items, feature_dim)).astype(np.float32)
-    mask = rng.random((num_items, feature_dim)) < feature_sparsity
-    latent[mask] = 0.0
-
+    latent = _item_features(num_items, feature_dim, feature_sparsity, rng)
     graph = HeteroGraph(
         num_nodes={"user": num_users, "item": num_items},
         edges={

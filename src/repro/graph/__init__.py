@@ -6,7 +6,7 @@ neighbor/random-walk sampling; synthetic topology generators.
 
 from . import generators
 from .batch import BatchedGraph, batch_graphs, unbatch
-from .graph import Graph
+from .graph import Graph, unique_pairs
 from .hetero import EdgeType, HeteroGraph
 from .partition import PartitionPlan, partition_graph, plan_digest
 from .sampling import (
@@ -34,4 +34,5 @@ __all__ = [
     "random_walks",
     "unbatch",
     "uniform_neighbor_block",
+    "unique_pairs",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, unique_pairs
 
 
 def erdos_renyi(num_nodes: int, avg_degree: float, rng: np.random.Generator) -> Graph:
@@ -52,8 +52,7 @@ def stochastic_block_model(
             dsts.append(dst[keep])
     src = np.concatenate(srcs) if srcs else np.empty(0, np.int64)
     dst = np.concatenate(dsts) if dsts else np.empty(0, np.int64)
-    pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-    graph = Graph(pairs[:, 0], pairs[:, 1], num_nodes=n).to_undirected()
+    graph = Graph(*unique_pairs(src, dst, n), num_nodes=n).to_undirected()
     return graph, labels
 
 
@@ -88,8 +87,7 @@ def bipartite_interactions(
     probs /= probs.sum()
     users = rng.integers(0, num_users, size=num_interactions)
     items = rng.choice(num_items, size=num_interactions, p=probs)
-    pairs = np.unique(np.stack([users, items], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    return unique_pairs(users, items, num_items)
 
 
 def sensor_network(

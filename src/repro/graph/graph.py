@@ -15,6 +15,23 @@ import scipy.sparse as sp
 from ..tensor.ops.spmm import SparseTensor
 
 
+def unique_pairs(src: np.ndarray, dst: np.ndarray, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(src, dst)`` pairs, sorted by ``src`` then ``dst``.
+
+    ``np.unique(np.stack([src, dst], 1), axis=0)`` as two int64 columns,
+    through one integer key ``src * n + dst`` per pair: with every id in
+    ``[0, n)`` the keys sort in row-lexicographic order.  The keys are
+    sorted and compared to their neighbours: numpy 2's hash-based
+    ``np.unique`` is an order of magnitude slower on them.
+    """
+    keys = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    return keys // n, keys % n
+
+
 class Graph:
     """An immutable directed graph (use both edge directions for undirected)."""
 
@@ -57,12 +74,10 @@ class Graph:
 
     def to_undirected(self) -> "Graph":
         """Add reverse edges (deduplicated)."""
-        pairs = np.stack(
-            [np.concatenate([self.src, self.dst]),
-             np.concatenate([self.dst, self.src])], axis=1
-        )
-        pairs = np.unique(pairs, axis=0)
-        return Graph(pairs[:, 0], pairs[:, 1], num_nodes=self.num_nodes)
+        src, dst = unique_pairs(np.concatenate([self.src, self.dst]),
+                                np.concatenate([self.dst, self.src]),
+                                self.num_nodes)
+        return Graph(src, dst, num_nodes=self.num_nodes)
 
     def add_self_loops(self) -> "Graph":
         loops = np.arange(self.num_nodes, dtype=np.int64)

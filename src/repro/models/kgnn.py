@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..datasets.proteins import ProteinDataset
-from ..graph import Graph, batch_graphs
+from ..graph import Graph, batch_graphs, unique_pairs
 from ..tensor import Tensor, functional as F, nn
 from ..tensor.optim import Adam
 from .layers import gather_scatter
@@ -40,14 +40,10 @@ class SetGraph:
 def build_pair_graph(graph: Graph) -> SetGraph:
     """2-sets = connected node pairs; edges link pairs sharing a node."""
     mask = graph.src < graph.dst
-    pairs = np.unique(
-        np.stack([graph.src[mask], graph.dst[mask]], axis=1), axis=0
-    )
-    if pairs.size == 0:
-        return SetGraph(np.empty((0, 2), np.int64), np.empty(0, np.int64),
-                        np.empty(0, np.int64))
+    pairs = np.stack(unique_pairs(graph.src[mask], graph.dst[mask],
+                                  graph.num_nodes), axis=1)
     edge_src, edge_dst = _edges_by_shared_members(pairs)
-    return SetGraph(pairs.astype(np.int64), edge_src, edge_dst)
+    return SetGraph(pairs, edge_src, edge_dst)
 
 
 def build_triple_graph(graph: Graph, max_triples: int = 4000) -> SetGraph:
@@ -120,8 +116,7 @@ def _edges_by_shared_members(members: np.ndarray, shared: int | None = None
     keep = src != dst
     if not keep.any():
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    pairs = np.unique(src[keep] * num_sets + dst[keep])
-    return pairs // num_sets, pairs % num_sets
+    return unique_pairs(src[keep], dst[keep], num_sets)
 
 
 class GraphConvLayer(nn.Module):

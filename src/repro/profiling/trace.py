@@ -196,20 +196,24 @@ class Tracer:
                 continue
             entries = window.entries(done)
             slot[2] = 0 if window.restart() else done + len(entries)
-            pid = dev.device_id
-            self.on_launch(pid, entries)
-            self.on_transfer(pid, entries)
             if fold is not None:
                 fold(entries)
-            for entry in entries:
-                if entry[0] == "K":
-                    start, duration = entry[2], entry[4].timing.duration_s
-                    self._extend_phase(pid, entry[3].phase, start,
-                                       start + duration)
-                elif entry[0] == "T":
-                    record = entry[1]
-                    self._extend_phase(pid, "transfer", record.start_s,
-                                       record.start_s + record.duration_s)
+            self.on_entries(dev.device_id, entries)
+
+    def on_entries(self, pid: int, entries: list[tuple]) -> None:
+        """Spans of a window's new ``entries``: kernels, transfers and the
+        phase runs they extend."""
+        self.on_launch(pid, entries)
+        self.on_transfer(pid, entries)
+        for entry in entries:
+            if entry[0] == "K":
+                start, duration = entry[2], entry[4].timing.duration_s
+                self._extend_phase(pid, entry[3].phase, start,
+                                   start + duration)
+            elif entry[0] == "T":
+                record = entry[1]
+                self._extend_phase(pid, "transfer", record.start_s,
+                                   record.start_s + record.duration_s)
 
     def on_launch(self, pid: int, entries: list[tuple]) -> None:
         """Kernel spans of the launches among ``entries``."""
@@ -318,6 +322,16 @@ class Tracer:
         self._fold()
         self.flush_phases()
         return Timeline(self.spans)
+
+
+class FoldOnlyTracer(Tracer):
+    """A tracer that spans no log entries: its sessions only hand each
+    epoch's entries to their ``fold``.  A run that needs aggregates alone
+    (a golden stream fingerprint) so holds neither its log nor its spans;
+    the epoch spans are all it keeps."""
+
+    def on_entries(self, pid: int, entries: list[tuple]) -> None:
+        pass
 
 
 # -- the global tracer (zero-cost when absent) --------------------------------

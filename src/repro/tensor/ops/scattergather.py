@@ -79,31 +79,36 @@ def launch_scatter(device, name: str, indices: np.ndarray, row_width: int) -> No
     )
 
 
-def _segsum_plan(idx: np.ndarray, num_segments: int, cols: int):
-    """Index-only prep of a segment sum: the CSR selection matrix for wide
-    rows, the flattened (segment, column) keys for narrow ones."""
-    if cols >= 24:
-        order = np.argsort(idx, kind="stable")
-        indptr = np.zeros(num_segments + 1, np.int64)
-        np.cumsum(np.bincount(idx, minlength=num_segments), out=indptr[1:])
-        return sp.csr_matrix(
-            (np.ones(idx.size, np.float64), order, indptr),
-            shape=(num_segments, idx.size),
-        )
-    return (idx[:, None] * cols + np.arange(cols)[None, :]).reshape(-1)
+#: segment counts whose ids fit ``uint16``, which numpy radix-sorts
+_RADIX_SEGMENTS = 1 << 16
+
+
+def _stable_order(idx: np.ndarray, num_segments: int) -> np.ndarray:
+    """``np.argsort(idx, kind="stable")``, cheaper where it can be: none
+    for an index already in order, and a radix sort of ``uint16`` ids (the
+    same permutation) when every id fits."""
+    if (idx[1:] >= idx[:-1]).all():
+        return np.arange(idx.size)
+    if num_segments <= _RADIX_SEGMENTS:
+        return np.argsort(idx.astype(np.uint16), kind="stable")
+    return np.argsort(idx, kind="stable")
 
 
 def segment_sum_data(src: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
     """Sum rows of ``src`` into ``num_segments`` buckets chosen by ``index``.
 
-    The numpy equivalent of an atomic scatter-add kernel, with two
-    bit-identical formulations: wide rows go through a CSR selection-matrix
-    product (row ``s`` holds ones at the source rows with ``index == s`` in
-    ascending source order, so the float64 accumulation order matches
-    bincount element for element while skipping its ``rows x cols``
-    key/weight temporaries); narrow rows keep the bincount over flattened
-    (segment, column) keys, where the one stable argsort of the CSR route
-    would dominate.
+    The numpy equivalent of an atomic scatter-add kernel: each segment is
+    ``0.0`` plus its rows, added in float64 in ascending source order, then
+    cast back.  Three bit-identical routes compute it:
+
+    * narrow rows: one bincount over flattened (segment, column) keys;
+    * wide rows of a floating dtype where no segment gets two rows: the
+      rows copied into zeros, plus ``0.0`` (the sum's ``0.0 + x``, which
+      turns ``-0.0`` into ``+0.0``);
+    * other wide rows: a CSR selection-matrix product (row ``s`` holds ones
+      at the source rows with ``index == s`` in ascending source order, so
+      the accumulation order matches bincount element for element while
+      skipping its ``rows x cols`` key/weight temporaries).
     """
     # reshape(n, -1) cannot infer the trailing dim when n == 0, so spell it
     # out; an empty source (e.g. a sampled block with no edges) scatters to
@@ -111,15 +116,26 @@ def segment_sum_data(src: np.ndarray, index: np.ndarray, num_segments: int) -> n
     cols = int(np.prod(src.shape[1:], dtype=np.int64)) if src.ndim > 1 else 1
     src2d = src.reshape(src.shape[0], cols)
     idx = index.astype(np.int64, copy=False)
-    plan = _segsum_plan(idx, num_segments, cols)
+    shape = (num_segments,) + src.shape[1:]
     if cols >= 24:
+        counts = np.bincount(idx, minlength=num_segments)
+        if src.dtype.kind == "f" and counts.max(initial=0) <= 1:
+            out = np.zeros((num_segments, cols), dtype=src.dtype)
+            out[idx] = src2d + 0.0
+            return out.reshape(shape)
+        indptr = np.zeros(num_segments + 1, np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        plan = sp.csr_matrix(
+            (np.ones(idx.size, np.float64), _stable_order(idx, num_segments),
+             indptr),
+            shape=(num_segments, idx.size),
+        )
         sums = plan @ src2d.astype(np.float64, copy=False)
     else:
-        sums = np.bincount(plan, weights=src2d.reshape(-1),
+        keys = (idx[:, None] * cols + np.arange(cols)[None, :]).reshape(-1)
+        sums = np.bincount(keys, weights=src2d.reshape(-1),
                            minlength=num_segments * cols)
-    return sums.reshape(
-        (num_segments,) + src.shape[1:]
-    ).astype(src.dtype, copy=False)
+    return sums.reshape(shape).astype(src.dtype, copy=False)
 
 
 class IndexSelect(Function):

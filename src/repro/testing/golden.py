@@ -37,6 +37,7 @@ import numpy as np
 from ..canonical import canonical_json
 from ..core import registry
 from ..gpu import SimulatedGPU
+from ..profiling import trace
 from ..serve.server import SERVEABLE
 from ..tensor import manual_seed
 from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
@@ -71,20 +72,68 @@ def _transfer_line(r) -> tuple:
 
 
 class StreamRecorder:
-    """The ordered launch/transfer stream of event-log entries."""
+    """A fold over the launch/transfer stream of event-log entries.
 
-    def __init__(self, entries) -> None:
-        self.events: list[tuple] = [
-            _kernel_line(e[3]) if e[0] == "K" else _transfer_line(e[1])
-            for e in entries if e[0] in ("K", "T")
-        ]
+    It keeps running aggregates, not the stream: the digest's hash state,
+    the launch and transfer counts, their histograms and summed work.
+    :meth:`fold` takes the entries in order, in as many chunks as the
+    caller likes (one epoch at a time), and gives what one fold of the
+    whole stream would.
+    """
+
+    def __init__(self, entries=()) -> None:
+        self._hash = hashlib.sha256()
+        self.launch_count = 0
+        self.transfer_count = 0
+        self.op_class_launches: dict[str, int] = {}
+        self.phase_launches: dict[str, int] = {}
+        self.totals = {"fp32_flops": 0.0, "int32_iops": 0.0,
+                       "ldst_instrs": 0.0, "control_instrs": 0.0,
+                       "bytes_read": 0.0, "bytes_written": 0.0}
+        self.transfer_totals = {"h2d_bytes": 0, "d2h_bytes": 0,
+                                "wire_bytes": 0}
+        self.fold(entries)
+
+    def fold(self, entries) -> None:
+        totals, moved = self.totals, self.transfer_totals
+        for entry in entries:
+            if entry[0] == "K":
+                line = _kernel_line(entry[3])
+                (_, _, op_class, phase, _, _, flops, iops, ldst, control,
+                 br, bw) = line
+                self.launch_count += 1
+                self.op_class_launches[op_class] = (
+                    self.op_class_launches.get(op_class, 0) + 1)
+                self.phase_launches[phase] = (
+                    self.phase_launches.get(phase, 0) + 1)
+                totals["fp32_flops"] += flops
+                totals["int32_iops"] += iops
+                totals["ldst_instrs"] += ldst
+                totals["control_instrs"] += control
+                totals["bytes_read"] += br
+                totals["bytes_written"] += bw
+            elif entry[0] == "T":
+                line = _transfer_line(entry[1])
+                _, direction, _, nbytes, _, wire = line
+                self.transfer_count += 1
+                moved[f"{direction}_bytes"] += nbytes
+                moved["wire_bytes"] += wire
+            else:
+                continue
+            self._hash.update(repr(line).encode())
+            self._hash.update(b"\n")
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for event in self.events:
-            h.update(repr(event).encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return self._hash.hexdigest()
+
+
+def _folding(device: SimulatedGPU, recorder: StreamRecorder):
+    """A trace session that feeds ``device``'s log to ``recorder`` at each
+    epoch end, so a fingerprinted run holds at most one epoch of log.  It
+    keeps no spans, unless a caller's tracer is installed and owns the run."""
+    tracer = None if trace.active() else trace.FoldOnlyTracer()
+    return trace.session(devices=(device,), tracer=tracer,
+                         fold=recorder.fold)
 
 
 def fingerprint_workload(
@@ -97,52 +146,30 @@ def fingerprint_workload(
 
     Reseeds the framework RNG before building so parameter initialization —
     and hence any data-dependent control flow — is reproducible across
-    processes.
+    processes.  The stream is folded at each epoch end, so the run holds at
+    most one epoch of event log.
     """
     spec = registry.get(key)
     manual_seed(seed)
     device = SimulatedGPU()
     workload = spec.build(device=device, scale=scale)
     device.reset()
-    with device.observe() as window:
+    recorder = StreamRecorder()
+    with _folding(device, recorder):
         results = Trainer(workload=workload, device=device).run(epochs=epochs,
                                                                 seed=seed)
-    recorder = StreamRecorder(window.entries())
-
-    launches = [e for e in recorder.events if e[0] == "K"]
-    transfers = [e for e in recorder.events if e[0] == "T"]
-    op_hist: dict[str, int] = {}
-    phase_hist: dict[str, int] = {}
-    totals = {"fp32_flops": 0.0, "int32_iops": 0.0, "ldst_instrs": 0.0,
-              "control_instrs": 0.0, "bytes_read": 0.0, "bytes_written": 0.0}
-    for (_, _, op_class, phase, _, _, flops, iops, ldst, control,
-         br, bw) in launches:
-        op_hist[op_class] = op_hist.get(op_class, 0) + 1
-        phase_hist[phase] = phase_hist.get(phase, 0) + 1
-        totals["fp32_flops"] += flops
-        totals["int32_iops"] += iops
-        totals["ldst_instrs"] += ldst
-        totals["control_instrs"] += control
-        totals["bytes_read"] += br
-        totals["bytes_written"] += bw
-
-    transfer_totals = {"h2d_bytes": 0, "d2h_bytes": 0, "wire_bytes": 0}
-    for _, direction, _, nbytes, _, wire in transfers:
-        transfer_totals[f"{direction}_bytes"] += nbytes
-        transfer_totals["wire_bytes"] += wire
-
     return {
         "version": FINGERPRINT_VERSION,
         "workload": key,
         "scale": scale,
         "epochs": epochs,
         "seed": seed,
-        "launch_count": len(launches),
-        "transfer_count": len(transfers),
-        "op_class_launches": dict(sorted(op_hist.items())),
-        "phase_launches": dict(sorted(phase_hist.items())),
-        "totals": totals,
-        "transfer_totals": transfer_totals,
+        "launch_count": recorder.launch_count,
+        "transfer_count": recorder.transfer_count,
+        "op_class_launches": dict(sorted(recorder.op_class_launches.items())),
+        "phase_launches": dict(sorted(recorder.phase_launches.items())),
+        "totals": recorder.totals,
+        "transfer_totals": recorder.transfer_totals,
         "losses": [float(r.metrics.get("loss", 0.0)) for r in results],
         "stream_digest": recorder.digest(),
     }
@@ -200,9 +227,9 @@ def capture_fingerprint(
             steady=mode == "steady",
             capture_replay=mode == "capture",
         )
-        with device.observe() as window:
+        recorder = StreamRecorder()
+        with _folding(device, recorder):
             results = trainer.run(epochs=epochs, seed=seed)
-        recorder = StreamRecorder(window.entries())
         analysis_cache.clear()
 
     controller = trainer._controller
@@ -214,8 +241,8 @@ def capture_fingerprint(
         "seed": seed,
         "mode": mode,
         "analysis_cache": analysis_cache_enabled,
-        "launch_count": sum(1 for e in recorder.events if e[0] == "K"),
-        "transfer_count": sum(1 for e in recorder.events if e[0] == "T"),
+        "launch_count": recorder.launch_count,
+        "transfer_count": recorder.transfer_count,
         "stream_digest": recorder.digest(),
         "clock_s": device.clock_s,
         "host_clock_s": device.host_clock_s,

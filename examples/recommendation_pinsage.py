@@ -13,7 +13,7 @@ import numpy as np
 from repro.datasets import load_movielens
 from repro.gpu import SimulatedGPU
 from repro.models import PinSAGEWorkload
-from repro.profiling import KernelProfiler
+from repro.profiling import KernelProfiler, LaunchTable
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
         print(f"  item {catalog[query]:>3} -> {pretty}")
 
     profiler = KernelProfiler()
-    profiler.on_launch(window.entries())
+    profiler.on_launch(LaunchTable.of(window.entries()))
     shares = profiler.op_time_breakdown()
     print(f"\nsampler sorting cost: {shares['Sort'] * 100:.1f}% of GPU time"
           f" (the paper reports 20.7% for PSAGE-MVL)")

@@ -12,7 +12,7 @@ import numpy as np
 from repro.datasets import load_metr_la
 from repro.gpu import SimulatedGPU
 from repro.models import STGCNWorkload
-from repro.profiling import KernelProfiler
+from repro.profiling import KernelProfiler, LaunchTable
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
             print(f"{epoch:>5} {metrics['loss']:>12.4f} {mae:>10.4f}"
                   f" {sim_ms:>14.2f}")
     profiler = KernelProfiler()
-    profiler.on_launch(window.entries())
+    profiler.on_launch(LaunchTable.of(window.entries()))
 
     print("\noperation breakdown (conv dominates, as in the paper's Figure 2):")
     for cat, share in profiler.op_time_breakdown().items():

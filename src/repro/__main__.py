@@ -15,7 +15,8 @@ Usage::
     python -m repro golden --update        # regenerate tests/golden/*.json
     python -m repro golden --serve         # one family: --traces, --memory,
                                            # --fused, --serve, --sample,
-                                           # --shard or --insights
+                                           # --shard, --insights or
+                                           # --profiles
     python -m repro bench                  # cold/parallel/warm suite timings
     python -m repro bench --capture-replay # replay epochs from a captured plan
     python -m repro bench --workload ARGA  # one workload's hot path, isolated

@@ -13,6 +13,7 @@ from ..gpu import SimulatedGPU, SimulationConfig
 from ..profiling import (
     DivergenceInstrument,
     KernelProfiler,
+    LaunchTable,
     SparsityTracker,
     trace,
 )
@@ -25,9 +26,9 @@ from . import registry
 class WorkloadProfile:
     """Everything measured from profiling one workload's training.
 
-    A profile holds aggregates only: the profilers fold the run's event log
-    epoch by epoch (see :func:`_observed_profile`), and nothing here refers
-    to the trained workload, its model or its device, so a suite of
+    A profile holds aggregates only: the profilers reduce the run's launch
+    tables epoch by epoch (see :func:`_observed_profile`), and nothing here
+    refers to the trained workload, its model or its device, so a suite of
     profiles keeps none of its runs alive.
     """
 
@@ -53,6 +54,10 @@ class WorkloadProfile:
     #: per-phase occupancy (small and picklable; the full span list is not
     #: retained across cache/process boundaries)
     timeline_summary: dict = field(default_factory=dict)
+    #: the scale and seed the workload ran at (with ``len(epoch_times)``,
+    #: the parameters a profile is a pure function of)
+    scale: str = ""
+    seed: int = 0
 
     # -- figure accessors ---------------------------------------------------
     def op_breakdown(self) -> dict[str, float]:
@@ -130,29 +135,30 @@ def profile_workload(
         results = trainer.run(epochs=epochs, seed=seed)
         return [r.sim_time_s for r in results], [r.metrics for r in results]
 
-    return _observed_profile(key, spec, device, workload, run, strict)
+    return _observed_profile(key, spec, device, workload, run, scale, seed,
+                             strict)
 
 
 def _observed_profile(key: str, spec: registry.WorkloadSpec,
-                      device: SimulatedGPU, workload, run,
-                      strict: bool = False) -> WorkloadProfile:
+                      device: SimulatedGPU, workload, run, scale: str,
+                      seed: int, strict: bool = False) -> WorkloadProfile:
     """Run ``run()`` (-> epoch times, train metrics) on a freshly reset
     device under a trace session, folding its event log into a profile.
 
-    The profilers fold inside the tracer's per-epoch fold over one log
-    window, which restarts after each fold, so the run holds at most one
-    epoch of log; all three folds are sequential, so epoch chunks give the
-    aggregates a whole-run fold would.  This holds too when the caller
-    brought a tracer of their own: their trace owns the run and the
-    timeline summary is theirs.
+    The profilers reduce the launch table the tracer builds of each
+    epoch's log window, which restarts after each fold, so the run holds at
+    most one epoch of log; every reduction adds launches in launch order,
+    so epoch chunks give the aggregates a whole-run table would.  This
+    holds too when the caller brought a tracer of their own: their trace
+    owns the run and the timeline summary is theirs.
     """
     kernels, divergence = KernelProfiler(), DivergenceInstrument()
     sparsity = SparsityTracker()
 
-    def fold(entries: list[tuple]) -> None:
-        kernels.on_launch(entries)
-        divergence.on_launch(entries)
-        sparsity.on_transfer(entries)
+    def fold(entries: list[tuple], table: LaunchTable) -> None:
+        kernels.on_launch(table)
+        divergence.on_launch(table)
+        sparsity.on_transfer(table)
 
     owned = trace.active() is None
     checking = contextlib.nullcontext()
@@ -175,6 +181,8 @@ def _observed_profile(key: str, spec: registry.WorkloadSpec,
         analysis_hits=device.stats.analysis_hits,
         analysis_misses=device.stats.analysis_misses,
         timeline_summary=tracer.timeline().summary() if owned else {},
+        scale=scale,
+        seed=seed,
     )
     if hasattr(workload, "model"):
         # Adam keeps two fp32 moments per parameter
@@ -321,7 +329,7 @@ def profile_inference(
         _run_inference(key, workload, rng)
         return [device.elapsed_s()], []
 
-    return _observed_profile(key, spec, device, workload, run)
+    return _observed_profile(key, spec, device, workload, run, scale, seed)
 
 
 def _run_inference(key: str, workload, rng) -> None:

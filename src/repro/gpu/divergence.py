@@ -85,6 +85,8 @@ def measure(
 def _measure_irregular(
     pattern: AccessPattern, line_bytes: int, warp_size: int, sample: int,
 ) -> DivergenceResult:
+    from ..graph.graph import sorted_unique  # graph imports this package
+
     indices = pattern.indices
     if indices is None or indices.size == 0:
         # No index stream supplied; assume the pathological case.
@@ -97,7 +99,7 @@ def _measure_irregular(
 
     n_full = (lines.size // warp_size) * warp_size
     if n_full == 0:
-        unique = float(np.unique(lines).size)
+        unique = float(sorted_unique(lines).size)
         return DivergenceResult(
             divergent_fraction=1.0 if unique > 1 else 0.0,
             lines_per_warp=max(1.0, unique),
@@ -108,5 +110,5 @@ def _measure_irregular(
     distinct = 1 + np.count_nonzero(np.diff(sorted_warps, axis=1), axis=1)
     divergent_fraction = float(np.mean(distinct > 1))
     lines_per_warp = float(np.mean(distinct))
-    unique_line_fraction = float(np.unique(lines).size) / float(lines.size)
+    unique_line_fraction = float(sorted_unique(lines).size) / float(lines.size)
     return DivergenceResult(divergent_fraction, lines_per_warp, unique_line_fraction)

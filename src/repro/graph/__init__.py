@@ -6,7 +6,7 @@ neighbor/random-walk sampling; synthetic topology generators.
 
 from . import generators
 from .batch import BatchedGraph, batch_graphs, unbatch
-from .graph import Graph, unique_pairs
+from .graph import Graph, sorted_unique, unique_pairs
 from .hetero import EdgeType, HeteroGraph
 from .partition import PartitionPlan, partition_graph, plan_digest
 from .sampling import (
@@ -34,5 +34,6 @@ __all__ = [
     "random_walks",
     "unbatch",
     "uniform_neighbor_block",
+    "sorted_unique",
     "unique_pairs",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, unique_pairs
+from .graph import Graph, sorted_unique, unique_pairs
 
 
 def erdos_renyi(num_nodes: int, avg_degree: float, rng: np.random.Generator) -> Graph:
@@ -67,7 +67,7 @@ def preferential_attachment(
     for node in range(m, num_nodes):
         chosen = rng.choice(repeated, size=m, replace=False) if len(repeated) >= m \
             else rng.integers(0, node, size=m)
-        for t in np.unique(chosen):
+        for t in sorted_unique(chosen):
             src.append(node)
             dst.append(int(t))
             repeated.extend([node, int(t)])

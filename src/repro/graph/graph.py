@@ -15,20 +15,30 @@ import scipy.sparse as sp
 from ..tensor.ops.spmm import SparseTensor
 
 
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)`` for integer ids: the distinct values, sorted,
+    in the input's dtype.
+
+    It sorts and compares neighbours.  Without ``return_*`` flags numpy 2's
+    ``np.unique`` takes a hash-table path that is an order of magnitude
+    slower on int64 ids (4,000 and 33,000 values: 379 and 4,422 us against
+    43 and 356 us sorted, numpy 2.4 on a 2-vCPU host).
+    """
+    values = np.sort(np.asarray(values).reshape(-1))
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def unique_pairs(src: np.ndarray, dst: np.ndarray, n: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``(src, dst)`` pairs, sorted by ``src`` then ``dst``.
 
     ``np.unique(np.stack([src, dst], 1), axis=0)`` as two int64 columns,
     through one integer key ``src * n + dst`` per pair: with every id in
-    ``[0, n)`` the keys sort in row-lexicographic order.  The keys are
-    sorted and compared to their neighbours: numpy 2's hash-based
-    ``np.unique`` is an order of magnitude slower on them.
+    ``[0, n)`` the keys sort in row-lexicographic order.
     """
-    keys = np.sort(np.asarray(src, dtype=np.int64) * n + dst)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys = sorted_unique(np.asarray(src, dtype=np.int64) * n + dst)
     return keys // n, keys % n
 
 
@@ -115,7 +125,7 @@ class Graph:
 
     def subgraph(self, nodes: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Node-induced subgraph; returns (subgraph, old ids of its nodes)."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        nodes = sorted_unique(np.asarray(nodes, dtype=np.int64))
         lookup = -np.ones(self.num_nodes, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size)
         mask = (lookup[self.src] >= 0) & (lookup[self.dst] >= 0)

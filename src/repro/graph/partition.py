@@ -43,7 +43,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, sorted_unique
 
 #: stable method ids used in the rng spawn key (never renumber)
 _METHOD_IDS = {"bfs": 1, "greedy": 2}
@@ -183,7 +183,7 @@ def _bfs_assign(sym: sp.csr_matrix, num_parts: int,
         shift = np.repeat(
             starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
         nbrs = indices[np.arange(total) + shift]
-        nbrs = np.unique(nbrs[~visited[nbrs]])
+        nbrs = sorted_unique(nbrs[~visited[nbrs]])
         visited[nbrs] = True
         frontier = nbrs
     # contiguous balanced chunks over the BFS visit order
@@ -285,7 +285,7 @@ def _build_plan(graph: Graph, assignment: np.ndarray, num_parts: int,
     for p in range(num_parts):
         parts.append(np.flatnonzero(assignment == p).astype(np.int64))
         # in-neighbors of owned nodes that live in another part
-        halos.append(np.unique(graph.src[cut_mask & (dst_part == p)]))
+        halos.append(sorted_unique(graph.src[cut_mask & (dst_part == p)]))
     ideal = graph.num_nodes / num_parts
     replicas = sum(p.size for p in parts) + sum(h.size for h in halos)
     return PartitionPlan(

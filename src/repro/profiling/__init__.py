@@ -1,10 +1,11 @@
-"""Profiling toolchain: nvprof-style kernel metrics, NVBit-style divergence
-instrumentation, transfer-sparsity tracking, kernel-timeline tracing, a
-process-wide metrics registry, and report rendering."""
+"""Profiling toolchain: one launch table per event-log window, reduced by
+nvprof-style kernel metrics, NVBit-style divergence instrumentation,
+transfer-sparsity tracking and kernel-timeline tracing; a process-wide
+metrics registry, and report rendering."""
 
 from . import metrics, trace
 from .metrics import MetricsRegistry
-from .nvbit import DivergenceInstrument, DivergenceRecord
+from .nvbit import DivergenceInstrument
 from .nvprof import METRIC_SAMPLE_LIMIT, KernelProfiler, KernelStats
 from .report import (
     format_memory_table,
@@ -12,21 +13,21 @@ from .report import (
     format_series,
     format_table,
 )
-from .sparsity import SparsityTracker, TransferSample
+from .sparsity import SparsityTracker
+from .table import LaunchTable
 from .trace import Span, Timeline, Tracer
 
 __all__ = [
     "DivergenceInstrument",
-    "DivergenceRecord",
     "KernelProfiler",
     "KernelStats",
+    "LaunchTable",
     "METRIC_SAMPLE_LIMIT",
     "MetricsRegistry",
     "Span",
     "SparsityTracker",
     "Timeline",
     "Tracer",
-    "TransferSample",
     "format_memory_table",
     "format_scaling",
     "format_series",

@@ -12,7 +12,8 @@ raw streams into verdicts:
   the non-kernel streams (h2d/d2h/allreduce/halo/loader/serve/queue) are
   ``transfer_or_stall`` by definition;
 * a deterministic **attribution tree** ``run → epoch → phase → stream →
-  site`` whose node durations are exact sums of their children (streams
+  site``, a group-by over the trace's launch table and stream spans, whose
+  node durations are exact sums of their children (streams
   overlap on real hardware, so ``attributed_us`` can exceed wall time — it is
   stream-busy time, not elapsed time);
 * a frozen :class:`RunManifest` (workload, scale, seed, gpus/parts, a digest
@@ -30,11 +31,14 @@ raw streams into verdicts:
 Determinism rules (the golden family ``tests/golden/insights_*.json`` pins
 these):
 
-* every number folds pure functions of ``(descriptor, SimulationConfig)``
+* every number reduces pure functions of ``(descriptor, SimulationConfig)``
   over the simulated clock — never wall time, never live cache state;
-* the collector reads each launch's analysis record from the device's event
-  log, and a record is a pure function of its descriptor, so reports are
-  byte-identical with the global analysis cache on or off;
+* the tree reads the trace's launch table, whose columns come from each
+  launch's analysis record, a pure function of its descriptor, so reports
+  are byte-identical with the global analysis cache on or off;
+* a leaf sums its launches in launch order and a flat site sums its
+  per-epoch leaves in sorted leaf order, as the table rule requires
+  (:mod:`repro.profiling.table`);
 * ``insights_digest`` is SHA-256 over the canonical JSON of the report with
   ``insights_digest`` itself and ``manifest.source_digest`` removed — the
   digest covers the measurements, while the source hash identifies the code
@@ -43,15 +47,16 @@ these):
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from ..canonical import canonical_digest
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
 from . import trace
-from .trace import Tracer
+from .table import COMPONENTS, STALL_REASONS, LaunchTable, first_rows
 
 INSIGHTS_VERSION = 1
 
@@ -144,96 +149,29 @@ def build_manifest(key: str, scale: str = "test", epochs: int = 1,
     )
 
 
-# -- per-launch collection ---------------------------------------------------
-@dataclass(frozen=True)
-class LaunchRow:
-    """One kernel launch, reduced to what the classifier folds."""
-
-    start_s: float
-    duration_s: float
-    name: str
-    op: str
-    phase: str
-    fp32_flops: int
-    int32_iops: int
-    dram_bytes: int
-    l2_bytes: int
-    components: dict
-    stalls: dict
-
-
-class SiteCollector(Tracer):
-    """A tracer that also folds one :class:`LaunchRow` per device-0 launch.
-
-    Each logged launch carries its analysis record, whose timing
-    *components* (the per-bound cycle counts the classifier needs) come
-    from the same pure pipeline whether the analysis cache is on or off.
-    DDP replicas are symmetric, so device 0 characterizes every peer.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.rows: list[LaunchRow] = []
-
-    def on_launch(self, pid: int, entries: list[tuple]) -> None:
-        super().on_launch(pid, entries)
-        if pid != 0:
-            return
-        for entry in entries:
-            if entry[0] != "K":
-                continue
-            start, desc, record = entry[2], entry[3], entry[4]
-            mem = record.memory
-            self.rows.append(LaunchRow(
-                start_s=start,
-                duration_s=record.timing.duration_s,
-                name=desc.name,
-                op=desc.op_class.value,
-                phase=desc.phase,
-                fp32_flops=desc.fp32_flops,
-                int32_iops=desc.int32_iops,
-                dram_bytes=mem.dram_bytes,
-                l2_bytes=mem.l2_bytes,
-                components=record.timing.components,
-                stalls=record.stalls.as_dict(),
-            ))
-
-
 # -- the attribution tree ----------------------------------------------------
-def _new_kernel_acc(row: LaunchRow) -> dict:
-    return {
-        "launches": 0, "duration_us": 0.0, "op": row.op,
-        "fp32_flops": 0, "int32_iops": 0, "dram_bytes": 0, "l2_bytes": 0,
-        "_components": dict.fromkeys(row.components, 0.0),
-        "_stall_us": dict.fromkeys(row.stalls, 0.0),
-    }
+#: the float sums of a site: its duration, the launches' work and bytes,
+#: their component cycles and their stall time per reason
+_SUMS = (("duration_us", "fp32_flops", "int32_iops", "dram_bytes",
+          "l2_bytes") + COMPONENTS + STALL_REASONS)
+#: the count sums of a site: launches, non-kernel events and their bytes
+_COUNTS = ("launches", "events", "bytes")
 
 
-def _fold_row(acc: dict, row: LaunchRow) -> None:
-    dur_us = row.duration_s * 1e6
-    acc["launches"] += 1
-    acc["duration_us"] += dur_us
-    acc["fp32_flops"] += row.fp32_flops
-    acc["int32_iops"] += row.int32_iops
-    acc["dram_bytes"] += row.dram_bytes
-    acc["l2_bytes"] += row.l2_bytes
-    for comp, cycles in row.components.items():
-        acc["_components"][comp] += cycles
-    for reason, share in row.stalls.items():
-        acc["_stall_us"][reason] += share * dur_us
-
-
-def _merge_acc(dst: dict, src: dict) -> None:
-    for field in ("launches", "duration_us", "fp32_flops", "int32_iops",
-                  "dram_bytes", "l2_bytes", "events", "bytes"):
-        if field in src:
-            dst[field] = dst.get(field, 0) + src[field]
-    for table in ("_components", "_stall_us"):
-        if table in src:
-            out = dst.setdefault(table, dict.fromkeys(src[table], 0.0))
-            for k, v in src[table].items():
-                out[k] = out.get(k, 0.0) + v
-    dst.setdefault("op", src.get("op"))
+def _sites(keys: list[tuple], groups: np.ndarray, sums: np.ndarray,
+           counts: np.ndarray) -> tuple[list, np.ndarray, np.ndarray,
+                                        np.ndarray]:
+    """Group rows by key (row ``i`` has key ``keys[groups[i]]``): the
+    distinct keys in first-seen order, each row's key index among them, and
+    each key's sums and counts, added in row order."""
+    index: dict = {}
+    codes = np.array([index.setdefault(keys[g], len(index))
+                      for g in groups.tolist()], dtype=np.int64)
+    site_sums = np.zeros((len(index), sums.shape[1]))
+    site_counts = np.zeros((len(index), counts.shape[1]), dtype=np.int64)
+    np.add.at(site_sums, codes, sums)
+    np.add.at(site_counts, codes, counts)
+    return list(index), codes, site_sums, site_counts
 
 
 def _roofline(flops: int, iops: int, dram_bytes: int, duration_us: float,
@@ -264,19 +202,21 @@ def _roofline(flops: int, iops: int, dram_bytes: int, duration_us: float,
     }
 
 
-def _finalize_site(name: str, stream: str, acc: dict,
-                   sim: SimulationConfig) -> dict:
+def _finalize_site(name: str, stream: str, sums: list, counts: list,
+                   op: Optional[str], sim: SimulationConfig) -> dict:
+    acc = dict(zip(_SUMS, sums))
     node = {"name": name, "kind": "site", "stream": stream,
             "duration_us": acc["duration_us"]}
-    if "launches" in acc:
-        comp = acc["_components"]
-        stall_us = acc["_stall_us"]
+    launches, events, nbytes = counts
+    if stream == "kernels":
+        comp = {c: acc[c] for c in COMPONENTS}
+        stall_us = {r: acc[r] for r in STALL_REASONS}
         bound = max(comp, key=comp.get)
-        top_stall = max(stall_us, key=stall_us.get) if stall_us else "other"
+        top_stall = max(stall_us, key=stall_us.get)
         total_stall = sum(stall_us.values())
         node.update({
-            "launches": acc["launches"],
-            "op": acc["op"],
+            "launches": launches,
+            "op": op,
             "bound": bound,
             "bound_class": _COMPONENT_CLASS[bound],
             "fp32_flops": acc["fp32_flops"],
@@ -284,15 +224,15 @@ def _finalize_site(name: str, stream: str, acc: dict,
             "dram_bytes": acc["dram_bytes"],
             "l2_bytes": acc["l2_bytes"],
             "top_stall": top_stall,
-            "top_stall_share": _r(stall_us.get(top_stall, 0.0) / total_stall
+            "top_stall_share": _r(stall_us[top_stall] / total_stall
                                   if total_stall else 0.0),
         })
         node.update(_roofline(acc["fp32_flops"], acc["int32_iops"],
                               acc["dram_bytes"], acc["duration_us"], sim))
     else:
         node.update({
-            "events": acc["events"],
-            "bytes": acc["bytes"],
+            "events": events,
+            "bytes": nbytes,
             "bound_class": "transfer_or_stall",
         })
     return node
@@ -311,19 +251,20 @@ def _node(name: str, kind: str, children: list[dict],
     }
 
 
-def build_tree(timeline, rows: Sequence[LaunchRow],
-               sim: Optional[SimulationConfig] = None,
+def build_tree(timeline, sim: Optional[SimulationConfig] = None,
                pid: int = 0) -> tuple[dict, list[dict]]:
-    """Fold a timeline + launch rows into ``(tree, flat_sites)``.
+    """Reduce a timeline's launch table and stream spans of device ``pid``
+    into ``(tree, flat_sites)``.
 
     The tree nests ``run → epoch → phase → stream → site`` with every
     parent's ``duration_us`` the exact sum of its children's (the Hypothesis
-    property in ``tests/test_insights_properties.py``).  ``flat_sites``
-    aggregates the same accumulators across epochs — keyed ``(phase, stream,
-    site)`` and classified by the identical code path — which is the
-    comparable unit :func:`diff_insights` works on.  Epoch membership is by
-    start timestamp against the epoch spans of ``pid``; events before the
-    first epoch clamp into it.
+    property in ``tests/test_insights_properties.py``).  A leaf sums its
+    launches (or its stream's spans) in order; ``flat_sites`` sums the
+    leaves of each ``(phase, stream, site)`` across epochs, in sorted leaf
+    order, and classifies them by the identical code path — the comparable
+    unit :func:`diff_insights` works on.  Epoch membership is by start
+    timestamp against the epoch spans of ``pid``; events before the first
+    epoch clamp into it.
     """
     sim = sim or DEFAULT_SIMULATION
     epoch_spans = sorted(timeline.query(pid=pid, tid="epoch"),
@@ -331,42 +272,61 @@ def build_tree(timeline, rows: Sequence[LaunchRow],
     starts = [s.ts_us for s in epoch_spans]
     labels = [s.name for s in epoch_spans] or ["epoch 0"]
 
-    def epoch_of(ts_us: float) -> str:
-        if not starts:
-            return labels[0]
-        idx = bisect.bisect_right(starts, ts_us) - 1
-        return labels[max(0, min(idx, len(labels) - 1))]
+    def epoch_of(ts_us: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(starts, ts_us, side="right") - 1
+        return np.clip(idx, 0, len(labels) - 1)
 
-    leaves: dict[tuple, dict] = {}
-    for row in rows:
-        key = (epoch_of(row.start_s * 1e6), row.phase, "kernels", row.name)
-        acc = leaves.get(key)
-        if acc is None:
-            acc = leaves[key] = _new_kernel_acc(row)
-        _fold_row(acc, row)
-    for span in timeline.spans:
-        if span.pid != pid or span.tid not in _STREAM_PHASE:
-            continue
-        key = (epoch_of(span.ts_us), _STREAM_PHASE[span.tid], span.tid,
-               span.name)
-        acc = leaves.setdefault(key, {"events": 0, "duration_us": 0.0,
-                                      "bytes": 0})
-        acc["events"] += 1
-        acc["duration_us"] += span.dur_us
-        nbytes = span.arg("nbytes", span.arg("bytes", 0))
-        acc["bytes"] += int(nbytes or 0)
+    # one row per launch, then one per stream span, each keyed by its leaf
+    table = timeline.kernels.get(pid, LaunchTable.of(()))
+    phases, names = len(table.phases), len(table.names)
+    combos, groups = np.unique(
+        (epoch_of(table.start_s * 1e6) * phases + table.phase) * names
+        + table.name, return_inverse=True)
+    keys = [(labels[c // (phases * names)], table.phases[c // names % phases],
+             "kernels", table.names[c % names]) for c in combos.tolist()]
+    dur_us = table.duration_s * 1e6
+    sums = [np.column_stack((dur_us, table.flops, table.iops,
+                             table.dram_bytes, table.l2_bytes,
+                             table.components,
+                             table.stalls * dur_us[:, None]))]
+    counts = [np.column_stack((np.ones(len(table), dtype=np.int64),
+                               np.zeros((len(table), 2), dtype=np.int64)))]
+    spans = [s for tid in _STREAM_PHASE
+             for s in timeline.query(pid=pid, tid=tid)]
+    for e, s in zip(epoch_of(np.array([s.ts_us for s in spans])).tolist(),
+                    spans):
+        keys.append((labels[e], _STREAM_PHASE[s.tid], s.tid, s.name))
+    groups = np.concatenate((groups.reshape(-1), np.arange(
+        len(keys) - len(spans), len(keys))))
+    sums.append(np.zeros((len(spans), len(_SUMS))))
+    sums[-1][:, 0] = [s.dur_us for s in spans]
+    counts.append(np.array(
+        [(0, 1, int(s.arg("nbytes", s.arg("bytes", 0)) or 0))
+         for s in spans], dtype=np.int64).reshape(-1, len(_COUNTS)))
+    leaves, leaf_of, leaf_sums, leaf_counts = _sites(
+        keys, groups, np.concatenate(sums), np.concatenate(counts))
+    # a kernel leaf's op is its first launch's
+    first = first_rows(leaf_of[:len(table)], len(leaves))
+    ops = [table.ops[table.op[first[i]]].value if leaf[2] == "kernels"
+           else None for i, leaf in enumerate(leaves)]
 
-    # cross-epoch aggregation shares the leaf accumulators, so flat sites are
-    # classified by the same argmax the tree leaves are
-    flat_accs: dict[tuple, dict] = {}
-    for (epoch, phase, stream, site), acc in sorted(leaves.items()):
-        flat = flat_accs.setdefault((phase, stream, site), {})
-        _merge_acc(flat, acc)
+    # flat sites sum their epochs' leaves in sorted leaf order; their op is
+    # the first of those leaves'
+    order = sorted(range(len(leaves)), key=leaves.__getitem__)
+    flat, _, flat_sums, flat_counts = _sites(
+        [leaves[i][1:] for i in order], np.arange(len(order)),
+        leaf_sums[order], leaf_counts[order])
+    flat_ops: dict = {}
+    for i in order:
+        flat_ops.setdefault(leaves[i][1:], ops[i])
 
     grouped: dict[str, dict[str, dict[str, dict]]] = {}
-    for (epoch, phase, stream, site), acc in sorted(leaves.items()):
+    for i in order:
+        epoch, phase, stream, site = leaves[i]
         grouped.setdefault(epoch, {}).setdefault(phase, {}).setdefault(
-            stream, {})[site] = _finalize_site(site, stream, acc, sim)
+            stream, {})[site] = _finalize_site(
+                site, stream, leaf_sums[i].tolist(),
+                leaf_counts[i].tolist(), ops[i], sim)
 
     epoch_nodes = []
     for epoch in list(dict.fromkeys(labels)) + sorted(
@@ -383,8 +343,11 @@ def build_tree(timeline, rows: Sequence[LaunchRow],
     tree = _node("run", "run", epoch_nodes, sort=False)
 
     flat_sites = []
-    for (phase, stream, site), acc in flat_accs.items():
-        entry = _finalize_site(site, stream, acc, sim)
+    for key, sums_row, counts_row in zip(flat, flat_sums.tolist(),
+                                         flat_counts.tolist()):
+        phase, stream, site = key
+        entry = _finalize_site(site, stream, sums_row, counts_row,
+                               flat_ops[key], sim)
         entry.pop("kind", None)
         entry.pop("name", None)
         entry.update({"phase": phase, "stream": stream, "site": site})
@@ -431,12 +394,11 @@ def insights_digest(report: dict) -> str:
 def insights_report(key: str, scale: str = "test", epochs: int = 2,
                     seed: int = 0, gpus: int = 1,
                     sim: Optional[SimulationConfig] = None) -> dict:
-    """Trace one workload, fold device 0's launches, and attribute them."""
+    """Trace one workload and attribute device 0's launches and spans."""
     sim = sim or DEFAULT_SIMULATION
-    with trace.session(tracer=SiteCollector()) as collector:
-        timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
-                                     epochs=epochs, seed=seed, sim=sim)
-    tree, flat_sites = build_tree(timeline, collector.rows, sim=sim, pid=0)
+    timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
+                                 epochs=epochs, seed=seed, sim=sim)
+    tree, flat_sites = build_tree(timeline, sim=sim, pid=0)
     manifest = build_manifest(key, scale=scale, epochs=epochs, seed=seed,
                               gpus=gpus, sim=sim)
     report = {
@@ -445,7 +407,7 @@ def insights_report(key: str, scale: str = "test", epochs: int = 2,
         "wall_us": timeline.wall_us(),
         "attributed_us": tree["duration_us"],
         "span_count": len(timeline),
-        "launches": len(collector.rows),
+        "launches": len(timeline.kernels.get(0, ())),
         **_summaries(flat_sites),
         "sites": flat_sites,
         "tree": tree,

@@ -3,51 +3,28 @@
 The paper modified PyTorch's H2D copy path to count zero values in every
 CPU->GPU transfer during training (Figures 7 and 8).  Our simulated device
 measures the zero fraction of the real numpy buffers; this tracker folds
-the transfer records of an event-log window into the average (Figure 7) and
-the transfer-indexed timeline (Figure 8).
+the transfer records a log window's launch table carries into the average
+(Figure 7) and the transfer-indexed timeline (Figure 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
-
-@dataclass
-class TransferSample:
-    index: int
-    label: str
-    nbytes: int
-    num_values: int
-    sparsity: float
-    #: bytes moved over PCIe (smaller than nbytes under compression)
-    wire_bytes: int = 0
+from ..gpu.kernel import TransferRecord
+from .table import LaunchTable
 
 
 class SparsityTracker:
     """Collects every H2D transfer's measured value sparsity."""
 
     def __init__(self) -> None:
-        self.samples: list[TransferSample] = []
+        #: the H2D transfer records, in transfer order
+        self.samples: list[TransferRecord] = []
 
-    def on_transfer(self, entries: Iterable[tuple]) -> None:
-        """Fold the H2D copies among ``entries`` (event-log entries)."""
-        for entry in entries:
-            if entry[0] != "T" or entry[1].direction != "h2d":
-                continue
-            record = entry[1]
-            self.samples.append(
-                TransferSample(
-                    index=len(self.samples),
-                    label=record.label,
-                    nbytes=record.nbytes,
-                    num_values=record.num_values,
-                    sparsity=record.sparsity,
-                    wire_bytes=record.wire_bytes,
-                )
-            )
+    def on_transfer(self, table: LaunchTable) -> None:
+        """Keep the H2D copies among a launch table's transfer records."""
+        self.samples += [r for r in table.transfers if r.direction == "h2d"]
 
     # -- aggregation ---------------------------------------------------------
     def average_sparsity(self) -> float:
@@ -63,7 +40,7 @@ class SparsityTracker:
         return np.array([s.sparsity for s in self.samples], dtype=np.float64)
 
     def by_label(self) -> dict[str, float]:
-        acc: dict[str, list[TransferSample]] = {}
+        acc: dict[str, list[TransferRecord]] = {}
         for s in self.samples:
             acc.setdefault(s.label, []).append(s)
         return {

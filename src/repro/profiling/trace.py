@@ -63,27 +63,35 @@ Zero-cost guard
 
 A tracer never runs per kernel.  While a :func:`session` observes a device,
 its launches and transfers append plain tuples to the device's event log
-(:meth:`repro.gpu.SimulatedGPU.observe`); the tracer folds its window of
-the log into spans at each epoch end and at :meth:`Tracer.timeline`, and
-drops the folded entries when no other observer shares the log.  A
-profiler that rides along folds the same entries in the same pass (the
-session's ``fold``), so a profiled run holds at most one epoch of log and
-the profile only aggregates.  A session's windows leave the tracer when
-its block ends: a caller's tracer keeps spans, not devices.  With no
-tracer installed (:func:`active` returns ``None``) the log stays closed
-and the Trainer/optimizer/allreduce hooks are single ``is None`` checks per
-epoch/step/collective.
+(:meth:`repro.gpu.SimulatedGPU.observe`); at each epoch end and at
+:meth:`Tracer.timeline` the tracer tabulates its window's new entries into
+one :class:`~repro.profiling.table.LaunchTable`, and drops the folded
+entries when no other observer shares the log.  The tracer keeps each
+table's launches as the timeline's kernels, with a span per transfer and
+per phase run; a profiler that rides along reduces the same table in the
+same pass (the session's ``fold``), so a profiled run holds at most one
+epoch of log and the profile only aggregates.  Kernel :class:`Span`
+objects exist only when something exports or queries them
+(:meth:`Timeline.to_chrome`, :meth:`Timeline.query`, :attr:`Timeline.spans`);
+the summary reads the table columns.  A session's windows leave the tracer
+when its block ends: a caller's tracer keeps spans and tables, not
+devices.  With no tracer installed (:func:`active` returns ``None``) the
+log stays closed and the Trainer/optimizer/allreduce hooks are single
+``is None`` checks per epoch/step/collective.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..canonical import canonical_digest, canonical_json
 from ..gpu import memory as gpu_memory
 from ..gpu.device import SimulatedGPU
+from .table import LaunchTable
 
 TRACE_VERSION = 1
 
@@ -165,17 +173,21 @@ class Tracer:
 
     A :func:`session` hands the tracer a window on each observed device's
     event log and installs it globally, so the Trainer, optimizer hooks and
-    :class:`~repro.gpu.multigpu.MultiGPUSystem` can emit host spans.  Kernel
-    and transfer spans are folded from the log windows at each epoch end
-    and at :meth:`timeline`.  Phase spans are *derived*: maximal runs of
-    consecutive same-phase kernels (or transfers) on one device collapse
-    into one ``phase``-stream span, which keeps them a pure function of the
-    event stream — and therefore exactly as deterministic as the golden
-    kernel streams.
+    :class:`~repro.gpu.multigpu.MultiGPUSystem` can emit host spans.  The
+    log windows are tabulated at each epoch end and at :meth:`timeline`:
+    the tracer keeps each device's launch tables as its kernels, and a span
+    per transfer.  Phase spans are *derived*: maximal runs of consecutive
+    same-phase kernels (or transfers) on one device collapse into one
+    ``phase``-stream span, which keeps them a pure function of the event
+    stream — and therefore exactly as deterministic as the golden kernel
+    streams.
     """
 
     def __init__(self) -> None:
+        #: every span but the kernels'
         self.spans: list[Span] = []
+        #: pid -> its folded windows' launch tables, in fold order
+        self.kernels: dict[int, list[LaunchTable]] = {}
         #: [device, log window, entries folded so far, the session's fold]
         #: per device an open session observes
         self._windows: list[list] = []
@@ -186,25 +198,27 @@ class Tracer:
 
     # -- event-log folds ---------------------------------------------------
     def _fold(self, device: Optional[SimulatedGPU] = None) -> None:
-        """Fold every window's new entries (``device``'s alone if given),
-        into spans and through the session's ``fold``; a window no other
-        observer shares restarts on a fresh log, so a long trace holds at
-        most one epoch of entries."""
+        """Fold every window's new entries (``device``'s alone if given)
+        into one launch table each, kept and handed to the session's
+        ``fold``; a window no other observer shares restarts on a fresh
+        log, so a long trace holds at most one epoch of entries."""
         for slot in self._windows:
             dev, window, done, fold = slot
             if device is not None and dev is not device:
                 continue
             entries = window.entries(done)
             slot[2] = 0 if window.restart() else done + len(entries)
+            table = self.on_entries(dev.device_id, entries)
             if fold is not None:
-                fold(entries)
-            self.on_entries(dev.device_id, entries)
+                fold(entries, table)
 
-    def on_entries(self, pid: int, entries: list[tuple]) -> None:
-        """Spans of a window's new ``entries``: kernels, transfers and the
-        phase runs they extend."""
-        self.on_launch(pid, entries)
-        self.on_transfer(pid, entries)
+    def on_entries(self, pid: int,
+                   entries: list[tuple]) -> Optional[LaunchTable]:
+        """Tabulate a window's new ``entries``; keep its launches, its
+        transfer spans and the phase runs they extend."""
+        table = LaunchTable.of(entries, pid)
+        self.on_launch(pid, table)
+        self.on_transfer(pid, table)
         for entry in entries:
             if entry[0] == "K":
                 start, duration = entry[2], entry[4].timing.duration_s
@@ -214,26 +228,16 @@ class Tracer:
                 record = entry[1]
                 self._extend_phase(pid, "transfer", record.start_s,
                                    record.start_s + record.duration_s)
+        return table
 
-    def on_launch(self, pid: int, entries: list[tuple]) -> None:
-        """Kernel spans of the launches among ``entries``."""
-        spans = self.spans
-        for entry in entries:
-            if entry[0] != "K":
-                continue
-            start, desc = entry[2], entry[3]
-            spans.append(Span.make(
-                desc.name, CAT_KERNEL, pid, "kernels",
-                start, start + entry[4].timing.duration_s,
-                {"op": desc.op_class.value, "phase": desc.phase},
-            ))
+    def on_launch(self, pid: int, table: LaunchTable) -> None:
+        """Keep a table's launches: the timeline's kernels on ``pid``."""
+        if len(table):
+            self.kernels.setdefault(pid, []).append(table)
 
-    def on_transfer(self, pid: int, entries: list[tuple]) -> None:
-        """Transfer spans of the copies among ``entries``."""
-        for entry in entries:
-            if entry[0] != "T":
-                continue
-            record = entry[1]
+    def on_transfer(self, pid: int, table: LaunchTable) -> None:
+        """Transfer spans of a table's transfer records."""
+        for record in table.transfers:
             args = {
                 "label": record.label,
                 "nbytes": record.nbytes,
@@ -321,17 +325,20 @@ class Tracer:
     def timeline(self) -> "Timeline":
         self._fold()
         self.flush_phases()
-        return Timeline(self.spans)
+        for tables in self.kernels.values():
+            tables[:] = [LaunchTable.concat(tables)]
+        return Timeline(self.spans, {pid: tables[0] for pid, tables
+                                     in self.kernels.items()})
 
 
 class FoldOnlyTracer(Tracer):
-    """A tracer that spans no log entries: its sessions only hand each
-    epoch's entries to their ``fold``.  A run that needs aggregates alone
-    (a golden stream fingerprint) so holds neither its log nor its spans;
-    the epoch spans are all it keeps."""
+    """A tracer that tabulates no log entries: its sessions only hand each
+    epoch's entries to their ``fold`` (with no table).  A run that needs
+    aggregates alone (a golden stream fingerprint) so holds neither its
+    log nor its kernels; the epoch spans are all it keeps."""
 
     def on_entries(self, pid: int, entries: list[tuple]) -> None:
-        pass
+        return None
 
 
 # -- the global tracer (zero-cost when absent) --------------------------------
@@ -359,17 +366,19 @@ def uninstall() -> None:
 @contextlib.contextmanager
 def session(devices: Sequence[SimulatedGPU] = (),
             tracer: Optional[Tracer] = None,
-            fold: Optional[Callable[[list[tuple]], None]] = None):
+            fold: Optional[Callable[[list[tuple], Optional[LaunchTable]],
+                                    None]] = None):
     """Trace ``devices`` for the duration of a block.
 
     Installs ``tracer`` (or a new one); with no ``tracer`` given while one
     is installed, the devices join the installed tracer instead, so a
     caller's trace owns the run.  Each device's event log is observed for
-    the block and folded into spans at each epoch end and on exit.
-    ``fold`` receives the same entries in the same passes, in log order, so
-    a profile folds per epoch alongside the tracer and keeps aggregates,
+    the block and tabulated at each epoch end and on exit.  ``fold``
+    receives each pass's entries, in log order, and the launch table the
+    tracer built of them (``None`` under a :class:`FoldOnlyTracer`), so a
+    profile reduces per epoch alongside the tracer and keeps aggregates,
     not the run's log.  On exit the block's windows leave the tracer: it
-    keeps their spans, not their devices.
+    keeps their spans and tables, not their devices.
     """
     joined = tracer is None and _TRACER is not None
     tracer = _TRACER if joined else tracer or Tracer()
@@ -391,21 +400,61 @@ def session(devices: Sequence[SimulatedGPU] = (),
                 tracer._windows.remove(slot)
 
 
+def _span_order(span: Span) -> tuple:
+    return (span.pid, _tid_rank(span.tid), span.ts_us)
+
+
+def _kernel_times(table: LaunchTable) -> tuple[np.ndarray, np.ndarray]:
+    """``(ts_us, dur_us)`` of a table's launches, as :meth:`Span.make`
+    computes them from start and end seconds."""
+    start = table.start_s
+    return start * 1e6, np.maximum(0.0, ((start + table.duration_s) - start)
+                                   * 1e6)
+
+
+def _kernel_spans(pid: int, table: LaunchTable) -> list[Span]:
+    ts, dur = _kernel_times(table)
+    ops = [op.value for op in table.ops]
+    return [Span(table.names[name], CAT_KERNEL, pid, "kernels", t, d,
+                 (("op", ops[op]), ("phase", table.phases[phase])))
+            for name, op, phase, t, d in zip(
+                table.name.tolist(), table.op.tolist(), table.phase.tolist(),
+                ts.tolist(), dur.tolist())]
+
+
 class Timeline:
     """Compact in-memory span store with interval queries and Chrome export.
 
     Spans are held in canonical order — ``(pid, stream rank, start)`` under
     a stable sort — so two timelines built from the same event stream are
-    equal element-wise and serialize byte-identically.
+    equal element-wise and serialize byte-identically.  A traced run's
+    kernels stay launch tables, one per device (``kernels``): their spans
+    are built on the first export or query that needs them, and the
+    interval algebra behind :meth:`summary` reads the columns.
     """
 
-    def __init__(self, spans: Iterable[Span]) -> None:
-        self.spans: list[Span] = sorted(
-            spans, key=lambda s: (s.pid, _tid_rank(s.tid), s.ts_us)
-        )
+    def __init__(self, spans: Iterable[Span],
+                 kernels: Optional[Mapping[int, LaunchTable]] = None) -> None:
+        #: the spans given, in canonical order
+        self._spans: list[Span] = sorted(spans, key=_span_order)
+        #: pid -> its launches, in fold order
+        self.kernels: dict[int, LaunchTable] = {
+            int(pid): table for pid, table in sorted((kernels or {}).items())
+            if len(table)}
+        self._all: Optional[list[Span]] = None
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in canonical order, kernel spans included."""
+        if self._all is None:
+            kernels = [span for pid, table in self.kernels.items()
+                       for span in _kernel_spans(pid, table)]
+            self._all = (sorted(self._spans + kernels, key=_span_order)
+                         if kernels else self._spans)
+        return self._all
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._spans) + sum(map(len, self.kernels.values()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Timeline) and self.spans == other.spans
@@ -414,8 +463,10 @@ class Timeline:
     def query(self, pid: Optional[int] = None, tid: Optional[str] = None,
               cat: Optional[str] = None,
               name: Optional[str] = None) -> list[Span]:
+        kernels = (tid in (None, "kernels") and cat in (None, CAT_KERNEL)
+                   and (pid is None or pid in self.kernels))
         return [
-            s for s in self.spans
+            s for s in (self.spans if kernels else self._spans)
             if (pid is None or s.pid == pid)
             and (tid is None or s.tid == tid)
             and (cat is None or s.cat == cat)
@@ -423,30 +474,40 @@ class Timeline:
         ]
 
     def device_ids(self) -> list[int]:
-        return sorted({s.pid for s in self.spans})
+        return sorted({s.pid for s in self._spans} | set(self.kernels))
 
     def wall_us(self) -> float:
-        return max((s.end_us for s in self.spans), default=0.0)
+        ends = [s.end_us for s in self._spans]
+        for table in self.kernels.values():
+            ts, dur = _kernel_times(table)
+            ends.append(float((ts + dur).max()))
+        return max(ends, default=0.0)
 
     def wall_s(self) -> float:
         return self.wall_us() / 1e6
 
-    def _intervals(self, pid: Optional[int],
-                   cats: Sequence[str]) -> list[tuple[float, float]]:
-        ivals = [(s.ts_us, s.end_us) for s in self.spans
+    def _intervals(self, pid: Optional[int], cats: Sequence[str]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        spans = [s for s in self._spans
                  if s.cat in cats and (pid is None or s.pid == pid)]
-        return _merge_intervals(ivals)
+        starts = [np.array([s.ts_us for s in spans], dtype=np.float64)]
+        ends = [np.array([s.end_us for s in spans], dtype=np.float64)]
+        if CAT_KERNEL in cats:
+            for p, table in self.kernels.items():
+                if pid is None or p == pid:
+                    ts, dur = _kernel_times(table)
+                    starts.append(ts)
+                    ends.append(ts + dur)
+        return _merge_intervals(np.concatenate(starts), np.concatenate(ends))
 
     def busy_us(self, pid: int) -> float:
         """Microseconds the device is occupied (union of device-cat spans)."""
-        return sum(b - a for a, b in self._intervals(pid, DEVICE_CATS))
+        starts, ends = self._intervals(pid, DEVICE_CATS)
+        return _total(ends - starts)
 
     def idle_fraction(self, pid: int) -> float:
         """Fraction of the trace wall-clock this device spends idle."""
-        wall = self.wall_us()
-        if wall <= 0:
-            return 0.0
-        return 1.0 - self.busy_us(pid) / wall
+        return _idle(self.busy_us(pid), self.wall_us())
 
     def overlap_us(self, cat_a: str, cat_b: str,
                    pid: Optional[int] = None) -> float:
@@ -461,7 +522,8 @@ class Timeline:
         faithful configurations — the observability exists precisely so a
         future pinned/async transfer model has a measurable target.
         """
-        transfer = sum(b - a for a, b in self._intervals(pid, (CAT_TRANSFER,)))
+        starts, ends = self._intervals(pid, (CAT_TRANSFER,))
+        transfer = _total(ends - starts)
         if transfer <= 0:
             return 0.0
         return self.overlap_us(CAT_KERNEL, CAT_TRANSFER, pid) / transfer
@@ -479,7 +541,7 @@ class Timeline:
         if pid is None:
             wall *= max(1, len(self.device_ids()))
         acc: dict[str, float] = {}
-        for s in self.spans:
+        for s in self._spans:
             if s.cat == CAT_PHASE and (pid is None or s.pid == pid):
                 acc[s.name] = acc.get(s.name, 0.0) + s.dur_us
         return {name: acc[name] / wall for name in sorted(acc)}
@@ -508,24 +570,25 @@ class Timeline:
 
     def span_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for s in self.spans:
+        for s in self._spans:
             counts[s.cat] = counts.get(s.cat, 0) + 1
+        if self.kernels:
+            counts[CAT_KERNEL] = counts.get(CAT_KERNEL, 0) + sum(
+                map(len, self.kernels.values()))
         return {cat: counts[cat] for cat in sorted(counts)}
 
     def summary(self) -> dict:
         """The profiling report's timeline block (small, picklable)."""
-        wall = self.wall_s()
-        devices = {
-            str(pid): {
-                "busy_s": self.busy_us(pid) / 1e6,
-                "idle_fraction": self.idle_fraction(pid),
-            }
-            for pid in self.device_ids()
-        }
+        wall = self.wall_us()
+        devices = {}
+        for pid in self.device_ids():
+            busy = self.busy_us(pid)
+            devices[str(pid)] = {"busy_s": busy / 1e6,
+                                 "idle_fraction": _idle(busy, wall)}
         idle = [d["idle_fraction"] for d in devices.values()]
         return {
-            "wall_s": wall,
-            "span_count": len(self.spans),
+            "wall_s": wall / 1e6,
+            "span_count": len(self),
             "span_counts": self.span_counts(),
             "devices": devices,
             "idle_fraction": max(idle) if idle else 0.0,
@@ -542,13 +605,20 @@ class Timeline:
         on the same clock — so an N-GPU trace is device 0's stream replicated
         N ways plus the per-pid allreduce bucket spans already recorded.
         """
+        dst_pids = [int(pid) for pid in dst_pids]
         clones = [
-            replace(s, pid=int(pid))
+            replace(s, pid=pid)
             for pid in dst_pids
-            for s in self.spans
+            for s in self._spans
             if s.pid == src_pid and s.cat != CAT_ALLREDUCE
         ]
-        return Timeline(self.spans + clones)
+        kernels = dict(self.kernels)
+        source = self.kernels.get(src_pid)
+        for pid in dst_pids if source is not None else ():
+            clone = source.on_device(pid)
+            kernels[pid] = (LaunchTable.concat([kernels[pid], clone])
+                            if pid in kernels else clone)
+        return Timeline(self._spans + clones, kernels)
 
     # -- Chrome trace JSON -------------------------------------------------
     def to_chrome(self, manifest: Optional[dict] = None) -> dict:
@@ -628,36 +698,48 @@ class Timeline:
         return cls(spans)
 
 
-def _merge_intervals(
-    intervals: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [intervals[0]]
-    for start, end in intervals[1:]:
-        last_start, last_end = merged[-1]
-        if start <= last_end:
-            if end > last_end:
-                merged[-1] = (last_start, end)
-        else:
-            merged.append((start, end))
-    return merged
+def _total(values: np.ndarray) -> float:
+    """``0 + values[0] + values[1] + ...``, added in order."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
-def _intersect_total(a: list[tuple[float, float]],
-                     b: list[tuple[float, float]]) -> float:
-    total, i, j = 0.0, 0, 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
+def _idle(busy_us: float, wall_us: float) -> float:
+    return 1.0 - busy_us / wall_us if wall_us > 0 else 0.0
+
+
+def _merge_intervals(starts: np.ndarray, ends: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The union of intervals ``[starts, ends]``: disjoint and in order.
+
+    Sorted by start then end, an interval opens a new merged interval when
+    it starts after every earlier one ended; a merged interval ends at the
+    latest end of its members.
+    """
+    if not starts.size:
+        return starts, ends
+    order = np.lexsort((ends, starts))
+    starts = starts[order]
+    reach = np.maximum.accumulate(ends[order])
+    opens = np.ones(starts.size, dtype=bool)
+    np.greater(starts[1:], reach[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)
+    return starts[first], reach[np.r_[first[1:] - 1, starts.size - 1]]
+
+
+def _intersect_total(a: tuple[np.ndarray, np.ndarray],
+                     b: tuple[np.ndarray, np.ndarray]) -> float:
+    """Total length of the intersection of two merged interval sets, its
+    pieces added in time order."""
+    (a_start, a_end), (b_start, b_end) = a, b
+    # the ``a`` intervals meeting ``b[j]`` are a[lo[j]:hi[j]]
+    lo = np.searchsorted(a_end, b_start, side="right")
+    hi = np.searchsorted(a_start, b_end, side="left")
+    count = np.maximum(hi - lo, 0)
+    j = np.repeat(np.arange(b_start.size), count)
+    i = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                           count)
+    return _total(np.minimum(a_end[i], b_end[j])
+                  - np.maximum(a_start[i], b_start[j]))
 
 
 def validate_chrome(data: dict) -> None:

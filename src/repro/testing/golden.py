@@ -1,4 +1,4 @@
-"""Golden snapshots: eight families, one table, one mechanism.
+"""Golden snapshots: nine families, one table, one mechanism.
 
 The op stream a workload emits is *emergent* from its forward/backward math,
 so a refactor that silently changes the math changes the stream.  Every
@@ -14,7 +14,7 @@ digest and which fields compare within a tolerance.  One
 Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python -m repro golden [--traces | --memory | --fused |
-        --serve | --sample | --shard | --insights] --update
+        --serve | --sample | --shard | --insights | --profiles] --update
 
 Everything hashed is derived from tensor shapes, graph structure, seeded RNG
 draws and the simulated clock (never from float compute results), so
@@ -34,10 +34,12 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ..canonical import canonical_json
+from ..canonical import canonical_digest, canonical_json
 from ..core import registry
 from ..gpu import SimulatedGPU
 from ..profiling import trace
+from ..profiling.nvprof import SAMPLED_METRICS
+from ..profiling.table import STALL_REASONS
 from ..serve.server import SERVEABLE
 from ..tensor import manual_seed
 from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
@@ -133,7 +135,7 @@ def _folding(device: SimulatedGPU, recorder: StreamRecorder):
     keeps no spans, unless a caller's tracer is installed and owns the run."""
     tracer = None if trace.active() else trace.FoldOnlyTracer()
     return trace.session(devices=(device,), tracer=tracer,
-                         fold=recorder.fold)
+                         fold=lambda entries, _table: recorder.fold(entries))
 
 
 def fingerprint_workload(
@@ -377,6 +379,44 @@ def insights_fingerprint(report: dict) -> dict:
     }
 
 
+# -- profile fingerprints -----------------------------------------------------
+#: the ``per_op_class`` metrics a profile snapshot digests
+_PER_OP_METRICS = SAMPLED_METRICS + tuple(f"stall_{reason}"
+                                          for reason in STALL_REASONS)
+
+
+def profile_fingerprint(profile) -> dict:
+    """Reduce a :class:`~repro.core.characterize.WorkloadProfile` to the
+    snapshot the goldens store: every figure accessor's output, verbatim,
+    plus digests of the larger views (the sparsity timeline, phase shares,
+    per-op-class metrics, top kernels and the timeline summary)."""
+    kernels, divergence = profile.kernels, profile.divergence
+    snapshot = {
+        "version": FINGERPRINT_VERSION, "workload": profile.key,
+        "scale": profile.scale, "epochs": len(profile.epoch_times),
+        "seed": profile.seed, "launch_count": profile.launch_count,
+        "sim_time_s": profile.sim_time_s,
+        **{view: getattr(profile, view)() for view in (
+            "op_breakdown", "instruction_mix", "throughput", "stalls",
+            "cache", "transfer_sparsity")},
+        "divergence": {"by_category": divergence.by_category(),
+                       "lines_per_warp": divergence.lines_per_warp()},
+        "sparsity": {view: getattr(profile.sparsity, view)() for view in (
+            "by_label", "periodicity_score", "compression_ratio")},
+        "digests": {name: canonical_digest(view) for name, view in (
+            ("sparsity_timeline", profile.sparsity_timeline().tolist()),
+            ("phase_breakdown", kernels.phase_breakdown()),
+            ("per_op_class", {m: kernels.per_op_class(m)
+                              for m in _PER_OP_METRICS}),
+            ("top_kernels", [(s.name, s.launches, s.sampled_launches,
+                              s.total_time_s)
+                             for s in kernels.top_kernels(10)]),
+            ("timeline_summary", profile.timeline_summary))},
+    }
+    snapshot["profile_digest"] = canonical_digest(snapshot)
+    return snapshot
+
+
 # -- the family table ---------------------------------------------------------
 @dataclass(frozen=True)
 class GoldenFamily:
@@ -480,6 +520,14 @@ FAMILIES = {family.name: family for family in (
         noun="insights snapshot", task="insights", domain=_WORKLOADS,
         keys=("DGCN", "KGNNL"), defaults=dict(_TEST, epochs=2, gpus=1),
         digest="insights_digest", reduce=insights_fingerprint),
+    # the figure domain: every profile accessor behind Figs. 2-8; two
+    # epochs carry the 50-invocation cap and the per-epoch folds across a
+    # log window
+    GoldenFamily(
+        name="profile", flag="--profiles", prefix="profile_",
+        noun="profile snapshot", task="profile", domain=_WORKLOADS,
+        keys=_WORKLOADS, defaults=dict(_TEST, epochs=2),
+        digest="profile_digest", reduce=profile_fingerprint),
 )}
 
 

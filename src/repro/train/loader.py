@@ -39,6 +39,7 @@ from ..graph.sampling import SampledBlock, uniform_neighbor_block
 from ..gpu import SimulatedGPU, SimulationConfig
 from ..gpu import memory as gpu_memory
 from ..profiling import trace
+from ..profiling.table import STALL_REASONS, LaunchTable, running_total
 from ..tensor import Tensor, autograd, functional as F, manual_seed, nn
 from ..tensor.optim import Adam
 from .trainer import Trainer
@@ -350,7 +351,7 @@ class PrefetchPipeline:
     idiom `repro.serve.BatchRunner` uses for idle gaps).  With
     ``prefetch_depth=0`` the sampler is synchronous: it only starts when the
     device asks, so every batch stalls for its full sampler cost.  Each
-    batch's launches are folded into :attr:`stalls` as the batch ends.
+    batch's launch table is reduced into :attr:`stalls` as the batch ends.
     """
 
     loader: NeighborLoader
@@ -401,7 +402,7 @@ class PrefetchPipeline:
                 )
             with device.observe() as window:
                 losses.append(self.engine.run_batch(blocks, ctx, rng))
-            self.stalls.on_launch(window.entries())
+            self.stalls.on_launch(LaunchTable.of(window.entries()))
             pop_times.append(start)
             ready_times.append(ready)
             ready_prev = ready
@@ -441,28 +442,29 @@ class PrefetchPipeline:
 
 
 class _StallAccumulator:
-    """Duration-weighted per-kernel stall shares of event-log entries.
+    """Duration-weighted per-kernel stall shares of the batches' launches.
 
     `attribute()` stays a pure memoized per-descriptor function; this
-    aggregates its normalized shares across the run so the report can fold
-    in ``loader_stall`` at the wall-clock level without touching the frozen
-    seven-field :class:`~repro.gpu.kernel.StallBreakdown`.
+    reduces each batch's launch table to kernel time and the time each
+    stall reason takes of it, so the report can fold in ``loader_stall`` at
+    the wall-clock level without touching the frozen seven-field
+    :class:`~repro.gpu.kernel.StallBreakdown`.
     """
 
     def __init__(self) -> None:
-        self.weighted: dict[str, float] = {}
+        self.launches = 0
         self.busy_s = 0.0
+        #: per stall reason (STALL_REASONS order), its share times duration
+        self.weighted = np.zeros(len(STALL_REASONS))
 
-    def on_launch(self, entries) -> None:
-        """Fold the kernel launches among ``entries``."""
-        for entry in entries:
-            if entry[0] != "K":
-                continue
-            record = entry[4]
-            d = record.timing.duration_s
-            self.busy_s += d
-            for name, share in record.stalls.as_dict().items():
-                self.weighted[name] = self.weighted.get(name, 0.0) + share * d
+    def on_launch(self, table: LaunchTable) -> None:
+        """Fold a launch table's kernel time and stall time, in launch
+        order."""
+        duration = table.duration_s
+        self.launches += len(table)
+        self.busy_s = running_total(self.busy_s, duration)
+        self.weighted = running_total(self.weighted,
+                                      table.stalls * duration[:, None])
 
     def breakdown(self, loader_stall_s: float, wall_s: float) -> dict:
         """The seven nvprof categories renormalized over the non-loader
@@ -470,8 +472,9 @@ class _StallAccumulator:
         loader_share = (min(1.0, loader_stall_s / wall_s)
                         if wall_s > 0 else 0.0)
         out = {}
-        for name in sorted(self.weighted):
-            kernel_share = (self.weighted[name] / self.busy_s
+        weighted = dict(zip(STALL_REASONS, self.weighted.tolist()))
+        for name in sorted(weighted) if self.launches else ():
+            kernel_share = (weighted[name] / self.busy_s
                             if self.busy_s > 0 else 0.0)
             out[name] = kernel_share * (1.0 - loader_share)
         out["loader_stall"] = loader_share

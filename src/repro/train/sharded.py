@@ -593,7 +593,7 @@ def _halo_trace_digest(timeline: trace.Timeline) -> str:
     spans = [
         {"name": s.name, "pid": s.pid, "tid": s.tid, "ts_us": s.ts_us,
          "dur_us": s.dur_us, "args": dict(s.args)}
-        for s in timeline.spans if s.cat == trace.CAT_HALO
+        for s in timeline.query(cat=trace.CAT_HALO)
     ]
     return canonical_digest(spans)
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from repro.datasets import movielens
 from repro.datasets.base import sparse_bag_of_words
-from repro.graph import unique_pairs
+from repro.graph import sorted_unique, unique_pairs
 from repro.profiling import trace
 from repro.tensor.ops.scattergather import segment_sum_data
 from repro.testing import fingerprint_workload
@@ -88,6 +88,31 @@ def test_unique_pairs_matches_row_unique_at_random():
         dst = rng.integers(0, n, size=5 * n)
         for g, w in zip(unique_pairs(src, dst, n), reference_pairs(src, dst)):
             assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+# -- sorted unique ids ---------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("values", [
+    [],
+    [4],
+    [3, 3, 3, 3],
+    [6, 0, 6, 2, 0, 6],                                      # ids at 0, n - 1
+    [0, 6],
+    [[5, 1], [1, 0]],                                        # flattened
+])
+def test_sorted_unique_matches_unique(values, dtype):
+    values = np.asarray(values, dtype=dtype)
+    want, got = np.unique(values), sorted_unique(values)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sorted_unique_matches_unique_at_random():
+    rng = np.random.default_rng(5)
+    for size, high in ((1, 1), (4000, 500), (33000, 1 << 40)):
+        values = rng.integers(0, high, size=size)
+        assert sorted_unique(values).tobytes() == np.unique(values).tobytes()
 
 
 # -- item features ------------------------------------------------------------

@@ -25,7 +25,8 @@ from repro.gpu.graph_capture import (
     replay_epoch,
     validate_events,
 )
-from repro.profiling import KernelProfiler, insights, metrics, trace
+from repro.profiling import (KernelProfiler, LaunchTable, insights, metrics,
+                             trace)
 from repro.profiling.trace import trace_workload
 from repro.tensor import manual_seed
 from repro.testing.golden import StreamRecorder
@@ -166,7 +167,7 @@ def _observed_capture_run(key, epochs=5):
         trainer.run(epochs=epochs, seed=0)
     analysis_cache.clear()
     profiler = KernelProfiler()
-    profiler.on_launch(window.entries())
+    profiler.on_launch(LaunchTable.of(window.entries()))
     return device, tracer.timeline(), profiler, trainer._controller
 
 

@@ -3,9 +3,9 @@
 ``build_tree`` makes two structural promises that hold for *any* input, not
 just the committed workloads: every parent's ``duration_us`` is exactly the
 sum of its children's, and every classified site carries exactly one bound
-class from ``BOUND_CLASSES``.  Randomized launch rows and synthetic
+class from ``BOUND_CLASSES``.  Randomized launch tables and synthetic
 timelines exercise both, plus conservation (nothing attributed is invented
-or dropped) and determinism of the fold itself.
+or dropped) and determinism of the reduction itself.
 """
 
 import json
@@ -17,42 +17,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.profiling import insights  # noqa: E402
 from repro.profiling.trace import Span, Timeline  # noqa: E402
+from tests.launch_logs import launch_tables  # noqa: E402
 
 settings.register_profile("insights", max_examples=60, deadline=None)
 settings.load_profile("insights")
 
-COMPONENT_KEYS = tuple(insights._COMPONENT_CLASS)
-STALL_KEYS = ("memory_dependency", "execution_dependency",
-              "synchronization", "other")
-
-_cycles = st.floats(min_value=0.0, max_value=1e9,
-                    allow_nan=False, allow_infinity=False)
-_share = st.floats(min_value=0.0, max_value=1.0,
-                   allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def launch_rows(draw):
-    # the analysis pipeline always emits the full component/stall key sets,
-    # so the strategy does too (accumulators key off the first row's tables)
-    return insights.LaunchRow(
-        start_s=draw(st.floats(min_value=0.0, max_value=0.02)),
-        duration_s=draw(st.floats(min_value=1e-7, max_value=1e-3)),
-        name=draw(st.sampled_from(("gemm_fwd", "gather", "scatter_bwd"))),
-        op=draw(st.sampled_from(("gemm", "gather", "elementwise"))),
-        phase=draw(st.sampled_from(("forward", "backward", "loss"))),
-        fp32_flops=draw(st.integers(min_value=0, max_value=10**9)),
-        int32_iops=draw(st.integers(min_value=0, max_value=10**9)),
-        dram_bytes=draw(st.integers(min_value=0, max_value=10**9)),
-        l2_bytes=draw(st.integers(min_value=0, max_value=10**9)),
-        components=draw(st.fixed_dictionaries(
-            dict.fromkeys(COMPONENT_KEYS, _cycles))),
-        stalls=draw(st.fixed_dictionaries(dict.fromkeys(STALL_KEYS, _share))),
-    )
-
-
 @st.composite
 def timelines(draw):
+    """Epoch and stream spans of device 0, and a launch table for it."""
     spans = []
     t = 0.0
     for i in range(draw(st.integers(min_value=1, max_value=3))):
@@ -68,10 +40,7 @@ def timelines(draw):
                                {"nbytes": draw(st.integers(0, 1 << 20))}))
     # a stream the attributor must ignore (counter samples, markers, ...)
     spans.append(Span.make("HBM", "counter", 0, "memory", 0.0, 0.0))
-    return Timeline(spans)
-
-
-rows_st = st.lists(launch_rows(), max_size=12)
+    return Timeline(spans, {0: draw(launch_tables(max_events=12))})
 
 
 def _leaf_sites(node):
@@ -83,9 +52,9 @@ def _leaf_sites(node):
 
 
 class TestTreeInvariants:
-    @given(rows=rows_st, tl=timelines())
-    def test_parent_duration_is_sum_of_children(self, rows, tl):
-        tree, _ = insights.build_tree(tl, rows)
+    @given(tl=timelines())
+    def test_parent_duration_is_sum_of_children(self, tl):
+        tree, _ = insights.build_tree(tl)
 
         def walk(node):
             if node.get("kind") == "site":
@@ -97,9 +66,9 @@ class TestTreeInvariants:
 
         walk(tree)
 
-    @given(rows=rows_st, tl=timelines())
-    def test_every_site_has_exactly_one_bound_class(self, rows, tl):
-        tree, flat = insights.build_tree(tl, rows)
+    @given(tl=timelines())
+    def test_every_site_has_exactly_one_bound_class(self, tl):
+        tree, flat = insights.build_tree(tl)
         for site in list(_leaf_sites(tree)) + flat:
             assert site["bound_class"] in insights.BOUND_CLASSES
             if "launches" in site:
@@ -110,10 +79,11 @@ class TestTreeInvariants:
                 # non-kernel streams are transfer/stall time by definition
                 assert site["bound_class"] == "transfer_or_stall"
 
-    @given(rows=rows_st, tl=timelines())
-    def test_attribution_conserves_total_time(self, rows, tl):
-        tree, flat = insights.build_tree(tl, rows)
-        expected = sum(r.duration_s for r in rows) * 1e6
+    @given(tl=timelines())
+    def test_attribution_conserves_total_time(self, tl):
+        tree, flat = insights.build_tree(tl)
+        table = tl.kernels.get(0)
+        expected = (sum(table.duration_s.tolist()) if table else 0.0) * 1e6
         expected += sum(s.dur_us for s in tl.spans
                         if s.tid in insights._STREAM_PHASE)
         assert tree["duration_us"] == pytest.approx(expected, rel=1e-9,
@@ -121,9 +91,9 @@ class TestTreeInvariants:
         flat_total = sum(s["duration_us"] for s in flat)
         assert flat_total == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
-    @given(rows=rows_st, tl=timelines())
-    def test_bound_summary_partitions_attributed_time(self, rows, tl):
-        _, flat = insights.build_tree(tl, rows)
+    @given(tl=timelines())
+    def test_bound_summary_partitions_attributed_time(self, tl):
+        _, flat = insights.build_tree(tl)
         summ = insights._summaries(flat)
         total = sum(s["duration_us"] for s in flat)
         by_class = sum(v["duration_us"]
@@ -133,9 +103,9 @@ class TestTreeInvariants:
             shares = sum(v["share"] for v in summ["bound_summary"].values())
             assert shares == pytest.approx(1.0, abs=1e-6)
 
-    @given(rows=rows_st, tl=timelines())
-    def test_fold_is_deterministic(self, rows, tl):
-        first = insights.build_tree(tl, rows)
-        second = insights.build_tree(tl, rows)
+    @given(tl=timelines())
+    def test_fold_is_deterministic(self, tl):
+        first = insights.build_tree(tl)
+        second = insights.build_tree(tl)
         assert (json.dumps(first, sort_keys=True)
                 == json.dumps(second, sort_keys=True))

@@ -13,6 +13,7 @@ from repro.gpu import (
 from repro.profiling import (
     DivergenceInstrument,
     KernelProfiler,
+    LaunchTable,
     SparsityTracker,
     format_scaling,
     format_series,
@@ -47,19 +48,19 @@ def _copied(gpu, *arrays, direction="h2d") -> list[tuple]:
 
 def _profile(gpu, *descs) -> KernelProfiler:
     profiler = KernelProfiler()
-    profiler.on_launch(_launched(gpu, *descs))
+    profiler.on_launch(LaunchTable.of(_launched(gpu, *descs)))
     return profiler
 
 
 def _sparsity(entries) -> SparsityTracker:
     tracker = SparsityTracker()
-    tracker.on_transfer(entries)
+    tracker.on_transfer(LaunchTable.of(entries))
     return tracker
 
 
 def _divergence(gpu, *descs) -> DivergenceInstrument:
     inst = DivergenceInstrument()
-    inst.on_launch(_launched(gpu, *descs))
+    inst.on_launch(LaunchTable.of(_launched(gpu, *descs)))
     return inst
 
 
@@ -118,7 +119,7 @@ class TestKernelProfiler:
         entries = _launched(gpu, _desc("inside"))
         gpu.launch(_desc("after"))
         profiler = KernelProfiler()
-        profiler.on_launch(entries + _copied(gpu, np.zeros(4)))
+        profiler.on_launch(LaunchTable.of(entries + _copied(gpu, np.zeros(4))))
         assert profiler.total_launches == 1
         assert list(profiler.kernels) == ["inside"]
 

@@ -5,8 +5,10 @@ Run:  python examples/characterize_suite.py
 Profiles one training epoch of all nine workload/dataset pairs on the
 simulated V100 and prints Table I plus the Figure 2-8 views, then runs the
 Figure 9 multi-GPU scaling study.  This is the script behind EXPERIMENTS.md.
+Standard output is byte-stable; the host wall-clock times go to stderr.
 """
 
+import sys
 import time
 
 from repro import GNNMark
@@ -22,7 +24,10 @@ def main() -> None:
 
     t0 = time.time()
     suite = mark.characterize_suite(epochs=1)
-    print(f"\n(suite profiled in {time.time() - t0:.0f}s wall clock)\n")
+    print()
+    print(f"(suite profiled in {time.time() - t0:.0f}s wall clock)",
+          file=sys.stderr)
+    print()
 
     for render in (
         mark.render_op_breakdown,
@@ -40,7 +45,8 @@ def main() -> None:
     print("=" * 70)
     t0 = time.time()
     times = mark.scaling_study(epochs=1)
-    print(f"(scaling study in {time.time() - t0:.0f}s wall clock)")
+    print(f"(scaling study in {time.time() - t0:.0f}s wall clock)",
+          file=sys.stderr)
     print(mark.render_scaling(times))
 
 

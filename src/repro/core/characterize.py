@@ -3,23 +3,24 @@ toolchain and collect every metric the paper's figures report."""
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ..gpu import SimulatedGPU, SimulationConfig
+from ..gpu import SimulationConfig
 from ..profiling import (
     DivergenceInstrument,
     KernelProfiler,
     LaunchTable,
     SparsityTracker,
+    metrics,
     trace,
 )
-from ..tensor import manual_seed
 from ..train.trainer import Trainer
 from . import registry
+from .run import Run, workload_run
 
 
 @dataclass
@@ -116,34 +117,32 @@ def profile_workload(
     against the GPU model's physical-consistency invariants
     (:mod:`repro.testing.invariants`), raising on the first violation.
 
-    Reseeds the framework RNG first (as :func:`fingerprint_workload` does),
-    so the profile is a pure function of ``(key, scale, epochs, seed)`` —
-    never of hidden RNG state left by earlier runs.  That property is what
-    lets the executor cache profiles on disk and fan them out over worker
-    processes while staying bit-identical to a serial run.
+    The run harness (:func:`repro.core.run.workload_run`) reseeds the
+    framework RNG first, so the profile is a pure function of ``(key,
+    scale, epochs, seed)`` — never of hidden RNG state left by earlier
+    runs.  That property is what lets the executor cache profiles on disk
+    and fan them out over worker processes while staying bit-identical to
+    a serial run.  The build happens before the device reset: the paper
+    profiles *training*, so one-off setup work (weight H2D copies, dataset
+    staging) is excluded.
     """
     spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    # Build first, then instrument: the paper profiles *training*, so one-off
-    # setup work (weight H2D copies, dataset staging) is excluded.
-    workload = spec.build(device=device, scale=scale)
-    device.reset()
-    trainer = Trainer(workload=workload, device=device)
 
-    def run() -> tuple[list[float], list[dict]]:
-        results = trainer.run(epochs=epochs, seed=seed)
+    def train(run: Run) -> tuple[list[float], list[dict]]:
+        results = Trainer(workload=run.workload, device=run.device).run(
+            epochs=epochs, seed=seed)
         return [r.sim_time_s for r in results], [r.metrics for r in results]
 
-    return _observed_profile(key, spec, device, workload, run, scale, seed,
-                             strict)
+    return _observed_profile(key, spec, partial(spec.build, scale=scale),
+                             train, scale, seed, sim, strict)
 
 
-def _observed_profile(key: str, spec: registry.WorkloadSpec,
-                      device: SimulatedGPU, workload, run, scale: str,
-                      seed: int, strict: bool = False) -> WorkloadProfile:
-    """Run ``run()`` (-> epoch times, train metrics) on a freshly reset
-    device under a trace session, folding its event log into a profile.
+def _observed_profile(key: str, spec: registry.WorkloadSpec, build, train,
+                      scale: str, seed: int,
+                      sim: Optional[SimulationConfig] = None,
+                      strict: bool = False) -> WorkloadProfile:
+    """Run ``train(run)`` (-> epoch times, train metrics) on ``build``'s
+    workload under a trace session, folding its event log into a profile.
 
     The profilers reduce the launch table the tracer builds of each
     epoch's log window, which restarts after each fold, so the run holds at
@@ -161,13 +160,10 @@ def _observed_profile(key: str, spec: registry.WorkloadSpec,
         sparsity.on_transfer(table)
 
     owned = trace.active() is None
-    checking = contextlib.nullcontext()
-    if strict:
-        from ..testing.invariants import strict_mode
-
-        checking = strict_mode(device)
-    with checking, trace.session(devices=(device,), fold=fold) as tracer:
-        epoch_times, train_metrics = run()
+    with workload_run(build, seed, sim, strict=strict, observe=trace.Tracer,
+                      fold=fold) as run:
+        epoch_times, train_metrics = train(run)
+    device, workload = run.device, run.workload
     profile = WorkloadProfile(
         key=key,
         spec=spec,
@@ -180,19 +176,16 @@ def _observed_profile(key: str, spec: registry.WorkloadSpec,
         launch_count=device.stats.kernel_count,
         analysis_hits=device.stats.analysis_hits,
         analysis_misses=device.stats.analysis_misses,
-        timeline_summary=tracer.timeline().summary() if owned else {},
+        timeline_summary=run.tracer.timeline().summary() if owned else {},
         scale=scale,
         seed=seed,
     )
     if hasattr(workload, "model"):
         # Adam keeps two fp32 moments per parameter
         profile.model_bytes = float(workload.model.parameter_bytes() * 3)
-    # Absorb the run's ad-hoc stats into the process-wide metrics registry
-    # (pull-model: a handful of gauge writes, nothing on the launch path).
-    from ..profiling import metrics as metrics_mod
-
-    metrics_mod.collect_device(device)
-    metrics_mod.collect_profile(profile)
+    # Absorb the run's stall and cache tallies into the process-wide
+    # metrics registry (the harness collected the device's).
+    metrics.collect_profile(profile)
     return profile
 
 
@@ -211,7 +204,8 @@ def measure_memory(
     parameter and optimizer-state allocations are captured (the clock still
     resets after build — setup time stays excluded, setup memory doesn't).
     With ``strict=True`` exceeding the configured HBM capacity raises
-    :class:`repro.gpu.memory.OOMError` instead of warning.
+    :class:`repro.gpu.memory.OOMError` instead of warning, and the
+    invariant checker validates every launch.
 
     ``mode`` (``None`` / ``"steady"`` / ``"capture"``) selects the training
     loop exactly as in :func:`repro.profiling.trace.trace_workload`; the
@@ -219,41 +213,21 @@ def measure_memory(
     snapshots stay directly comparable — the memory-differential tests rely
     on it.
 
-    The cyclic garbage collector is suspended for the run, so every tracked
-    free happens at its refcount-determined instant — the report (and its
-    digest) is a pure function of ``(key, scale, epochs, seed)``, making
-    memory snapshots golden-testable across jobs/cache configurations.
+    The harness suspends the cyclic garbage collector for the run, so every
+    tracked free happens at its refcount-determined instant — the report
+    (and its digest) is a pure function of ``(key, scale, epochs, seed)``,
+    making memory snapshots golden-testable across jobs/cache
+    configurations.
     """
-    import gc
-
-    from ..gpu import memory as gpu_memory
-    from ..tensor import autograd
-
     spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        with gpu_memory.track(device, strict=strict) as tracker:
-            with autograd.phase("setup"):
-                workload = spec.build(device=device, scale=scale)
-            device.reset()
-            Trainer(workload=workload, device=device,
-                    steady=mode == "steady",
-                    capture_replay=mode == "capture").run(epochs=epochs,
-                                                          seed=seed)
-            report = tracker.report()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    report.update(workload=key, scale=scale, epochs=epochs, seed=seed)
-    report["memory_digest"] = gpu_memory.digest_report(report)
-    from ..profiling import metrics as metrics_mod
-
-    metrics_mod.collect_device(device)
-    return report
+    with workload_run(partial(spec.build, scale=scale), seed, sim,
+                      memory=True, strict=strict) as run:
+        Trainer(workload=run.workload, device=run.device,
+                steady=mode == "steady",
+                capture_replay=mode == "capture").run(epochs=epochs,
+                                                      seed=seed)
+        return run.tracker.report(workload=key, scale=scale, epochs=epochs,
+                                  seed=seed)
 
 
 @dataclass
@@ -310,26 +284,27 @@ def profile_inference(
     """Profile a workload's *inference* pass (the paper's planned extension:
     train first, then characterize forward-only execution).
 
-    One warm-up training epoch brings the model off its initialization;
-    instrumentation then captures only the no-grad evaluation pass.
+    One warm-up training epoch, part of the build, brings the model off its
+    initialization; instrumentation then captures only the no-grad
+    evaluation pass.
 
     Instrumentation is :func:`profile_workload`'s, so inference profiles
     carry ``timeline_summary`` with forward-phase spans and the model
     footprint, and land in the metrics registry.
     """
     spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    workload = spec.build(device=device, scale=scale)
     rng = np.random.default_rng(seed)
-    workload.train_epoch(rng)
-    device.reset()
 
-    def run() -> tuple[list[float], list[dict]]:
-        _run_inference(key, workload, rng)
-        return [device.elapsed_s()], []
+    def build(device):
+        workload = spec.build(device=device, scale=scale)
+        workload.train_epoch(rng)
+        return workload
 
-    return _observed_profile(key, spec, device, workload, run, scale, seed)
+    def infer(run: Run) -> tuple[list[float], list[dict]]:
+        _run_inference(key, run.workload, rng)
+        return [run.device.elapsed_s()], []
+
+    return _observed_profile(key, spec, build, infer, scale, seed, sim)
 
 
 def _run_inference(key: str, workload, rng) -> None:

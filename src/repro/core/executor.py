@@ -45,7 +45,8 @@ Task = tuple  # (kind: str, params: dict)
 
 
 #: task kind -> (module, function) of the payload function it calls with
-#: the task's params
+#: the task's params; a mode runner's ``(report, timeline)`` pair (the
+#: timeline is ``None`` when untraced) yields the report
 TASKS = {
     "profile": ("repro.core.characterize", "profile_workload"),
     "fingerprint": ("repro.testing.golden", "fingerprint_workload"),
@@ -54,9 +55,9 @@ TASKS = {
     "memstats": ("repro.core.characterize", "measure_memory"),
     "capture_fingerprint": ("repro.testing.golden", "capture_fingerprint"),
     "fused_fingerprint": ("repro.testing.golden", "fused_fingerprint"),
-    "serve": ("repro.serve.server", "serve_report"),
-    "sample": ("repro.train.loader", "sample_report"),
-    "shard": ("repro.train.sharded", "shard_report"),
+    "serve": ("repro.serve.server", "serve_run"),
+    "sample": ("repro.train.loader", "sample_run"),
+    "shard": ("repro.train.sharded", "shard_run"),
     "insights": ("repro.profiling.insights", "insights_report"),
 }
 
@@ -80,6 +81,8 @@ def execute_task(task: Task):
     manual_seed(int(params.get("seed", 0)))
     t0 = time.perf_counter()
     result = run(**params)
+    if isinstance(result, tuple):
+        result, _timeline = result
     # Per-task wall latency into the metrics registry.  This runs once per
     # *task* (a whole workload characterization), never per launch, so the
     # kernel hot path stays untouched; in a pool worker the observation

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..canonical import canonical_digest
+from ..canonical import report_digest
 
 MEMORY_VERSION = 1
 
@@ -474,9 +474,10 @@ class DeviceMemoryTracker:
         self._sample()
 
     # -- reporting -----------------------------------------------------------
-    def report(self, top_labels: int = 10,
-               collect_garbage: bool = True) -> dict:
-        """Canonical, picklable memory report for the tracked run.
+    def report(self, top_labels: int = 10, collect_garbage: bool = True,
+               **fields) -> dict:
+        """Canonical, picklable memory report for the tracked run, with
+        ``fields`` (the run's parameters) recorded and digested alongside.
 
         Collects cyclic garbage first so the end-state live bytes are a
         deterministic function of the run, not of collector timing.
@@ -492,7 +493,8 @@ class DeviceMemoryTracker:
         report["top_labels"] = [
             [name, stats[1], stats[0]] for name, stats in labels
         ]
-        report["memory_digest"] = digest_report(report)
+        report.update(fields)
+        report["memory_digest"] = report_digest(report, "memory_digest")
         return report
 
     def close(self) -> None:
@@ -500,12 +502,6 @@ class DeviceMemoryTracker:
         self._live.clear()
         self._counter_sink = None
         self.pool.clock = None
-
-
-def digest_report(report: dict) -> str:
-    """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    return canonical_digest(
-        {k: v for k, v in report.items() if k != "memory_digest"})
 
 
 @contextlib.contextmanager

@@ -39,10 +39,11 @@ these):
 * a leaf sums its launches in launch order and a flat site sums its
   per-epoch leaves in sorted leaf order, as the table rule requires
   (:mod:`repro.profiling.table`);
-* ``insights_digest`` is SHA-256 over the canonical JSON of the report with
-  ``insights_digest`` itself and ``manifest.source_digest`` removed — the
-  digest covers the measurements, while the source hash identifies the code
-  that produced them (and legitimately changes every commit).
+* ``insights_digest`` is the report's
+  :func:`~repro.canonical.report_digest` without ``insights_digest`` itself
+  and ``manifest.source_digest`` — the digest covers the measurements,
+  while the source hash identifies the code that produced them (and
+  legitimately changes every commit).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, report_digest
 from ..gpu.config import DEFAULT_SIMULATION, SimulationConfig
 from . import trace
 from .table import COMPONENTS, STALL_REASONS, LaunchTable, first_rows
@@ -380,17 +381,6 @@ def _summaries(flat_sites: list[dict]) -> dict:
 
 
 # -- the report --------------------------------------------------------------
-def insights_digest(report: dict) -> str:
-    """SHA-256 over the measurements: canonical JSON minus the digest field
-    and minus ``manifest.source_digest`` (which changes with every commit
-    even when behaviour doesn't — goldens pin behaviour, not code bytes)."""
-    payload = {k: v for k, v in report.items() if k != "insights_digest"}
-    manifest = dict(payload.get("manifest", {}))
-    manifest.pop("source_digest", None)
-    payload["manifest"] = manifest
-    return canonical_digest(payload)
-
-
 def insights_report(key: str, scale: str = "test", epochs: int = 2,
                     seed: int = 0, gpus: int = 1,
                     sim: Optional[SimulationConfig] = None) -> dict:
@@ -412,7 +402,9 @@ def insights_report(key: str, scale: str = "test", epochs: int = 2,
         "sites": flat_sites,
         "tree": tree,
     }
-    report["insights_digest"] = insights_digest(report)
+    # the digest covers the measurements, not the code that made them
+    report["insights_digest"] = report_digest(
+        report, "insights_digest", "manifest.source_digest")
     return report
 
 

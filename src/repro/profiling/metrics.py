@@ -415,7 +415,7 @@ def collect_profile(profile,
 #: carries the kind's labels, so sweeps (latency vs QPS, prefetch depth,
 #: capacity frontier) land as distinct label sets in one registry.
 REPORT_GAUGES = {
-    # repro.serve.serve_report
+    # repro.serve.serve_run
     "serve": ({"workload": "workload", "arrival": "arrival",
                "batch_max": "batch_max"}, (
         ("repro_serve_latency_us", "End-to-end request latency (us)",
@@ -439,7 +439,7 @@ REPORT_GAUGES = {
         ("repro_serve_batch_size_count", "Executed batches by size",
          "batch_size_hist", "size"),
     )),
-    # repro.train.loader.sample_report
+    # repro.train.loader.sample_run
     "loader": ({"workload": "workload", "prefetch_depth": "prefetch_depth"}, (
         ("repro_loader_batches_total", "Mini-batches produced by the "
          "sampler", "batches", None),
@@ -460,7 +460,7 @@ REPORT_GAUGES = {
         ("repro_loader_peak_live_bytes", "Peak live HBM during sampled "
          "training", "peak_live_bytes", None),
     )),
-    # repro.train.sharded.shard_report
+    # repro.train.sharded.shard_run
     "shard": ({"workload": "workload", "config": "name", "parts": "parts",
                "offload": "offload"}, (
         ("repro_shard_edge_cut_total", "Edges crossing partition "
@@ -511,24 +511,6 @@ def collect_report(kind: str, report: dict,
         for entry, entry_value in value.items():
             reg.gauge(name, help_text, **{entry_label: entry},
                       **labels).set(entry_value)
-
-
-def collect_serve(report: dict,
-                  registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one serving report (:func:`repro.serve.serve_report`)."""
-    collect_report("serve", report, registry)
-
-
-def collect_loader(report: dict,
-                   registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one sampled-training report (:mod:`repro.train.loader`)."""
-    collect_report("loader", report, registry)
-
-
-def collect_shard(report: dict,
-                  registry: Optional[MetricsRegistry] = None) -> None:
-    """Absorb one sharded-training report (:mod:`repro.train.sharded`)."""
-    collect_report("shard", report, registry)
 
 
 def observe_task(kind: str, seconds: float, cached: bool,

@@ -84,12 +84,12 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..canonical import canonical_digest, canonical_json
-from ..gpu import memory as gpu_memory
 from ..gpu.device import SimulatedGPU
 from .table import LaunchTable
 
@@ -265,18 +265,20 @@ class Tracer:
     def add_counter(self, pid: int, clock_s: float, values: dict,
                     name: str = "HBM") -> None:
         """Record one counter sample (a zero-duration span on the ``memory``
-        stream).  Multiple samples at one timestamp coalesce to the last —
-        an alloc/free burst inside a single simulated instant exports as one
-        Chrome ``C`` event, keeping per-stream timestamps strictly usable."""
-        span = Span.make(name, CAT_COUNTER, pid, "memory",
-                         clock_s, clock_s, values)
+        stream).  Multiple samples at one timestamp coalesce to each
+        field's maximum — an alloc/free burst inside a single simulated
+        instant exports as one Chrome ``C`` event showing the instant's
+        peak, keeping per-stream timestamps strictly usable."""
         idx = self._last_counter.get(pid)
-        if (idx is not None and self.spans[idx].ts_us == span.ts_us
-                and self.spans[idx].name == name):
-            self.spans[idx] = span
-            return
-        self._last_counter[pid] = len(self.spans)
-        self.spans.append(span)
+        last = None if idx is None else self.spans[idx]
+        if last is not None and last.ts_us == clock_s * 1e6 \
+                and last.name == name:
+            values = {k: max(v, last.arg(k, v)) for k, v in values.items()}
+        else:
+            self._last_counter[pid] = idx = len(self.spans)
+            self.spans.append(None)
+        self.spans[idx] = Span.make(name, CAT_COUNTER, pid, "memory",
+                                    clock_s, clock_s, values)
 
     def counter_sink(self, device: SimulatedGPU):
         """Adapter for :meth:`DeviceMemoryTracker.set_counter_sink`."""
@@ -798,9 +800,11 @@ def trace_workload(key: str, scale: str = "test", epochs: int = 1,
                    mode: Optional[str] = None) -> Timeline:
     """Train ``epochs`` of one workload on a single traced device.
 
-    Mirrors :func:`repro.testing.golden.fingerprint_workload`: reseed, build,
+    Runs on the run harness (:func:`repro.core.run.workload_run`), as
+    :func:`repro.testing.golden.fingerprint_workload` does: reseed, build,
     reset (setup excluded), then record every event of training.  With
-    ``memory=True`` a device-memory tracker rides along and every alloc/free
+    ``memory=True`` a device-memory tracker rides along, as in
+    :func:`repro.core.characterize.measure_memory`, and every alloc/free
     emits a live/reserved counter sample — Perfetto shows the HBM footprint
     as a counter track beside the kernel spans.  Golden trace fingerprints
     keep ``memory=False``, so their digests are untouched by the samples.
@@ -811,25 +815,17 @@ def trace_workload(key: str, scale: str = "test", epochs: int = 1,
     compare the latter two byte-for-byte.
     """
     from ..core import registry
-    from ..tensor import manual_seed
+    from ..core.run import workload_run
     from ..train.trainer import Trainer
 
     spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    mem_ctx = (gpu_memory.track(device) if memory
-               else contextlib.nullcontext(None))
-    with mem_ctx as memtracker:
-        workload = spec.build(device=device, scale=scale)
-        device.reset()
-        with session(devices=(device,)) as tracer:
-            if memtracker is not None:
-                memtracker.set_counter_sink(tracer.counter_sink(device))
-            Trainer(workload=workload, device=device,
-                    steady=mode == "steady",
-                    capture_replay=mode == "capture").run(epochs=epochs,
-                                                          seed=seed)
-    return tracer.timeline()
+    with workload_run(partial(spec.build, scale=scale), seed, sim,
+                      memory=memory, observe=Tracer) as run:
+        Trainer(workload=run.workload, device=run.device,
+                steady=mode == "steady",
+                capture_replay=mode == "capture").run(epochs=epochs,
+                                                      seed=seed)
+    return run.tracer.timeline()
 
 
 def trace_point(key: str, num_gpus: int = 1, scale: str = "test",

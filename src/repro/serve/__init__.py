@@ -14,7 +14,6 @@ from .queueing import BatchRecord, ServedRequest, run_queue
 from .server import (
     SERVE_VERSION,
     SERVEABLE,
-    serve_report,
     serve_run,
     validate_serving_config,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "run_queue",
     "SERVE_VERSION",
     "SERVEABLE",
-    "serve_report",
     "serve_run",
     "validate_serving_config",
 ]

@@ -25,18 +25,18 @@ allocations (optimizer state, saved activations).
 
 from __future__ import annotations
 
-import contextlib
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from ..canonical import canonical_digest
+from ..canonical import report_digest
 from ..core import registry
+from ..core.run import workload_run
 from ..gpu import SimulatedGPU, SimulationConfig
-from ..gpu import memory as gpu_memory
 from ..gpu.graph_capture import EpochPlan, _EpochRecorder, replay_epoch
-from ..profiling import trace
-from ..tensor import autograd, manual_seed
+from ..profiling import metrics, trace
+from ..tensor import autograd
 from .arrivals import ARRIVALS, generate_requests
 from .queueing import BatchRecord, ServedRequest, run_queue
 
@@ -179,12 +179,6 @@ def _quantiles_us(values_s: list[float]) -> dict[str, float]:
     }
 
 
-def digest_report(report: dict) -> str:
-    """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    return canonical_digest(
-        {k: v for k, v in report.items() if k != "serve_digest"})
-
-
 def build_report(
     key: str, scale: str, qps: float, arrival: str, batch_max: int,
     max_wait_us: float, num_users: int, seed: int,
@@ -227,7 +221,7 @@ def build_report(
         "hbm_utilization": memory_stats["utilization"],
         "oom_events": memory_stats["oom_events"],
     }
-    report["serve_digest"] = digest_report(report)
+    report["serve_digest"] = report_digest(report, "serve_digest")
     return report
 
 
@@ -275,13 +269,13 @@ def serve_run(
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate one serving run; return (report, timeline-or-None).
 
-    Runs under device-memory tracking (the tracker attaches before build, as
-    :func:`repro.core.characterize.measure_memory` does, so parameter HBM is
-    part of the occupancy picture) with the cyclic GC suspended, making the
-    report a byte-deterministic function of its arguments.
+    Runs on the run harness (:func:`repro.core.run.workload_run`) under
+    device-memory tracking: the tracker attaches before build, so parameter
+    HBM is part of the occupancy picture, and the cyclic GC is suspended,
+    making the report a byte-deterministic function of its arguments.
+    ``strict`` checks every launch against the GPU model's invariants and
+    makes an HBM overflow raise.
     """
-    import gc
-
     validate_serving_config(qps, batch_max, max_wait_us, requests)
     if arrival not in ARRIVALS:
         raise ValueError(f"arrival must be one of {list(ARRIVALS)}, "
@@ -292,64 +286,24 @@ def serve_run(
             f"{sorted(SERVEABLE)}"
         )
     spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    timeline: Optional[trace.Timeline] = None
-    try:
-        with gpu_memory.track(device, strict=strict) as tracker:
-            with autograd.phase("setup"):
-                workload = spec.build(device=device, scale=scale)
-            device.reset()
-            engine = make_engine(key, workload, seed)
-            reqs = generate_requests(requests, qps, arrival=arrival,
-                                     population=engine.population,
-                                     num_users=num_users, seed=seed)
-            trace_ctx = (trace.session(devices=(device,)) if traced
-                         else contextlib.nullcontext(None))
-            with trace_ctx as tracer:
-                if tracer is not None:
-                    tracker.set_counter_sink(tracer.counter_sink(device))
-                runner = BatchRunner(engine, device, tracker=tracker,
-                                     seed=seed)
-                served, batches = run_queue(reqs, batch_max,
-                                            max_wait_us * 1e-6,
-                                            runner.run_batch)
-                if tracer is not None:
-                    _emit_serve_spans(tracer, device, served, batches, runner)
-            memory_stats = device.memory.stats()
-            if traced:
-                timeline = tracer.timeline()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with workload_run(partial(spec.build, scale=scale), seed, sim,
+                      memory=True, strict=strict,
+                      observe=trace.Tracer if traced else None) as run:
+        engine = make_engine(key, run.workload, seed)
+        reqs = generate_requests(requests, qps, arrival=arrival,
+                                 population=engine.population,
+                                 num_users=num_users, seed=seed)
+        runner = BatchRunner(engine, run.device, tracker=run.tracker,
+                             seed=seed)
+        served, batches = run_queue(reqs, batch_max, max_wait_us * 1e-6,
+                                    runner.run_batch)
+        if traced:
+            _emit_serve_spans(run.tracer, run.device, served, batches,
+                              runner)
+        memory_stats = run.device.memory.stats()
 
     report = build_report(key, scale, qps, arrival, batch_max, max_wait_us,
                           num_users, seed, served, batches, runner,
                           memory_stats)
-    from ..profiling import metrics as metrics_mod
-
-    metrics_mod.collect_device(device)
-    metrics_mod.collect_serve(report)
-    return report, timeline
-
-
-def serve_report(
-    key: str,
-    scale: str = "test",
-    qps: float = 100.0,
-    arrival: str = "poisson",
-    batch_max: int = 8,
-    max_wait_us: float = 2000.0,
-    requests: int = 256,
-    num_users: int = 64,
-    seed: int = 0,
-    strict: bool = False,
-) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
-    report, _ = serve_run(key, scale=scale, qps=qps, arrival=arrival,
-                          batch_max=batch_max, max_wait_us=max_wait_us,
-                          requests=requests, num_users=num_users, seed=seed,
-                          strict=strict, traced=False)
-    return report
+    metrics.collect_report("serve", report)
+    return report, run.tracer.timeline() if traced else None

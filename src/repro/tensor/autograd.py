@@ -6,8 +6,10 @@ result (and emits kernels to the simulated device) and a ``backward`` that
 produces input gradients (emitting the backward kernels).  ``Tensor.backward``
 walks the recorded graph in reverse topological order.
 
-The *phase* context ("forward" / "backward" / "optimizer") tags every kernel
-a region emits, so profilers can split training time the way the paper does.
+The *phase* context tags every kernel a region emits, so profilers can
+split training time the way the paper does: "forward" / "backward" /
+"optimizer" in training, "setup" while a tracked run builds its workload and
+"serve" in a serving batch (:data:`PHASES`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from ..gpu import memory as gpu_memory
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tensor import Tensor
+
+#: every phase the framework launches kernels in
+PHASES = ("forward", "backward", "optimizer", "setup", "serve")
 
 _grad_enabled = True
 _current_phase = "forward"

@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -36,12 +37,11 @@ import numpy as np
 
 from ..canonical import canonical_digest, canonical_json
 from ..core import registry
-from ..gpu import SimulatedGPU
+from ..core.run import workload_run
 from ..profiling import trace
 from ..profiling.nvprof import SAMPLED_METRICS
 from ..profiling.table import STALL_REASONS
 from ..serve.server import SERVEABLE
-from ..tensor import manual_seed
 from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
 from ..train.sharded import SHARD_GOLDEN_KEYS
 from ..train.trainer import Trainer
@@ -80,7 +80,7 @@ class StreamRecorder:
     the launch and transfer counts, their histograms and summed work.
     :meth:`fold` takes the entries in order, in as many chunks as the
     caller likes (one epoch at a time), and gives what one fold of the
-    whole stream would.
+    whole stream would; it serves as a trace session's ``fold``.
     """
 
     def __init__(self, entries=()) -> None:
@@ -96,7 +96,7 @@ class StreamRecorder:
                                 "wire_bytes": 0}
         self.fold(entries)
 
-    def fold(self, entries) -> None:
+    def fold(self, entries, _table=None) -> None:
         totals, moved = self.totals, self.transfer_totals
         for entry in entries:
             if entry[0] == "K":
@@ -129,15 +129,6 @@ class StreamRecorder:
         return self._hash.hexdigest()
 
 
-def _folding(device: SimulatedGPU, recorder: StreamRecorder):
-    """A trace session that feeds ``device``'s log to ``recorder`` at each
-    epoch end, so a fingerprinted run holds at most one epoch of log.  It
-    keeps no spans, unless a caller's tracer is installed and owns the run."""
-    tracer = None if trace.active() else trace.FoldOnlyTracer()
-    return trace.session(devices=(device,), tracer=tracer,
-                         fold=lambda entries, _table: recorder.fold(entries))
-
-
 def fingerprint_workload(
     key: str,
     scale: str = "test",
@@ -146,20 +137,19 @@ def fingerprint_workload(
 ) -> dict:
     """Train ``epochs`` of a workload and fingerprint its kernel stream.
 
-    Reseeds the framework RNG before building so parameter initialization —
-    and hence any data-dependent control flow — is reproducible across
-    processes.  The stream is folded at each epoch end, so the run holds at
-    most one epoch of event log.
+    The run harness reseeds the framework RNG before building, so parameter
+    initialization — and hence any data-dependent control flow — is
+    reproducible across processes.  The stream is folded at each epoch end,
+    so the run holds at most one epoch of event log, and it keeps no spans
+    (:class:`~repro.profiling.trace.FoldOnlyTracer`) unless a caller's
+    tracer is installed and owns the run.
     """
-    spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU()
-    workload = spec.build(device=device, scale=scale)
-    device.reset()
     recorder = StreamRecorder()
-    with _folding(device, recorder):
-        results = Trainer(workload=workload, device=device).run(epochs=epochs,
-                                                                seed=seed)
+    with workload_run(partial(registry.get(key).build, scale=scale), seed,
+                      observe=trace.FoldOnlyTracer,
+                      fold=recorder.fold) as run:
+        results = Trainer(workload=run.workload, device=run.device).run(
+            epochs=epochs, seed=seed)
     return {
         "version": FINGERPRINT_VERSION,
         "workload": key,
@@ -216,25 +206,19 @@ def capture_fingerprint(
         if analysis_cache_enabled is None
         else analysis_cache.override(analysis_cache_enabled)
     )
+    recorder = StreamRecorder()
     with cache_ctx:
         analysis_cache.clear()
-        spec = registry.get(key)
-        manual_seed(seed)
-        device = SimulatedGPU()
-        workload = spec.build(device=device, scale=scale)
-        device.reset()
-        trainer = Trainer(
-            workload=workload,
-            device=device,
-            steady=mode == "steady",
-            capture_replay=mode == "capture",
-        )
-        recorder = StreamRecorder()
-        with _folding(device, recorder):
+        with workload_run(partial(registry.get(key).build, scale=scale),
+                          seed, observe=trace.FoldOnlyTracer,
+                          fold=recorder.fold) as run:
+            trainer = Trainer(workload=run.workload, device=run.device,
+                              steady=mode == "steady",
+                              capture_replay=mode == "capture")
             results = trainer.run(epochs=epochs, seed=seed)
         analysis_cache.clear()
 
-    controller = trainer._controller
+    device, controller = run.device, trainer._controller
     return {
         "version": FINGERPRINT_VERSION,
         "workload": key,
@@ -279,13 +263,10 @@ def fused_fingerprint(
         raise ValueError("fused fingerprints need epochs >= 4 "
                          "(warmup, capture, validate, replay)")
     analysis_cache.clear()
-    spec = registry.get(key)
-    manual_seed(seed)
-    device = SimulatedGPU()
-    workload = spec.build(device=device, scale=scale)
-    device.reset()
-    trainer = Trainer(workload=workload, device=device, fuse=True)
-    results = trainer.run(epochs=epochs, seed=seed)
+    with workload_run(partial(registry.get(key).build, scale=scale),
+                      seed) as run:
+        trainer = Trainer(workload=run.workload, device=run.device, fuse=True)
+        results = trainer.run(epochs=epochs, seed=seed)
     analysis_cache.clear()
 
     controller = trainer._controller

@@ -35,6 +35,7 @@ from ..gpu.kernel import (
     StallBreakdown,
     TransferRecord,
 )
+from ..tensor import autograd
 
 #: stall shares are normalized exactly; allow float accumulation noise.
 _STALL_SUM_TOL = 1e-6
@@ -69,7 +70,7 @@ def check_descriptor(desc: KernelDescriptor) -> None:
         _fail(where, f"reuse_factor={desc.reuse_factor} < 1")
     if desc.compute_scale <= 0:
         _fail(where, f"compute_scale={desc.compute_scale} <= 0")
-    if desc.phase not in ("forward", "backward", "optimizer"):
+    if desc.phase not in autograd.PHASES:
         _fail(where, f"unknown phase {desc.phase!r}")
     if desc.access.kind is AccessKind.IRREGULAR and desc.access.indices is None:
         _fail(where, "IRREGULAR access pattern carries no index array")

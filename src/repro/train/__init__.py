@@ -13,14 +13,12 @@ from .loader import (
     SAMPLEABLE,
     NeighborLoader,
     PrefetchPipeline,
-    sample_report,
     sample_run,
     sampler_cost_s,
 )
 from .sharded import (
     SHARDABLE,
     PartGeometry,
-    shard_report,
     shard_run,
     train_numeric,
 )
@@ -40,10 +38,8 @@ __all__ = [
     "run_scaling_study",
     "run_weak_scaling_point",
     "run_weak_scaling_study",
-    "sample_report",
     "sample_run",
     "sampler_cost_s",
-    "shard_report",
     "shard_run",
     "trace_scaling_point",
     "train_numeric",

@@ -16,7 +16,9 @@ DDP over NCCL ring allreduce on a 4xV100 NVLink node):
 
 DDP shards are symmetric — every replica runs the same kernel-stream shape
 on 1/N of the data — so the simulation trains a single replica on device 0
-and charges its stream to every peer, then adds the collectives.
+and charges its stream to every peer, then adds the collectives.  Each
+runner collects device 0's gauges into the metrics registry; the peers are
+not simulated and have none.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from ..core import registry
 from ..gpu import MultiGPUSystem, SimulationConfig
+from ..profiling import metrics
 from ..tensor import manual_seed
 
 
@@ -131,6 +134,7 @@ def run_scaling_point(
         # device stretches the H2D-bound portion of the epoch.
         contention_time = transfer_time * 0.5 * (num_gpus - 1)
 
+    metrics.collect_device(device)
     return ScalingPoint(
         workload=key,
         num_gpus=num_gpus,
@@ -224,6 +228,9 @@ def trace_scaling_point(
     finally:
         if hook is not None:
             replica.optimizer.remove_pre_step_hook(hook)
+    # the peers are device 0's replicas, not simulated: device 0 alone
+    # has gauges
+    metrics.collect_device(device)
     timeline = tracer.timeline()
     if num_gpus > 1:
         timeline = timeline.replicate_device(0, range(1, num_gpus))
@@ -263,6 +270,7 @@ def run_weak_scaling_point(
         allreduce_time = (
             system.allreduce_cost(grad_bytes).duration_s * steps_per_epoch
         )
+    metrics.collect_device(device)
     return ScalingPoint(
         workload=key,
         num_gpus=num_gpus,

@@ -26,21 +26,20 @@ analysis-cache settings (``tests/test_sample_golden.py`` pins the matrix).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from ..canonical import canonical_digest
+from ..canonical import report_digest
+from ..core.run import workload_run
 from ..graph import Graph
 from ..graph.sampling import SampledBlock, uniform_neighbor_block
 from ..gpu import SimulatedGPU, SimulationConfig
-from ..gpu import memory as gpu_memory
-from ..profiling import trace
+from ..profiling import metrics, trace
 from ..profiling.table import STALL_REASONS, LaunchTable, running_total
-from ..tensor import Tensor, autograd, functional as F, manual_seed, nn
+from ..tensor import Tensor, functional as F, nn
 from ..tensor.optim import Adam
 from .trainer import Trainer
 
@@ -484,12 +483,6 @@ class _StallAccumulator:
 # -- reporting -----------------------------------------------------------------
 
 
-def digest_sample_report(report: dict) -> str:
-    """SHA-256 over the canonical JSON of a report (digest field excluded)."""
-    return canonical_digest(
-        {k: v for k, v in report.items() if k != "sample_digest"})
-
-
 def build_sample_report(
     key: str, scale: str, fanouts, batch_size: int, prefetch_depth: int,
     epochs: int, nodes: Optional[int], seed: int, engine,
@@ -531,7 +524,7 @@ def build_sample_report(
         "hbm_utilization": memory_stats["utilization"],
         "oom_events": memory_stats["oom_events"],
     }
-    report["sample_digest"] = digest_sample_report(report)
+    report["sample_digest"] = report_digest(report, "sample_digest")
     return report
 
 
@@ -560,69 +553,29 @@ def sample_run(
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate mini-batch sampled training; return (report, timeline-or-None).
 
-    Runs under device-memory tracking with the cyclic GC suspended (the
-    `repro.serve.serve_run` discipline), so the report is a byte-
-    deterministic function of its arguments.
+    Runs on the run harness (:func:`repro.core.run.workload_run`) under
+    device-memory tracking with the cyclic GC suspended, so the report is
+    a byte-deterministic function of its arguments.  ``strict`` checks
+    every launch against the GPU model's invariants and makes an HBM
+    overflow raise.
     """
-    import gc
-
     fanouts = tuple(int(f) for f in fanouts)
     validate_sample_config(fanouts, batch_size, prefetch_depth, epochs)
-    manual_seed(seed)
-    device = SimulatedGPU(sim)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    timeline: Optional[trace.Timeline] = None
-    try:
-        with gpu_memory.track(device, strict=strict) as tracker:
-            with autograd.phase("setup"):
-                engine = make_sample_engine(key, device, fanouts, scale=scale,
-                                            nodes=nodes, seed=seed)
-            device.reset()
-            loader = NeighborLoader(engine.graph, engine.train_ids, fanouts,
-                                    batch_size, seed=seed)
-            pipeline = PrefetchPipeline(loader, engine, device,
-                                        prefetch_depth=prefetch_depth)
-            trace_ctx = (trace.session(devices=(device,)) if traced
-                         else contextlib.nullcontext(None))
-            with trace_ctx as tracer:
-                if tracer is not None:
-                    tracker.set_counter_sink(tracer.counter_sink(device))
-                trainer = Trainer(workload=engine, device=device,
-                                  loader=pipeline)
-                results = trainer.run(epochs=epochs, seed=seed)
-            memory_stats = device.memory.stats()
-            if traced:
-                timeline = tracer.timeline()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with workload_run(lambda device: make_sample_engine(
+            key, device, fanouts, scale=scale, nodes=nodes, seed=seed),
+            seed, sim, memory=True, strict=strict,
+            observe=trace.Tracer if traced else None) as run:
+        engine = run.workload
+        loader = NeighborLoader(engine.graph, engine.train_ids, fanouts,
+                                batch_size, seed=seed)
+        pipeline = PrefetchPipeline(loader, engine, run.device,
+                                    prefetch_depth=prefetch_depth)
+        results = Trainer(workload=engine, device=run.device,
+                          loader=pipeline).run(epochs=epochs, seed=seed)
+        memory_stats = run.device.memory.stats()
 
     report = build_sample_report(key, scale, fanouts, batch_size,
                                  prefetch_depth, epochs, nodes, seed, engine,
-                                 pipeline, results, device, memory_stats)
-    from ..profiling import metrics as metrics_mod
-
-    metrics_mod.collect_device(device)
-    metrics_mod.collect_loader(report)
-    return report, timeline
-
-
-def sample_report(
-    key: str,
-    scale: str = "test",
-    fanouts=(10, 5),
-    batch_size: int = 64,
-    prefetch_depth: int = 2,
-    epochs: int = 2,
-    nodes: Optional[int] = None,
-    seed: int = 0,
-    strict: bool = False,
-) -> dict:
-    """The picklable executor-task entry point (no timeline)."""
-    report, _ = sample_run(key, scale=scale, fanouts=fanouts,
-                           batch_size=batch_size,
-                           prefetch_depth=prefetch_depth, epochs=epochs,
-                           nodes=nodes, seed=seed, strict=strict,
-                           traced=False)
-    return report
+                                 pipeline, results, run.device, memory_stats)
+    metrics.collect_report("loader", report)
+    return report, run.tracer.timeline() if traced else None

@@ -46,6 +46,7 @@ analysis-cache settings.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -53,11 +54,12 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..canonical import canonical_digest
+from ..canonical import canonical_digest, report_digest
+from ..core.run import checking
 from ..graph.partition import PartitionPlan, partition_graph, plan_digest
 from ..gpu import OpClass, SimulationConfig
 from ..gpu.multigpu import MultiGPUSystem
-from ..profiling import trace
+from ..profiling import metrics, trace
 from ..tensor import autograd, manual_seed
 from ..tensor.ops import base as ops
 
@@ -91,7 +93,8 @@ SHARD_GOLDEN_KEYS = tuple(SHARD_GOLDEN_CONFIGS)
 
 
 def resolve_shard_config(name: str) -> tuple[str, dict]:
-    """CLI/executor key resolution: a named config or a bare workload key."""
+    """Key resolution for the CLI and :func:`shard_run`: a named config or
+    a bare workload key."""
     if name in SHARD_GOLDEN_CONFIGS:
         return "ARGA", dict(SHARD_GOLDEN_CONFIGS[name], name=name)
     upper = name.upper()
@@ -577,17 +580,6 @@ def train_numeric(dataset, plan: PartitionPlan, hidden: int, epochs: int,
 
 # -- reporting -----------------------------------------------------------------
 
-#: fields excluded from the digest: the digest pins the exact-deterministic
-#: payload; losses are fp64 values compared with tolerance instead
-_DIGEST_EXCLUDE = ("shard_digest", "losses", "loss_final")
-
-
-def digest_shard_report(report: dict) -> str:
-    """SHA-256 over the canonical JSON of the exact-deterministic fields."""
-    return canonical_digest(
-        {k: v for k, v in report.items() if k not in _DIGEST_EXCLUDE})
-
-
 def _halo_trace_digest(timeline: trace.Timeline) -> str:
     """SHA-256 over the canonical halo span stream (the halo trace golden)."""
     spans = [
@@ -649,7 +641,9 @@ def build_shard_report(
         "losses": [float(x) for x in losses],
         "loss_final": float(losses[-1]) if losses else None,
     }
-    report["shard_digest"] = digest_shard_report(report)
+    # losses are fp64 values compared with tolerance, not digested
+    report["shard_digest"] = report_digest(report, "shard_digest", "losses",
+                                           "loss_final")
     return report
 
 
@@ -676,16 +670,22 @@ def shard_run(
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate sharded training; return (report, timeline-or-None).
 
-    ``strict=True`` raises :class:`repro.gpu.memory.OOMError` the moment
+    ``key`` is a shardable workload (``ARGA``) or a named configuration
+    (``ARGA-P4``), which supplies each parameter the call leaves at its
+    default.  ``strict=True`` checks every launch against the GPU model's
+    invariants and raises :class:`repro.gpu.memory.OOMError` the moment
     any device's partition working set exceeds its HBM capacity — the
     capacity-frontier probe.  A tracer always runs internally (the halo
     span stream is digested into the report); the timeline is returned
     only when ``traced=True``.
     """
-    if key not in SHARDABLE:
-        raise ValueError(
-            f"workload {key!r} has no sharded-training engine; shardable "
-            f"workloads: {sorted(SHARDABLE)}")
+    call = dict(locals())
+    key, config = resolve_shard_config(key)
+    if config:
+        defaults = inspect.signature(shard_run).parameters
+        call.update((p, v) for p, v in config.items()
+                    if call[p] == defaults[p].default)
+        return shard_run(**dict(call, key=key))
     parts, nodes, feat_dim = int(parts), int(nodes), int(feat_dim)
     hidden, epochs, seed = int(hidden), int(epochs), int(seed)
     validate_shard_config(parts, nodes, feat_dim, hidden, epochs, mode)
@@ -702,7 +702,8 @@ def shard_run(
         dev.memory.strict = strict
         dev.memory.clock = dev.elapsed_s
     try:
-        with trace.session(devices=tuple(system.devices)) as tracer:
+        with checking(system.devices, strict), \
+                trace.session(devices=tuple(system.devices)) as tracer:
             if offload:
                 acct = _simulate_offload(system, geoms, feat_dim, hidden,
                                          dataset.num_classes, epochs, tracer)
@@ -722,21 +723,9 @@ def shard_run(
         key, name, mode, parts, gpus, offload, nodes, feat_dim, hidden,
         dataset.num_classes, epochs, lr, seed, dataset.graph, plan, geoms,
         acct, system, losses, timeline)
-    from ..profiling import metrics as metrics_mod
-
     for dev in system.devices:
-        metrics_mod.collect_device(dev)
-    metrics_mod.collect_shard(report)
+        metrics.collect_device(dev)
+    metrics.collect_report("shard", report)
     return report, (timeline if traced else None)
 
 
-def shard_report(key: str, **kwargs) -> dict:
-    """The picklable executor-task entry point (no timeline).
-
-    ``key`` is a named configuration (``ARGA-P4``) or a bare shardable
-    workload key; ``kwargs`` land on top of the resolved parameters.
-    """
-    kwargs.pop("traced", None)
-    key, params = resolve_shard_config(key)
-    report, _ = shard_run(key, traced=False, **{**params, **kwargs})
-    return report

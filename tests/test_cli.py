@@ -1,6 +1,7 @@
 """The ``python -m repro`` command table: the parse step alone against
 junk values (every option, then a fuzz), explicit ``--epochs`` honored,
-and happy paths of ``trace``, ``shard`` and ``memstats``."""
+happy paths of ``trace``, ``shard`` and ``memstats``, and the device
+gauges every ``--metrics-output`` run writes."""
 
 import argparse
 import contextlib
@@ -109,3 +110,40 @@ def test_memstats_writes_metrics_json_and_prom(capsys, tmp_path):
     assert f"wrote {out} and {out.with_suffix('.prom')}" in res.out
     assert "repro_memory_peak_live_bytes" in json.loads(out.read_text())
     assert out.with_suffix(".prom").read_text()
+
+
+#: one keyed run of each command taking ``--metrics-output``, and the
+#: devices it simulates
+METRICS_RUNS = [
+    (["profile", "DGCN", "--scale", "test"], {"0"}),
+    (["memstats", "DGCN"], {"0"}),
+    (["trace", "dgcn"], {"0"}),
+    # a DDP peer replicates device 0's stream; it is not simulated
+    (["trace", "tlstm", "--gpus", "2"], {"0"}),
+    (["serve", "dgcn", "--requests", "8"], {"0"}),
+    (["sample", "arga", "--fanouts", "4,3", "--epochs", "1"], {"0"}),
+    (["shard", "arga-p2", "--epochs", "1"], {"0", "1"}),
+    (["insights", "dgcn", "--epochs", "1"], {"0"}),
+    (["insights", "dgcn", "--epochs", "1", "--gpus", "2"], {"0"}),
+]
+
+
+def test_metrics_runs_cover_every_metrics_command():
+    assert {argv[0] for argv, _ in METRICS_RUNS} == {
+        name for name, row in cli.COMMANDS.items()
+        if "metrics-output" in row.options}
+
+
+@pytest.mark.parametrize("argv, devices", METRICS_RUNS)
+def test_metrics_output_carries_each_simulated_device(argv, devices, capsys,
+                                                      tmp_path, monkeypatch):
+    from repro.profiling import metrics
+
+    monkeypatch.chdir(tmp_path)
+    metrics.reset()
+    res = run_cli([*argv, "--metrics-output", "m.json"], capsys)
+    assert res.code == 0
+    series = json.loads((tmp_path / "m.json").read_text())[
+        "repro_device_kernel_seconds_total"]["series"]
+    assert set(series) == {f'{{device="{d}"}}' for d in devices}
+    assert all(seconds > 0 for seconds in series.values())

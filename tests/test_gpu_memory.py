@@ -241,12 +241,13 @@ class TestTracker:
             assert gpu.memory.alloc_count == 0
 
     def test_report_digest_excludes_itself(self, gpu):
-        from repro.gpu.memory import digest_report
+        from repro.canonical import report_digest
 
         with track(gpu) as tracker:
             tracker.register(np.ones(256, dtype=np.float32), label="x")
             report = tracker.report()
-        assert report["memory_digest"] == digest_report(report)
+        assert report["memory_digest"] == report_digest(report,
+                                                        "memory_digest")
         assert report["top_labels"][0][0] == "x"
 
     def test_counter_sink_sees_allocs_and_frees(self, gpu):

@@ -10,7 +10,8 @@ against a capture-replay run of the same workload and asserts equality, not
 closeness.  Replays take the compiled path whether or not the device's
 event log is open (a recorder or tracer observing); only a memory-counter
 sink or pool tap re-issues pool events one by one.  Every export of kernel
-time agrees across dispatch and replay.
+time agrees across dispatch and replay, and across sampled, served and
+sharded runs.
 """
 
 import dataclasses
@@ -28,12 +29,24 @@ from repro.gpu.graph_capture import (
 from repro.profiling import (KernelProfiler, LaunchTable, insights, metrics,
                              trace)
 from repro.profiling.trace import trace_workload
+from repro.serve import serve_run
 from repro.tensor import manual_seed
 from repro.testing.golden import StreamRecorder
 from repro.testing.launch_sequences import make_launch, make_transfer
+from repro.train.loader import sample_run
+from repro.train.sharded import shard_run
 from repro.train.trainer import Trainer
 
 KEYS = list(registry.WORKLOAD_KEYS)
+
+#: one traced run per mode beyond dispatch and capture-replay
+MODE_RUNS = {
+    "sample-ARGA": lambda: sample_run("ARGA", traced=True),
+    "serve-PSAGE-MVL": lambda: serve_run("PSAGE-MVL", requests=64,
+                                         traced=True),
+    "shard-ARGA-P4": lambda: shard_run("ARGA-P4", traced=True),
+    "shard-ARGA-OFFLOAD": lambda: shard_run("ARGA-OFFLOAD", traced=True),
+}
 
 # everything replay recomputes rather than records
 EXACT_FIELDS = ("stream_digest", "launch_count", "transfer_count",
@@ -209,6 +222,22 @@ class TestObservedReplay:
         report = insights.insights_report(key, scale="test", epochs=2)
         assert report["stream_summary"]["kernels"] / 1e6 == pytest.approx(
             kernel_s, rel=1e-9)
+
+    @pytest.mark.parametrize("run", sorted(MODE_RUNS))
+    def test_mode_exports_agree(self, run):
+        # sampled, served and sharded runs: per simulated device, the
+        # gauges equal the trace's launch table
+        metrics.reset()
+        _, timeline = MODE_RUNS[run]()
+        snap = metrics.REGISTRY.snapshot()
+        seconds = snap["repro_device_kernel_seconds_total"]["series"]
+        launches = snap["repro_device_kernel_launches_total"]["series"]
+        labels = {pid: f'{{device="{pid}"}}' for pid in timeline.kernels}
+        assert set(seconds) == set(launches) == set(labels.values())
+        for pid, table in timeline.kernels.items():
+            assert seconds[labels[pid]] == pytest.approx(
+                float(table.duration_s.sum()), rel=1e-9)
+            assert launches[labels[pid]] == len(table)
 
 
 def _controller_run(key, replay, epochs=5, corrupt=False):

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.canonical import report_digest
 from repro.core import executor
 from repro.profiling import insights, report as report_mod
 from tests.cli_helpers import run_cli
@@ -46,10 +47,10 @@ class TestManifest:
     def test_digest_ignores_source_hash_only(self, dgcn_report):
         mutated = json.loads(json.dumps(dgcn_report))
         mutated["manifest"]["source_digest"] = "f" * 64
-        assert (insights.insights_digest(mutated)
+        assert (report_digest(mutated, "insights_digest", "manifest.source_digest")
                 == dgcn_report["insights_digest"])
         mutated["wall_us"] += 1.0
-        assert (insights.insights_digest(mutated)
+        assert (report_digest(mutated, "insights_digest", "manifest.source_digest")
                 != dgcn_report["insights_digest"])
 
 
@@ -184,7 +185,8 @@ class TestCLI:
         assert res.code == 0
         payload = json.loads(out.read_text())
         assert payload["manifest"]["workload"] == "DGCN"
-        assert payload["insights_digest"] == insights.insights_digest(payload)
+        assert payload["insights_digest"] == report_digest(
+            payload, "insights_digest", "manifest.source_digest")
         assert "DGCN" in res.out
 
     def test_insights_diff_mode(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ launch-analysis memoization on or off.  ``insights_digest`` (which excludes
 
 import pytest
 
+from repro.canonical import report_digest
 from repro.profiling import insights
 from repro.testing import golden
 from tests.golden_matrix import GoldenMatrix, canonical
@@ -54,7 +55,8 @@ class TestDeterminism(GoldenMatrix):
 
     def test_digest_recomputes_from_payload(self):
         report = self.run_single()
-        assert insights.insights_digest(report) == report["insights_digest"]
+        assert (report_digest(report, "insights_digest", "manifest.source_digest")
+                == report["insights_digest"])
 
     def test_multi_gpu_report_is_deterministic(self):
         a = insights.insights_report("DGCN", scale="test", epochs=1, gpus=2)

@@ -182,7 +182,7 @@ class TestCollectors:
                   "loader_stall_s": 0.002, "loader_stall_fraction": 0.02,
                   "queue_occupancy_mean": 1.3, "queue_occupancy_max": 2,
                   "epochs_per_sim_s": 20.0, "peak_live_bytes": 4096}
-        metrics.collect_loader(report, registry=reg)
+        metrics.collect_report("loader", report, registry=reg)
         snap = reg.snapshot()
         labels = '{prefetch_depth="2",workload="ARGA"}'
         assert snap["repro_loader_batches_total"]["series"][labels] == 60.0
@@ -190,7 +190,8 @@ class TestCollectors:
         assert (snap["repro_loader_queue_occupancy_max"]["series"][labels]
                 == 2.0)
         # a different depth lands as a distinct label set, not an overwrite
-        metrics.collect_loader({**report, "prefetch_depth": 0}, registry=reg)
+        metrics.collect_report("loader", {**report, "prefetch_depth": 0},
+                               registry=reg)
         series = reg.snapshot()["repro_loader_batches_total"]["series"]
         assert len(series) == 2
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core import executor
 from repro.testing import golden
-from repro.train.loader import digest_sample_report, sample_report
+from repro.canonical import report_digest
+from repro.train.loader import sample_run
 from tests.golden_matrix import GoldenMatrix
 
 KEYS = list(golden.FAMILIES["sample"].keys)
@@ -28,7 +29,8 @@ class TestCommittedSnapshots:
     def test_snapshot_exists_and_is_wellformed(self, key):
         report = golden.load("sample", key)
         assert report["workload"] == key
-        assert report["sample_digest"] == digest_sample_report(report)
+        assert report["sample_digest"] == report_digest(report,
+                                                        "sample_digest")
         assert report["batches"] == (report["batches_per_epoch"]
                                      * report["epochs"])
         assert report["queue_occupancy_max"] <= report["prefetch_depth"]
@@ -45,7 +47,7 @@ class TestCommittedSnapshots:
         expected = golden.load("sample", "ARGA")
         mutated = json.loads(json.dumps(expected))
         mutated["batches"] += 1
-        mutated["sample_digest"] = digest_sample_report(mutated)
+        mutated["sample_digest"] = report_digest(mutated, "sample_digest")
         diff = golden.compare("sample", expected, mutated)
         assert any("batches" in line for line in diff)
         assert "sample_digest" in diff[-1]
@@ -55,10 +57,10 @@ class TestDeterminism(GoldenMatrix):
     keys, task, params = KEYS, "sample", FAST
 
     def run_single(self):
-        return sample_report("ARGA", scale="test", **FAST)
+        return sample_run("ARGA", scale="test", **FAST)[0]
 
     def run_analysis(self):
-        return sample_report("PSAGE-MVL", scale="test", **FAST)
+        return sample_run("PSAGE-MVL", scale="test", **FAST)[0]
 
 
 class TestBenchmarkGate:

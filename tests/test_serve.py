@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.canonical import report_digest
 from repro.profiling import metrics as metrics_mod
 from repro.profiling import trace
 from repro.serve import (
@@ -20,7 +21,6 @@ from repro.serve import (
     run_queue,
     serve_run,
 )
-from repro.serve import server as serve_server
 
 
 def _affine_runner(base_s=1e-4, per_req_s=2e-5):
@@ -183,7 +183,8 @@ class TestServeRun:
         # tracing must not perturb the simulation: byte-identical reports
         assert json.dumps(report, sort_keys=True) \
             == json.dumps(again, sort_keys=True)
-        assert serve_server.digest_report(report) == report["serve_digest"]
+        assert (report_digest(report, "serve_digest")
+                == report["serve_digest"])
 
     def test_trace_streams_round_trip(self, psage_result):
         report, timeline = psage_result
@@ -203,7 +204,7 @@ class TestServeRun:
     def test_metrics_registry_carries_serve_gauges(self, psage_result):
         report, _ = psage_result
         metrics_mod.reset()
-        metrics_mod.collect_serve(report)
+        metrics_mod.collect_report("serve", report)
         text = metrics_mod.registry().to_prometheus()
         assert "repro_serve_latency_us" in text
         assert "repro_serve_throughput_rps" in text

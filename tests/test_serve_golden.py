@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.serve.server import digest_report, serve_report
+from repro.canonical import report_digest
+from repro.serve.server import serve_run
 from repro.testing import golden
 from tests.golden_matrix import GoldenMatrix
 
@@ -25,7 +26,8 @@ class TestCommittedSnapshots:
         report = golden.load("serve", key)
         assert report["workload"] == key
         assert report["completed"] == report["requests"]
-        assert report["serve_digest"] == digest_report(report)
+        assert report["serve_digest"] == report_digest(report,
+                                                      "serve_digest")
         q = report["latency_us"]
         assert q["p50"] <= q["p95"] <= q["p99"] <= q["max"]
 
@@ -37,7 +39,7 @@ class TestCommittedSnapshots:
         expected = golden.load("serve", "DGCN")
         mutated = json.loads(json.dumps(expected))
         mutated["batches"] += 1
-        mutated["serve_digest"] = digest_report(mutated)
+        mutated["serve_digest"] = report_digest(mutated, "serve_digest")
         diff = golden.compare("serve", expected, mutated)
         assert any("batches" in line for line in diff)
         assert "serve_digest" in diff[-1]
@@ -47,7 +49,7 @@ class TestDeterminism(GoldenMatrix):
     keys, task, params = KEYS, "serve", dict(requests=24)
 
     def run_single(self):
-        return serve_report("DGCN", scale="test", requests=24, qps=200.0)
+        return serve_run("DGCN", scale="test", requests=24, qps=200.0)[0]
 
     def run_analysis(self):
-        return serve_report("PSAGE-MVL", scale="test", requests=24)
+        return serve_run("PSAGE-MVL", scale="test", requests=24)[0]

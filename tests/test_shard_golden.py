@@ -15,7 +15,8 @@ import pytest
 
 from repro.core import executor
 from repro.testing import golden
-from repro.train.sharded import digest_shard_report, shard_report
+from repro.canonical import report_digest
+from repro.train.sharded import shard_run
 from tests.golden_matrix import GoldenMatrix
 
 KEYS = list(golden.FAMILIES["shard"].keys)
@@ -25,13 +26,17 @@ FAST = dict(parts=2, nodes=768, feat_dim=48, hidden=16, epochs=2, seed=0,
             mode="numeric")
 
 
+def _digest(report):
+    return report_digest(report, "shard_digest", "losses", "loss_final")
+
+
 class TestCommittedSnapshots:
     @pytest.mark.parametrize("key", KEYS)
     def test_snapshot_exists_and_is_wellformed(self, key):
         report = golden.load("shard", key)
         assert report["name"] == key
         assert report["version"] == 1
-        assert report["shard_digest"] == digest_shard_report(report)
+        assert report["shard_digest"] == _digest(report)
         assert report["oom_events"] == 0
         assert report["gpus"] == (1 if report["offload"] else report["parts"])
         assert sum(report["partition"]["part_sizes"]) == report["nodes"]
@@ -59,7 +64,7 @@ class TestCommittedSnapshots:
         expected = golden.load("shard", "ARGA-P4")
         mutated = json.loads(json.dumps(expected))
         mutated["kernels"] += 1
-        mutated["shard_digest"] = digest_shard_report(mutated)
+        mutated["shard_digest"] = _digest(mutated)
         diff = golden.compare("shard", expected, mutated)
         assert any("kernels" in line for line in diff)
         assert "shard_digest" in diff[-1]
@@ -76,10 +81,10 @@ class TestDeterminism(GoldenMatrix):
     keys, task = KEYS, "shard"
 
     def run_single(self):
-        return shard_report("ARGA", **FAST)
+        return shard_run("ARGA", **FAST)[0]
 
     def run_analysis(self):
-        return shard_report("ARGA", **dict(FAST, parts=4))
+        return shard_run("ARGA", **dict(FAST, parts=4))[0]
 
 
 class TestBenchmarkGate:

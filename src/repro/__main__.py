@@ -541,28 +541,24 @@ def _print_shard_report(report: dict) -> None:
 
 def _run_shard(args) -> int:
     from .gpu.memory import OOMError
-    from .train.sharded import resolve_shard_config, shard_run
+    from .train.sharded import shard_run
 
     if not args.workload:
         return _run_bench_shard(args)
-    key, params = resolve_shard_config(args.workload.upper())
-    # unset size knobs keep the named config's (else shard_run's) values
-    sizes = {"parts": args.parts, "nodes": args.nodes,
-             "feat_dim": args.feat_dim}
-    params.update({k: v for k, v in sizes.items() if v is not None})
-    if args.offload:
-        params["offload"] = True
-    params.update(epochs=args.epochs, seed=args.seed, strict=args.strict)
     try:
-        report, timeline = shard_run(key, traced=args.output is not None,
-                                     **params)
+        # an option left unset (None) keeps the named config's value
+        report, timeline = shard_run(
+            args.workload.upper(), parts=args.parts,
+            offload=True if args.offload else None, nodes=args.nodes,
+            feat_dim=args.feat_dim, epochs=args.epochs, seed=args.seed,
+            strict=args.strict, traced=args.output is not None)
     except OOMError as exc:
         print(f"OOM under --strict: {exc}")
         print("shard the graph over more --parts, or stage it with --offload")
         return 1
     _print_shard_report(report)
     if timeline is not None:
-        _write_trace(timeline, args.output, key, scale="shard",
+        _write_trace(timeline, args.output, report["workload"], scale="shard",
                      epochs=report["epochs"], seed=args.seed,
                      gpus=report["gpus"], parts=report["parts"])
     return 0

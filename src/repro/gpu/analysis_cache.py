@@ -25,8 +25,8 @@ are frozen, so an object's calibration can never drift under its cache) and
 evicted when the config is garbage collected.  Divergence measurements are
 memoized here too (:data:`DIVERGENCE`), keyed by the same content
 fingerprint.  Set ``REPRO_ANALYSIS_CACHE=0`` to bypass every memoization
-layer — this module, the per-device launch-site memo and the workloads'
-host-prep memos — and run the original cold pipeline on every launch.
+layer — this module, the per-device launch-site memo and KGNN's set-graph
+memo — and run the original cold pipeline on every launch.
 """
 
 from __future__ import annotations

@@ -32,15 +32,17 @@ The controller runs a four-stage state machine over training epochs:
 ``replay``
     All remaining epochs re-apply the plan in a tight loop: pure clock
     arithmetic and batched counter updates, no workload code, no dispatch, no
-    descriptor hashing.  Replays run the plan's compiled view (kernel/
-    transfer steps plus one allocator delta), appending the plan's launches
-    and transfers to the event log when one is open; only a pool tap, a
-    memory-counter sink, strict mode or a pool whose free lists cannot cover
-    the plan make a replay re-issue every event.  Floating-point stat
-    accumulation preserves the
-    per-event operation order so replayed epochs are *byte-identical* to
-    dispatched ones — the differential suite in ``tests/test_graph_capture``
-    enforces this on golden streams, traces and memory snapshots.
+    descriptor hashing.  Replay is terminal and never restores, so the
+    controller drops its steady-state snapshot when it builds the plan.
+    Replays run the plan's compiled view (kernel/transfer steps plus one
+    allocator delta), appending the plan's launches and transfers to the
+    event log when one is open; only a pool tap, a memory-counter sink,
+    strict mode or a pool whose free lists cannot cover the plan make a
+    replay re-issue every event.  Floating-point stat accumulation
+    preserves the per-event operation order so replayed epochs are
+    *byte-identical* to dispatched ones — the differential suite in
+    ``tests/test_graph_capture`` enforces this on golden streams, traces
+    and memory snapshots.
 
 An opt-in fusion pass (:func:`fuse_events`) merges runs of adjacent
 elementwise launches into one synthetic kernel with summed instruction/byte
@@ -84,8 +86,10 @@ class SteadyState:
 
     1. parameter tensors (restored in place with ``np.copyto`` — no new
        arrays, hence no tracker registrations and no kernel launches),
-    2. optimizer scalar state (step counters) and state arrays (momentum,
-       Adam moments), and
+    2. the optimizer state a step carries into the next, as each optimizer
+       names it (``state_arrays``: momentum, Adam moments; ``state_scalars``:
+       step counters) — scratch a step writes before reading is left out,
+       and
     3. the framework-global RNG (dropout masks, negative sampling) — without
        it the kernel *stream* is already epoch-invariant but values drift.
     """
@@ -102,16 +106,9 @@ class SteadyState:
         snap = []
         for opt in _optimizers_of(self.workload):
             params = [np.array(p.data, copy=True) for p in opt.params]
-            scalars = {
-                k: v for k, v in vars(opt).items()
-                if isinstance(v, (bool, int, float))
-            }
-            arrays = {
-                k: [np.array(a, copy=True) for a in v]
-                for k, v in vars(opt).items()
-                if isinstance(v, list) and v
-                and all(isinstance(a, np.ndarray) for a in v)
-            }
+            scalars = {k: getattr(opt, k) for k in opt.state_scalars}
+            arrays = {k: [np.array(a, copy=True) for a in getattr(opt, k)]
+                      for k in opt.state_arrays}
             snap.append((opt, params, scalars, arrays))
         self._snapshot = snap
 
@@ -611,6 +608,9 @@ class CaptureReplayController:
     discipline (restore + dispatch every epoch) — the dispatch-side baseline
     the differential suite compares replay against.  A validation mismatch
     permanently falls back to that mode, recording ``fallback_reason``.
+    Reaching ``replay`` releases :attr:`steady_state` (``None`` from then
+    on): a replaying controller keeps its plan and nothing it will not read
+    again.
     """
 
     def __init__(
@@ -631,7 +631,7 @@ class CaptureReplayController:
         self.fused_plan: Optional[EpochPlan] = None
         self.fallback_reason: Optional[str] = None
         self.replayed_epochs = 0
-        self.steady_state = SteadyState(workload)
+        self.steady_state: Optional[SteadyState] = SteadyState(workload)
         self._captured: Optional[tuple[list[tuple], dict]] = None
 
     def _dispatch(self) -> dict:
@@ -696,6 +696,7 @@ class CaptureReplayController:
         if self.fuse:
             self.fused_plan = fuse_plan(self.plan, self.device.sim)
         self.state = "replay"
+        self.steady_state = None
         return metrics
 
     def describe(self) -> dict:

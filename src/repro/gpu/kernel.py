@@ -92,6 +92,20 @@ class AccessKind(enum.Enum):
     IRREGULAR = "irregular"
 
 
+def _lanes(row_width: int) -> int:
+    """Threads a row-gather pattern lays along one row: thread ``t`` reads
+    element ``t % lanes`` of row ``t // lanes``, at most a warp per row."""
+    return max(1, min(row_width, 32))
+
+
+def _window(size: int, sample: int) -> tuple[int, int, int]:
+    """``(start, step, count)`` of the stratified sample of a ``size``-long
+    stream: ``count`` elements ``step`` apart from ``start``, centred."""
+    if size <= sample:
+        return 0, 1, size
+    return (size % sample) // 2, size // sample, sample
+
+
 @dataclass
 class AccessPattern:
     """Describes how a kernel's dominant loads touch memory.
@@ -99,12 +113,29 @@ class AccessPattern:
     For :attr:`AccessKind.IRREGULAR` the *actual* index array driving the
     gather/scatter is attached; the divergence model inspects it directly,
     which is the analogue of the paper's NVBit instrumentation.
+
+    A row-gather pattern (``row_width`` set, built by
+    :meth:`irregular_rows`) holds row indices instead of addresses: its
+    stream is their expansion, ``lanes = min(row_width, 32)`` threads per
+    row with thread ``t`` reading element
+    ``indices[t // lanes] * row_width + t % lanes``.  Only the sampled
+    window of that stream is ever expanded, and only when the divergence
+    model reads it.
     """
 
     kind: AccessKind = AccessKind.COALESCED
     stride_bytes: int = 4
     element_bytes: int = 4
     indices: Optional[np.ndarray] = None
+    row_width: Optional[int] = None
+
+    def _row_window(self, sample: int) -> tuple[int, ...]:
+        """``(lanes, start, step, count, first, last)``: the stream window
+        of :meth:`sampled_indices` and the rows ``[first, last)`` it spans."""
+        lanes = _lanes(self.row_width)
+        start, step, count = _window(self.indices.size * lanes, sample)
+        last = (start + (count - 1) * step) // lanes + 1
+        return lanes, start, step, count, start // lanes, last
 
     def sampled_indices(self, sample: int) -> Optional[np.ndarray]:
         """Deterministic stratified sample of the index stream.
@@ -115,12 +146,15 @@ class AccessPattern:
         """
         if self.indices is None:
             return None
-        flat = np.ascontiguousarray(self.indices).reshape(-1)
-        if flat.size > sample:
-            step = flat.size // sample
-            start = (flat.size % sample) // 2
-            flat = flat[start : start + sample * step : step]
-        return flat
+        if self.row_width is None:
+            flat = np.ascontiguousarray(self.indices).reshape(-1)
+            start, step, count = _window(flat.size, sample)
+            return flat[start : start + count * step : step]
+        lanes, start, step, count, first, last = self._row_window(sample)
+        addr = (self.indices[first:last, None] * self.row_width
+                + np.arange(lanes)[None, :]).reshape(-1)
+        offset = start - first * lanes
+        return addr[offset : offset + count * step : step]
 
     def fingerprint(self, sample: int = 4096) -> tuple:
         """Cheap content identity of this pattern for analysis memoization.
@@ -129,7 +163,10 @@ class AccessPattern:
         Irregular patterns hash the *sampled* index bytes — the only part of
         the stream the divergence model ever reads — so equal fingerprints
         guarantee byte-identical analysis results for a given sample size.
-        Lazily computed and cached per sample size on the pattern object.
+        A row-gather pattern hashes the rows its sampled window covers,
+        with the row width and the window's offset and step, which fix the
+        window without expanding it.  Lazily computed and cached per sample
+        size on the pattern object.
 
         Fingerprints are in-process cache keys only (they are never
         persisted or compared across runs), so the siphash built into
@@ -144,13 +181,24 @@ class AccessPattern:
         store = self.__dict__.setdefault("_fingerprints", {})
         fp = store.get(sample)
         if fp is None:
-            flat = self.sampled_indices(sample)
-            if flat is None or flat.size == 0:
-                fp = ("I", self.element_bytes, None)
+            if self.row_width is not None:
+                lanes, start, step, count, first, last = \
+                    self._row_window(sample)
+                if step <= lanes:  # the window touches every row it spans
+                    rows = self.indices[first:last]
+                else:  # one row per sampled thread, rows in between skipped
+                    rows = self.indices[
+                        (start + step * np.arange(count)) // lanes]
+                fp = ("R", self.element_bytes, self.row_width, start, step,
+                      hash(rows.tobytes()))
             else:
-                digest = hash(np.ascontiguousarray(flat).tobytes())
-                fp = ("I", self.element_bytes, flat.size,
-                      flat.dtype.str, digest)
+                flat = self.sampled_indices(sample)
+                if flat is None or flat.size == 0:
+                    fp = ("I", self.element_bytes, None)
+                else:
+                    digest = hash(np.ascontiguousarray(flat).tobytes())
+                    fp = ("I", self.element_bytes, flat.size,
+                          flat.dtype.str, digest)
             store[sample] = fp
         return fp
 
@@ -167,6 +215,18 @@ class AccessPattern:
         return AccessPattern(
             AccessKind.IRREGULAR, element_bytes, element_bytes, np.asarray(indices)
         )
+
+    @staticmethod
+    def irregular_rows(rows: np.ndarray, row_width: int,
+                       element_bytes: int = 4) -> "AccessPattern":
+        """Gathering or scattering whole rows of ``row_width`` elements,
+        over an int64 copy of the first ``4096 // lanes + 1`` row indices:
+        enough rows for a 4096-thread sample.  How many are kept fixes the
+        stream length every sample's window is taken from."""
+        sample = np.asarray(rows).reshape(-1)[: 4096 // _lanes(row_width) + 1]
+        return AccessPattern(AccessKind.IRREGULAR, element_bytes,
+                             element_bytes, sample.astype(np.int64),
+                             int(row_width))
 
 
 @dataclass

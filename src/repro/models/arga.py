@@ -72,10 +72,10 @@ class ARGAWorkload:
     optimizer: Adam
     disc_optimizer: Adam
     device: object = None
-    #: host-side prep memo (normalized adjacency, dense label matrix, sort
-    #: keys, pos_weight): the dataset graph is immutable, so this is a pure
-    #: per-epoch recomputation; gated on the ``REPRO_ANALYSIS_CACHE`` escape
-    #: hatch like the rest of the launch fast path
+    #: host-side artifacts (normalized adjacency, dense label matrix, sort
+    #: keys, pos_weight): pure functions of the immutable dataset graph,
+    #: built once per workload, as the reference ARGA builds its
+    #: ``adj_label`` once before training
     _prep_host: object = None
 
     @classmethod
@@ -99,18 +99,14 @@ class ARGAWorkload:
 
         The host-side artifacts (normalized adjacency, dense label matrix,
         coalesce keys) are pure functions of the immutable dataset graph and
-        are memoized across epochs; every device-visible emission (the H2D
-        copies, the coalesce sort, the reductions) still happens per epoch,
-        so the kernel/transfer stream is identical with or without the memo.
+        are built on the first call; every device-visible emission (the H2D
+        copies, the coalesce sort, the reductions) still happens per epoch.
+        The label matrix lives as long as the workload whatever the
+        analysis-cache setting, so the memory report does not depend on it.
         """
-        from ..gpu import analysis_cache
-
         ds = self.dataset
         x = Tensor(ds.features, name="features").to(self.device, "arga.features")
-        use_memo = analysis_cache.enabled()
-        if use_memo and self._prep_host is not None:
-            adj_host, target, keys, pos_weight = self._prep_host
-        else:
+        if self._prep_host is None:
             adj_host = ds.graph.adjacency("sym", add_self_loops=True)
             # seed the transpose so every epoch's .to() carries the cached
             # CSC view instead of rebuilding it device-side
@@ -120,8 +116,8 @@ class ARGAWorkload:
             pos = target.sum()
             pos_weight = float((target.size - pos) / max(pos, 1.0))
             keys = ds.graph.dst * ds.graph.num_nodes + ds.graph.src
-            if use_memo:
-                self._prep_host = (adj_host, target, keys, pos_weight)
+            self._prep_host = (adj_host, target, keys, pos_weight)
+        adj_host, target, keys, pos_weight = self._prep_host
         adj = adj_host.to(self.device)
         if self.device is not None:
             self.device.h2d(target, "arga.adj_label")

@@ -240,8 +240,8 @@ class KGNNWorkload:
     #: per-graph set graphs keyed by ``(dataset graph index, builder)``: the
     #: dataset graphs are immutable and recur every epoch, so the subset
     #: enumeration runs once per graph instead of once per batch; bypassed
-    #: under the ``REPRO_ANALYSIS_CACHE`` escape hatch like ARGA's prep memo
-    #: (the cold path rebuilds every batch)
+    #: under the ``REPRO_ANALYSIS_CACHE`` escape hatch (the cold path
+    #: rebuilds every batch)
     _set_graphs: dict = field(default_factory=dict)
 
     @classmethod

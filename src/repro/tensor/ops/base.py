@@ -362,16 +362,12 @@ def irregular_row_access(
     Threads are laid out feature-major (adjacent threads read adjacent
     features of the same row), the layout DGL/PyG kernels use; divergence
     then comes from *row* transitions inside a warp, measured on the real
-    index array.  Every call expands afresh: repeat launches over equal
-    index content share their analysis and divergence results through the
-    pattern's content fingerprint, not through this function.
+    index array.  The pattern carries a copy of the row-index sample, not
+    its address expansion (:meth:`AccessPattern.irregular_rows`): repeat
+    launches over equal index content share their analysis and divergence
+    results through the pattern's content fingerprint.
     """
     indices = np.asarray(indices)
     if indices.size == 0:
         return coalesced_access(element_bytes)
-    flat = indices.reshape(-1)
-    lanes = max(1, min(row_width, 32))
-    # Element address of what each consecutive thread touches: row*width+lane.
-    sample = flat[: 4096 // lanes + 1]
-    addr = (sample[:, None].astype(np.int64) * row_width + np.arange(lanes)[None, :]).reshape(-1)
-    return AccessPattern.irregular(addr, element_bytes)
+    return AccessPattern.irregular_rows(indices, row_width, element_bytes)

@@ -19,6 +19,13 @@ from .ops.base import launch_elementwise
 
 
 class Optimizer:
+    #: what a step carries into the next one, beside the parameters: the
+    #: attributes holding one state array per parameter, and the scalar
+    #: attributes a step updates.  This is the state a steady-state snapshot
+    #: keeps; scratch a step writes before it reads is not part of it.
+    state_arrays: tuple[str, ...] = ()
+    state_scalars: tuple[str, ...] = ()
+
     def __init__(self, params: Iterable[Parameter]) -> None:
         self.params = [p for p in params]
         if not self.params:
@@ -58,6 +65,8 @@ class Optimizer:
 
 
 class SGD(Optimizer):
+    state_arrays = ("_velocity",)
+
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
                  weight_decay: float = 0.0) -> None:
         super().__init__(params)
@@ -91,6 +100,9 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
+    state_arrays = ("_m", "_v")
+    state_scalars = ("t",)
+
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0) -> None:
         super().__init__(params)
@@ -104,7 +116,8 @@ class Adam(Optimizer):
         #: reusable elementwise scratch, one buffer per parameter: the
         #: update math runs in place instead of allocating a temporary per
         #: ufunc (the operation order is unchanged, so the updates are
-        #: bit-identical to the naive expression)
+        #: bit-identical to the naive expression).  Every step writes it
+        #: before reading it, so it is not state.
         self._scratch = [np.empty_like(p.data) for p in self.params]
         if gpu_memory._TRACKER is not None:
             state_labels = ((self._m, "adam_exp_avg"),

@@ -46,7 +46,6 @@ analysis-cache settings.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -90,6 +89,11 @@ SHARD_GOLDEN_CONFIGS = {
 }
 
 SHARD_GOLDEN_KEYS = tuple(SHARD_GOLDEN_CONFIGS)
+
+#: what :func:`shard_run` uses for a parameter that neither the call nor
+#: the named configuration sets
+SHARD_DEFAULTS = dict(parts=4, offload=False, nodes=4096, feat_dim=64,
+                      hidden=32, epochs=2, seed=0, mode="auto", name=None)
 
 
 def resolve_shard_config(name: str) -> tuple[str, dict]:
@@ -652,17 +656,17 @@ def build_shard_report(
 
 def shard_run(
     key: str,
-    parts: int = 4,
-    offload: bool = False,
-    nodes: int = 4096,
-    feat_dim: int = 64,
-    hidden: int = 32,
-    epochs: int = 2,
+    parts: Optional[int] = None,
+    offload: Optional[bool] = None,
+    nodes: Optional[int] = None,
+    feat_dim: Optional[int] = None,
+    hidden: Optional[int] = None,
+    epochs: Optional[int] = None,
     lr: float = 0.2,
-    seed: int = 0,
+    seed: Optional[int] = None,
     method: str = "bfs",
     balance: float = 1.05,
-    mode: str = "auto",
+    mode: Optional[str] = None,
     strict: bool = False,
     sim: Optional[SimulationConfig] = None,
     traced: bool = False,
@@ -671,23 +675,24 @@ def shard_run(
     """Simulate sharded training; return (report, timeline-or-None).
 
     ``key`` is a shardable workload (``ARGA``) or a named configuration
-    (``ARGA-P4``), which supplies each parameter the call leaves at its
-    default.  ``strict=True`` checks every launch against the GPU model's
-    invariants and raises :class:`repro.gpu.memory.OOMError` the moment
-    any device's partition working set exceeds its HBM capacity — the
-    capacity-frontier probe.  A tracer always runs internally (the halo
-    span stream is digested into the report); the timeline is returned
-    only when ``traced=True``.
+    (``ARGA-P4``).  A parameter the call leaves unset (``None``) takes the
+    named configuration's value, else :data:`SHARD_DEFAULTS`'s; a value the
+    call sets always wins, even one equal to a default.  ``strict=True``
+    checks every launch against the GPU model's invariants and raises
+    :class:`repro.gpu.memory.OOMError` the moment any device's partition
+    working set exceeds its HBM capacity — the capacity-frontier probe.
+    A tracer always runs internally (the halo span stream is digested into
+    the report); the timeline is returned only when ``traced=True``.
     """
-    call = dict(locals())
     key, config = resolve_shard_config(key)
-    if config:
-        defaults = inspect.signature(shard_run).parameters
-        call.update((p, v) for p, v in config.items()
-                    if call[p] == defaults[p].default)
-        return shard_run(**dict(call, key=key))
-    parts, nodes, feat_dim = int(parts), int(nodes), int(feat_dim)
-    hidden, epochs, seed = int(hidden), int(epochs), int(seed)
+    call = dict(parts=parts, offload=offload, nodes=nodes, feat_dim=feat_dim,
+                hidden=hidden, epochs=epochs, seed=seed, mode=mode, name=name)
+    params = {**SHARD_DEFAULTS, **config,
+              **{k: v for k, v in call.items() if v is not None}}
+    parts, nodes, feat_dim, hidden, epochs, seed = (
+        int(params[k])
+        for k in ("parts", "nodes", "feat_dim", "hidden", "epochs", "seed"))
+    offload, mode, name = params["offload"], params["mode"], params["name"]
     validate_shard_config(parts, nodes, feat_dim, hidden, epochs, mode)
     mode = resolve_mode(mode, nodes, feat_dim)
     if name is None:

@@ -9,10 +9,12 @@ Three layers of evidence:
   per-device launch-site memo hit when they should, follow index content
   (equal indices in different arrays share a result; an array mutated in
   place gets a fresh one), and stand down entirely under
-  ``REPRO_ANALYSIS_CACHE=0`` semantics;
+  ``REPRO_ANALYSIS_CACHE=0`` semantics; a row-gather pattern, which carries
+  its row sample rather than the address expansion, analyses exactly as
+  that expansion does;
 * end-to-end — every registry workload's one-epoch kernel-stream fingerprint
-  (ordered stream digest included) is byte-identical with the cache on and
-  off.
+  (ordered stream digest included) and memory report are byte-identical
+  with the cache on and off.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.characterize import measure_memory
 from repro.core.registry import WORKLOAD_KEYS
-from repro.gpu import SimulatedGPU, analysis_cache, divergence
+from repro.gpu import SimulatedGPU, analysis_cache, caches, divergence
 from repro.gpu.analysis_cache import AnalysisCache, compute, signature
 from repro.gpu.config import DEFAULT_SIMULATION
 from repro.gpu.kernel import AccessPattern, KernelDescriptor, OpClass
@@ -143,6 +148,96 @@ class TestDivergenceByContent:
                                                       16).fingerprint()
 
 
+def _expanded(indices: np.ndarray, row_width: int) -> AccessPattern:
+    """The oracle: a row gather's access stream as the address expansion
+    of its row sample, each row's ``lanes`` threads reading adjacent
+    elements."""
+    lanes = max(1, min(row_width, 32))
+    sample = np.asarray(indices).reshape(-1)[: 4096 // lanes + 1]
+    addr = (sample[:, None].astype(np.int64) * row_width
+            + np.arange(lanes)[None, :]).reshape(-1)
+    return AccessPattern.irregular(addr)
+
+
+ROW_WIDTHS = (1, 7, 16, 32, 64, 300)
+SAMPLES = (4096, 1000)
+
+
+def _gather(access: AccessPattern) -> KernelDescriptor:
+    return KernelDescriptor(name="gather", op_class=OpClass.GATHER,
+                            threads=1 << 16, bytes_read=1e6,
+                            bytes_written=1e6, access=access)
+
+
+class TestRowPatterns:
+    """A row-gather pattern carries its row sample; the expansion the
+    divergence model reads is built from it on demand."""
+
+    def test_pattern_holds_row_sample_not_expansion(self):
+        idx = np.arange(10_000, dtype=np.int32) % 997
+        for width in ROW_WIDTHS:
+            lanes = max(1, min(width, 32))
+            pattern = ops_base.irregular_row_access(idx, width)
+            assert pattern.row_width == width
+            assert pattern.indices.dtype == np.int64
+            assert np.array_equal(pattern.indices, idx[: 4096 // lanes + 1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6000),
+           high=st.integers(1, 1 << 22))
+    def test_analysis_equals_expanded_oracle(self, seed, size, high):
+        idx = np.random.default_rng(seed).integers(0, high, size)
+        for width in ROW_WIDTHS:
+            compact = ops_base.irregular_row_access(idx, width)
+            oracle = _expanded(idx, width)
+            for sample in SAMPLES:
+                window = compact.sampled_indices(sample)
+                expected = oracle.sampled_indices(sample)
+                assert window.dtype == expected.dtype
+                assert np.array_equal(window, expected), (width, sample)
+                sim = replace(DEFAULT_SIMULATION, divergence_sample=sample)
+                for enabled in (True, False):
+                    with analysis_cache.override(enabled):
+                        analysis_cache.clear()
+                        assert divergence.measure(compact, sample=sample) \
+                            == divergence.measure(oracle, sample=sample)
+                        assert caches.analyze(_gather(compact), sim) \
+                            == caches.analyze(_gather(oracle), sim)
+        analysis_cache.clear()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6000),
+           high=st.integers(1, 8))
+    def test_equal_fingerprints_exactly_when_windows_equal(self, seed, size,
+                                                            high):
+        # few distinct values, so a changed index often leaves the window
+        # alone: beyond the sample, in a row the window skips, or unchanged
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, high, size)
+        for width in ROW_WIDTHS:
+            for sample in SAMPLES:
+                other = idx.copy()
+                other[rng.integers(0, size, 3)] = rng.integers(0, high, 3)
+                a = ops_base.irregular_row_access(idx, width)
+                b = ops_base.irregular_row_access(other, width)
+                same = np.array_equal(a.sampled_indices(sample),
+                                      b.sampled_indices(sample))
+                assert (a.fingerprint(sample) == b.fingerprint(sample)) \
+                    == same, (width, sample)
+
+    def test_index_past_the_width_one_window_is_not_hashed(self):
+        # width 1 keeps 4,097 rows; the 4,096-thread window ends before
+        # the last, so changing it changes neither window nor fingerprint
+        idx = np.arange(5000, dtype=np.int64)
+        before = ops_base.irregular_row_access(idx, 1)
+        idx[4096] = -1
+        after = ops_base.irregular_row_access(idx, 1)
+        assert after.fingerprint() == before.fingerprint()
+        idx[4095] = -1
+        assert ops_base.irregular_row_access(idx, 1).fingerprint() \
+            != before.fingerprint()
+
+
 class TestSegmentSumPlans:
     def test_values_identical_enabled_and_disabled(self):
         rng = np.random.default_rng(3)
@@ -209,5 +304,19 @@ def test_stream_fingerprint_identical_cache_on_and_off(key):
         warm = fingerprint_workload(key)
     with analysis_cache.override(False):
         cold = fingerprint_workload(key)
+    analysis_cache.clear()
+    assert warm == cold
+
+
+@pytest.mark.parametrize("key", WORKLOAD_KEYS)
+def test_memory_report_identical_cache_on_and_off(key):
+    """Host-side memos must not decide when a tracked buffer is freed: the
+    memory report (peaks, watermarks, churn, fragmentation, digest) is the
+    same with the cache on and off."""
+    with analysis_cache.override(True):
+        analysis_cache.clear()
+        warm = measure_memory(key)
+    with analysis_cache.override(False):
+        cold = measure_memory(key)
     analysis_cache.clear()
     assert warm == cold

@@ -102,6 +102,14 @@ def test_shard_named_config_digest_is_stable(capsys):
     assert digests[0] and digests[0] == digests[1]
 
 
+def test_shard_option_overrides_named_config(capsys):
+    res = run_cli(["shard", "arga-p2", "--parts", "4", "--epochs", "1"],
+                  capsys)
+    assert res.code == 0
+    assert res.out.startswith("== ARGA-P2 (ARGA, mode=numeric, parts=4, "
+                              "gpus=4,")
+
+
 def test_memstats_writes_metrics_json_and_prom(capsys, tmp_path):
     out = tmp_path / "m.json"
     res = run_cli(["memstats", "DGCN", "--metrics-output", str(out)], capsys)

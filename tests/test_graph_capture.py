@@ -16,6 +16,7 @@ sharded runs.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import executor, registry
@@ -31,6 +32,7 @@ from repro.profiling import (KernelProfiler, LaunchTable, insights, metrics,
 from repro.profiling.trace import trace_workload
 from repro.serve import serve_run
 from repro.tensor import manual_seed
+from repro.tensor.optim import Adam
 from repro.testing.golden import StreamRecorder
 from repro.testing.launch_sequences import make_launch, make_transfer
 from repro.train.loader import sample_run
@@ -376,3 +378,66 @@ class TestReplayUnit:
         assert trainer._controller is first
         assert first.state == "replay"
         assert first.replayed_epochs >= 1
+
+
+def _idle_epoch(trainer) -> tuple:
+    """One epoch from idle clocks at 0, so equal work reads equal time."""
+    trainer.device.clock_s = trainer.device.host_clock_s = 0.0
+    result = trainer.run(epochs=1, seed=0)[0]
+    return result.metrics, result.kernels, result.sim_time_s
+
+
+class TestSteadyStateKeepsOnlyState:
+    """A run keeps only the state it will read again."""
+
+    def _built(self, key):
+        analysis_cache.clear()
+        manual_seed(0)
+        device = SimulatedGPU()
+        workload = registry.get(key).build(device=device, scale="test")
+        device.reset()
+        return workload, device
+
+    def test_replay_releases_the_snapshot(self):
+        workload, device = self._built(KEYS[0])
+        trainer = Trainer(workload=workload, device=device,
+                          capture_replay=True)
+        _idle_epoch(trainer)  # warmup
+        _idle_epoch(trainer)  # capture
+        assert trainer._controller.steady_state is not None
+        validation = _idle_epoch(trainer)
+        ctrl = trainer._controller
+        assert ctrl.state == "replay"
+        assert ctrl.steady_state is None
+        for _ in range(3):
+            assert _idle_epoch(trainer) == validation
+        assert ctrl.replayed_epochs == 3
+        analysis_cache.clear()
+
+    def _optimizer_bytes(self, optimizers) -> list[bytes]:
+        """Every parameter and state array of ``optimizers``, as bytes."""
+        return [a.tobytes() for opt in optimizers
+                for a in [p.data for p in opt.params]
+                + [s for name in opt.state_arrays for s in getattr(opt, name)]]
+
+    def test_restore_without_adam_scratch_is_bit_identical(self):
+        workload, device = self._built("DGCN")
+        optimizers = [v for v in vars(workload).values()
+                      if isinstance(v, Adam)]
+        assert optimizers
+        ctrl = CaptureReplayController(workload, device, seed=0,
+                                       replay=False)
+        ctrl.step()  # warmup, then the snapshot
+        for opt, _, scalars, arrays in ctrl.steady_state._snapshot:
+            assert set(arrays) == {"_m", "_v"}
+            assert set(scalars) == {"t"}
+        first = ctrl.step()
+        after_first = self._optimizer_bytes(optimizers)
+        # scratch is written before it is read: garbage left in it by the
+        # last step (here NaN) cannot reach the next one
+        for opt in optimizers:
+            for scratch in opt._scratch:
+                scratch.fill(np.nan)
+        assert ctrl.step() == first
+        assert self._optimizer_bytes(optimizers) == after_first
+        analysis_cache.clear()

@@ -112,3 +112,25 @@ class TestCapacityAsymmetry:
                               mode="capacity", strict=False, **BIG)
         assert report["oom_events"] >= 1
         assert report["peak_reserved_bytes"] > HBM_BYTES
+
+
+class TestNamedConfigResolution:
+    """A named configuration fills only the parameters a call leaves unset."""
+
+    def test_explicit_value_equal_to_a_default_wins(self):
+        # 4 is also shard_run's own default for ``parts``
+        report, _ = shard_run("ARGA-P2", parts=4, epochs=1)
+        assert report["parts"] == report["gpus"] == 4
+        assert report["epochs"] == 1
+        assert report["name"] == "ARGA-P2"
+        config = sharded.SHARD_GOLDEN_CONFIGS["ARGA-P2"]
+        assert (report["nodes"], report["feat_dim"], report["mode"]) == (
+            config["nodes"], config["feat_dim"], config["mode"])
+
+    def test_unset_parameters_take_the_config_then_the_defaults(self):
+        report, _ = shard_run("ARGA-P2", epochs=1)
+        assert report["parts"] == 2
+        bare, _ = shard_run("ARGA", nodes=768, epochs=1)
+        assert bare["parts"] == sharded.SHARD_DEFAULTS["parts"]
+        assert bare["feat_dim"] == sharded.SHARD_DEFAULTS["feat_dim"]
+        assert bare["name"] == "ARGA-P4"

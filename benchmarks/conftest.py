@@ -8,6 +8,8 @@ the analyses), so the suite profile is computed once per benchmark session.
 import pytest
 
 from repro import GNNMark
+from repro.core import executor
+from repro.train import ddp
 
 
 def pytest_collection_modifyitems(items):
@@ -29,9 +31,12 @@ def suite(mark):
 
 
 @pytest.fixture(scope="session")
-def scaling_times(mark):
-    """The Figure-9 strong-scaling study (1/2/4 simulated GPUs)."""
-    return mark.scaling_study(epochs=1)
+def scaling(mark):
+    """Every DDP workload's scaling study at 1/2/4 simulated GPUs: its
+    replica streams, each simulated once, and the strong (Figure 9) and
+    weak points that are arithmetic over them."""
+    return executor.suite("scaling", ddp.DDP_KEYS, gpu_counts=(1, 2, 4),
+                          scale="scaling", epochs=1, seed=mark.seed)
 
 
 def run_once(benchmark, fn):

@@ -9,10 +9,11 @@ on every device; ARGA is excluded (whole-graph training).
 import pytest
 
 from conftest import run_once
-from repro.core import registry
+from repro.train.ddp import epoch_times
 
 
-def test_fig9_strong_scaling(benchmark, mark, scaling_times):
+def test_fig9_strong_scaling(benchmark, mark, scaling):
+    scaling_times = epoch_times(scaling)
     text = run_once(benchmark, lambda: mark.render_scaling(scaling_times))
     print("\n" + text)
 

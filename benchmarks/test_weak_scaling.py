@@ -9,17 +9,19 @@ gradient traffic bites.
 import pytest
 
 from conftest import run_once
-from repro.train import run_weak_scaling_point
+from repro.train.ddp import epoch_times
 
 WORKLOADS = ("DGCN", "STGCN", "TLSTM", "GW")
 
 
-def test_weak_scaling_efficiency(benchmark):
+def test_weak_scaling_efficiency(benchmark, scaling):
+    """Reads the weak points of the session's scaling studies: they are
+    arithmetic over the split-1 streams Figure 9 already simulated."""
     def run():
+        weak = epoch_times(scaling, "weak")
         rows = {}
         for key in WORKLOADS:
-            times = {n: run_weak_scaling_point(key, n, epochs=1).epoch_time_s
-                     for n in (1, 2, 4)}
+            times = weak[key]
             rows[key] = {n: times[1] / times[n] for n in times}
         return rows
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core import profile_inference, profile_workload, registry
 from repro.gpu import SimulatedGPU, SimulationConfig
-from repro.train import Trainer, run_weak_scaling_point
+from repro.train import Trainer
+from repro.train.ddp import replica_stream, weak_point
 
 
 def main() -> None:
@@ -47,9 +48,11 @@ def main() -> None:
 
     # -- 4. weak scaling ----------------------------------------------------
     print("4) weak scaling (STGCN, per-GPU batch fixed):")
-    base = run_weak_scaling_point("STGCN", 1, scale="test")
+    # every weak point is arithmetic over the one split-1 replica stream
+    stream = replica_stream("STGCN", 1, scale="test")
+    base = weak_point("STGCN", 1, stream)
     for n in (1, 2, 4):
-        point = run_weak_scaling_point("STGCN", n, scale="test")
+        point = weak_point("STGCN", n, stream)
         eff = base.epoch_time_s / point.epoch_time_s
         print(f"   {n} GPU(s): epoch {point.epoch_time_s * 1e3:7.2f} ms,"
               f" efficiency {eff:.2f}")

@@ -15,8 +15,8 @@ Usage::
     python -m repro golden --update        # regenerate tests/golden/*.json
     python -m repro golden --serve         # one family: --traces, --memory,
                                            # --fused, --serve, --sample,
-                                           # --shard, --insights or
-                                           # --profiles
+                                           # --shard, --insights,
+                                           # --profiles or --scaling
     python -m repro bench                  # cold/parallel/warm suite timings
     python -m repro bench --capture-replay # replay epochs from a captured plan
     python -m repro bench --workload ARGA  # one workload's hot path, isolated
@@ -361,10 +361,9 @@ def _run_trace(args) -> int:
     from .profiling import trace
 
     key = _resolve_workload(args.workload)
-    # memory counter tracks ride along on single-device traces only
-    timeline = trace.trace_point(key, num_gpus=args.gpus, scale=args.scale,
-                                 epochs=args.epochs, seed=args.seed,
-                                 memory=args.gpus == 1)
+    timeline = trace.trace_workload(key, scale=args.scale, epochs=args.epochs,
+                                    seed=args.seed, memory=True,
+                                    num_gpus=args.gpus)
     summary = timeline.summary()
     gpus = ", ".join(
         f"gpu{pid} {dev['busy_s'] * 1e3:.2f} ms busy"

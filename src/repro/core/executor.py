@@ -50,7 +50,7 @@ Task = tuple  # (kind: str, params: dict)
 TASKS = {
     "profile": ("repro.core.characterize", "profile_workload"),
     "fingerprint": ("repro.testing.golden", "fingerprint_workload"),
-    "scaling": ("repro.train.ddp", "run_scaling_point"),
+    "scaling": ("repro.train.ddp", "scaling_study"),
     "trace": ("repro.profiling.trace", "trace_fingerprint"),
     "memstats": ("repro.core.characterize", "measure_memory"),
     "capture_fingerprint": ("repro.testing.golden", "capture_fingerprint"),
@@ -178,19 +178,6 @@ def run_suite(keys: Optional[Sequence[str]] = None, scale: str = "profile",
         "profile", registry.WORKLOAD_KEYS if keys is None else keys,
         jobs=jobs, cache=cache, scale=scale, epochs=epochs, seed=seed,
         strict=strict))
-
-
-def run_scaling_points(points: Sequence[tuple[str, int]],
-                       scale: str = "scaling", epochs: int = 1, seed: int = 0,
-                       jobs: Optional[int] = None, cache=None) -> list:
-    """Fan the Figure-9 grid out over the pool: every ``(workload,
-    gpu count)`` measurement is an independent simulation."""
-    tasks: list[Task] = [
-        ("scaling", dict(key=k, num_gpus=n, scale=scale, epochs=epochs,
-                         seed=seed))
-        for k, n in points
-    ]
-    return run_tasks(tasks, jobs=jobs, cache=cache)
 
 
 # -- benchmark ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..profiling import format_scaling, format_series, format_table
 from ..train import ddp
-from . import characterize, registry
+from . import characterize, executor, registry
 
 
 class GNNMark:
@@ -142,9 +142,14 @@ class GNNMark:
                       gpu_counts: tuple[int, ...] = (1, 2, 4),
                       epochs: int = 1, jobs: Optional[int] = None,
                       cache=None) -> dict[str, dict[int, float]]:
-        return ddp.run_scaling_study(keys, gpu_counts=gpu_counts,
-                                     scale="scaling", epochs=epochs,
-                                     seed=self.seed, jobs=jobs, cache=cache)
+        """Figure 9: seconds per epoch of each workload (default: every DDP
+        workload) at each GPU count, one executor ``scaling`` task per
+        workload; ``jobs`` and ``cache`` as in :meth:`characterize_suite`.
+        """
+        return ddp.epoch_times(executor.suite(
+            "scaling", ddp.DDP_KEYS if keys is None else keys, jobs=jobs,
+            cache=cache, gpu_counts=gpu_counts, scale="scaling",
+            epochs=epochs, seed=self.seed))
 
     def render_scaling(self, times: dict[str, dict[int, float]]) -> str:
         title = "Figure 9: strong scaling (speedup vs 1 GPU)"

@@ -386,8 +386,8 @@ def insights_report(key: str, scale: str = "test", epochs: int = 2,
                     sim: Optional[SimulationConfig] = None) -> dict:
     """Trace one workload and attribute device 0's launches and spans."""
     sim = sim or DEFAULT_SIMULATION
-    timeline = trace.trace_point(key, num_gpus=gpus, scale=scale,
-                                 epochs=epochs, seed=seed, sim=sim)
+    timeline = trace.trace_workload(key, scale=scale, epochs=epochs,
+                                    seed=seed, sim=sim, num_gpus=gpus)
     tree, flat_sites = build_tree(timeline, sim=sim, pid=0)
     manifest = build_manifest(key, scale=scale, epochs=epochs, seed=seed,
                               gpus=gpus, sim=sim)

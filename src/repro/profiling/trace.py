@@ -797,8 +797,9 @@ def validate_chrome(data: dict) -> None:
 # -- workload tracing entry points -------------------------------------------
 def trace_workload(key: str, scale: str = "test", epochs: int = 1,
                    seed: int = 0, sim=None, memory: bool = False,
-                   mode: Optional[str] = None) -> Timeline:
-    """Train ``epochs`` of one workload on a single traced device.
+                   mode: Optional[str] = None, num_gpus: int = 1) -> Timeline:
+    """Train ``epochs`` of one workload, traced, on ``num_gpus`` simulated
+    devices.
 
     Runs on the run harness (:func:`repro.core.run.workload_run`), as
     :func:`repro.testing.golden.fingerprint_workload` does: reseed, build,
@@ -813,46 +814,55 @@ def trace_workload(key: str, scale: str = "test", epochs: int = 1,
     ``"steady"`` enforces the static-input discipline, ``"capture"`` runs
     capture/replay (repro.gpu.graph_capture) — the differential trace tests
     compare the latter two byte-for-byte.
+
+    At ``num_gpus`` > 1 the run is a DDP epoch: a ring allreduce of the
+    gradient payload runs inside every optimizer step, as a pre-step hook
+    over a :class:`~repro.gpu.MultiGPUSystem` built around the harness's
+    device — where DDP's gradient sync sits, between the backward kernels
+    and the parameter updates (a replayed step runs no hook, so keep
+    ``mode=None``).  Replicas are symmetric: device 0 is traced and its
+    spans are copied to every peer pid.  ``memory`` applies at N = 1 only:
+    copied footprint samples would claim what the allocator model does not
+    know about replicas.  Each device keeps the workload's configured batch
+    at every N, so the per-device kernel sequence is the same at every GPU
+    count and only timestamps shift (``tests/test_train_ddp.py`` pins this,
+    and ``insights --gpus`` attributes this run).  Figure 9 times another
+    epoch: its fixed global batch gives a batch-split replica 1/N of it
+    (:func:`repro.train.ddp.replica_stream`).
     """
     from ..core import registry
     from ..core.run import workload_run
+    from ..gpu import MultiGPUSystem
     from ..train.trainer import Trainer
 
     spec = registry.get(key)
+    if num_gpus > 1 and spec.ddp == "none":
+        raise ValueError(
+            f"{key} is excluded from multi-GPU scaling (whole-graph training)"
+        )
     with workload_run(partial(spec.build, scale=scale), seed, sim,
-                      memory=memory, observe=Tracer) as run:
+                      memory=memory and num_gpus == 1, observe=Tracer) as run:
+        if num_gpus > 1:
+            system = MultiGPUSystem(num_gpus, sim)
+            system.devices[0] = run.device
+            grad_bytes = run.workload.optimizer.gradient_bytes()
+            run.workload.optimizer.add_pre_step_hook(
+                lambda _optimizer: system.allreduce(grad_bytes))
         Trainer(workload=run.workload, device=run.device,
                 steady=mode == "steady",
                 capture_replay=mode == "capture").run(epochs=epochs,
                                                       seed=seed)
-    return run.tracer.timeline()
-
-
-def trace_point(key: str, num_gpus: int = 1, scale: str = "test",
-                epochs: int = 1, seed: int = 0, sim=None,
-                memory: bool = False) -> Timeline:
-    """Trace one workload on ``num_gpus`` simulated devices.
-
-    Memory counter tracks are single-device only: the DDP path replicates
-    device 0's spans to every peer, and cloning footprint samples would
-    assert knowledge the allocator model doesn't have about replicas.
-    Either path observes device 0 alone (DDP replicas are symmetric, so
-    device 0's stream characterizes each peer).
-    """
-    if num_gpus <= 1:
-        return trace_workload(key, scale=scale, epochs=epochs, seed=seed,
-                              sim=sim, memory=memory)
-    from ..train import ddp
-
-    return ddp.trace_scaling_point(key, num_gpus, scale=scale, epochs=epochs,
-                                   seed=seed, sim=sim)
+    timeline = run.tracer.timeline()
+    if num_gpus > 1:
+        timeline = timeline.replicate_device(0, range(1, num_gpus))
+    return timeline
 
 
 def trace_fingerprint(key: str, scale: str = "test", epochs: int = 1,
                       seed: int = 0, num_gpus: int = 1) -> dict:
     """Golden-trace payload: structural counts plus the canonical digest."""
-    timeline = trace_point(key, num_gpus=num_gpus, scale=scale, epochs=epochs,
-                           seed=seed)
+    timeline = trace_workload(key, scale=scale, epochs=epochs, seed=seed,
+                              num_gpus=num_gpus)
     return {
         "version": TRACE_VERSION,
         "workload": key,

@@ -1,4 +1,4 @@
-"""Golden snapshots: nine families, one table, one mechanism.
+"""Golden snapshots: ten families, one table, one mechanism.
 
 The op stream a workload emits is *emergent* from its forward/backward math,
 so a refactor that silently changes the math changes the stream.  Every
@@ -14,7 +14,8 @@ digest and which fields compare within a tolerance.  One
 Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python -m repro golden [--traces | --memory | --fused |
-        --serve | --sample | --shard | --insights | --profiles] --update
+        --serve | --sample | --shard | --insights | --profiles |
+        --scaling] --update
 
 Everything hashed is derived from tensor shapes, graph structure, seeded RNG
 draws and the simulated clock (never from float compute results), so
@@ -42,6 +43,7 @@ from ..profiling import trace
 from ..profiling.nvprof import SAMPLED_METRICS
 from ..profiling.table import STALL_REASONS
 from ..serve.server import SERVEABLE
+from ..train.ddp import DDP_KEYS
 from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
 from ..train.sharded import SHARD_GOLDEN_KEYS
 from ..train.trainer import Trainer
@@ -509,6 +511,12 @@ FAMILIES = {family.name: family for family in (
         noun="profile snapshot", task="profile", domain=_WORKLOADS,
         keys=_WORKLOADS, defaults=dict(_TEST, epochs=2),
         digest="profile_digest", reduce=profile_fingerprint),
+    # the multi-GPU domain: each DDP workload's replica streams and the
+    # strong (Fig. 9) and weak points that are arithmetic over them
+    GoldenFamily(
+        name="scaling", flag="--scaling", prefix="scaling_",
+        noun="scaling study", task="scaling", domain=DDP_KEYS, keys=DDP_KEYS,
+        defaults=dict(_TEST, gpu_counts=(1, 2, 4)), digest="scaling_digest"),
 )}
 
 

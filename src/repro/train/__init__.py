@@ -1,14 +1,7 @@
 """Training drivers: single-device trainer, DDP scaling, mini-batch
 loader, and partition-parallel / out-of-core sharded training."""
 
-from .ddp import (
-    ScalingPoint,
-    run_scaling_point,
-    run_scaling_study,
-    run_weak_scaling_point,
-    run_weak_scaling_study,
-    trace_scaling_point,
-)
+from .ddp import ScalingPoint, run_scaling_point, run_weak_scaling_point
 from .loader import (
     SAMPLEABLE,
     NeighborLoader,
@@ -35,12 +28,9 @@ __all__ = [
     "TimeToTrain",
     "Trainer",
     "run_scaling_point",
-    "run_scaling_study",
     "run_weak_scaling_point",
-    "run_weak_scaling_study",
     "sample_run",
     "sampler_cost_s",
     "shard_run",
-    "trace_scaling_point",
     "train_numeric",
 ]

@@ -15,22 +15,37 @@ DDP over NCCL ring allreduce on a 4xV100 NVLink node):
   the paper reports.
 
 DDP shards are symmetric — every replica runs the same kernel-stream shape
-on 1/N of the data — so the simulation trains a single replica on device 0
-and charges its stream to every peer, then adds the collectives.  Each
-runner collects device 0's gauges into the metrics registry; the peers are
-not simulated and have none.
+on 1/N of the data — so the unit of multi-GPU work is one *replica stream*:
+:func:`replica_stream` trains a single replica on the run harness
+(:func:`repro.core.run.workload_run`), which collects that device's gauges;
+the peers are not simulated.  A scaling point is arithmetic over one
+stream.  A strong point (Fig. 9, fixed global batch) reads the split-N
+stream of a ``ddp="batch"`` workload and the split-1 stream of a
+``"replicate"`` one, and adds the allreduce of every step plus, for
+replicated data, the host staging contention.  A weak point (fixed
+per-device batch) reads the split-1 stream and adds the allreduce.
+:func:`scaling_study`, the executor's ``scaling`` task, simulates each
+distinct stream of one workload once and returns all its points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
+from ..canonical import canonical_digest
 from ..core import registry
+from ..core.run import workload_run
 from ..gpu import MultiGPUSystem, SimulationConfig
-from ..profiling import metrics
-from ..tensor import manual_seed
+
+#: the workloads DDP can train: every key but whole-graph ARGA
+DDP_KEYS = tuple(k for k in registry.WORKLOAD_KEYS
+                 if registry.get(k).ddp != "none")
+
+#: bump when the :func:`scaling_study` payload changes shape
+SCALING_VERSION = 1
 
 
 @dataclass
@@ -44,10 +59,6 @@ class ScalingPoint:
     allreduce_time_s: float
     steps: int
     grad_bytes: int
-
-    @property
-    def speedup_base(self) -> float:
-        return self.compute_time_s + self.allreduce_time_s
 
 
 def _shard_batch(workload, num_devices: int):
@@ -79,224 +90,141 @@ def _count_steps(workload, num_devices: int = 1) -> int:
     return 1
 
 
-def run_scaling_point(
-    key: str,
-    num_gpus: int,
-    scale: str = "scaling",
-    epochs: int = 1,
-    seed: int = 0,
-    sim: SimulationConfig | None = None,
-) -> ScalingPoint:
-    """Train ``epochs`` of one workload on ``num_gpus`` simulated devices.
+def _strong_split(key: str, num_gpus: int) -> int:
+    """The split of a strong-scaling replica at ``num_gpus``: N for
+    ``ddp="batch"`` (it trains 1/N of the global batch), 1 for
+    ``"replicate"``, whose sampler ignores the DDP split."""
+    return num_gpus if registry.get(key).ddp == "batch" else 1
 
-    Reseeds the framework RNG so each (workload, GPU-count) point is a pure
-    function of its arguments — points are independent and the executor may
-    run them on pool workers or replay them from the profile cache.
+
+def replica_stream(key: str, split: int, scale: str = "scaling",
+                   epochs: int = 1, seed: int = 0,
+                   sim: SimulationConfig | None = None) -> dict:
+    """Train ``epochs`` of one DDP replica on 1/``split`` of the global
+    batch, on the run harness: per-epoch compute and H2D transfer time, the
+    gradient payload and the optimizer steps per epoch.
+
+    ``split`` > 1 shrinks the batch and shards the training indices as
+    :func:`_shard_batch` describes.  The harness reseeds and times from the
+    reset after the build, so a stream is a pure function of its arguments
+    and the executor may run it on a pool worker or replay it from the
+    profile cache.
     """
     spec = registry.get(key)
     if spec.ddp == "none":
         raise ValueError(
             f"{key} is excluded from multi-GPU scaling (whole-graph training)"
         )
-    manual_seed(seed)
-    system = MultiGPUSystem(num_gpus, sim)
-    device = system.devices[0]
+    with workload_run(partial(spec.build, scale=scale), seed, sim) as run:
+        replica = run.workload
+        index_shard = _shard_batch(replica, split) if split > 1 else None
+        steps = _count_steps(replica, split)
+        rng = np.random.default_rng(seed)
+        for _ in range(epochs):
+            if index_shard is not None:
+                replica.train_epoch(rng, indices=index_shard)
+            else:
+                replica.train_epoch(rng)
+    per_epoch = max(1, epochs)
+    return {"split": split,
+            "compute_time_s": run.device.elapsed_s() / per_epoch,
+            "transfer_time_s": run.device.stats.transfer_time_s / per_epoch,
+            "grad_bytes": replica.optimizer.gradient_bytes(),
+            "steps": steps}
 
-    replica = spec.build(device=device, scale=scale)
-    index_shard = None
-    if spec.ddp == "batch" and num_gpus > 1:
-        index_shard = _shard_batch(replica, num_gpus)
-    # spec.ddp == "replicate" (PSAGE): the sampler ignores the DDP split, so
-    # every device processes the full batch — nothing to shrink.
 
-    grad_bytes = replica.optimizer.gradient_bytes()
-    steps_per_epoch = _count_steps(replica, num_gpus if spec.ddp == "batch" else 1)
+def _point(key: str, num_gpus: int, stream: dict, sim,
+           contention_s: float = 0.0) -> ScalingPoint:
+    allreduce = (MultiGPUSystem(num_gpus, sim)
+                 .allreduce_cost(stream["grad_bytes"]).duration_s
+                 * stream["steps"])
+    compute = stream["compute_time_s"]
+    return ScalingPoint(
+        workload=key,
+        num_gpus=num_gpus,
+        epoch_time_s=compute + allreduce + contention_s,
+        compute_time_s=compute,
+        allreduce_time_s=allreduce,
+        steps=stream["steps"],
+        grad_bytes=stream["grad_bytes"],
+    )
 
-    rng = np.random.default_rng(seed)
-    t0 = device.elapsed_s()
-    transfer0 = device.stats.transfer_time_s
-    for _ in range(epochs):
-        if index_shard is not None:
-            replica.train_epoch(rng, indices=index_shard)
-        else:
-            replica.train_epoch(rng)
-    compute_time = (device.elapsed_s() - t0) / max(1, epochs)
-    transfer_time = (device.stats.transfer_time_s - transfer0) / max(1, epochs)
 
-    allreduce_time = 0.0
-    if num_gpus > 1:
-        cost = system.allreduce_cost(grad_bytes)
-        allreduce_time = cost.duration_s * steps_per_epoch
-    contention_time = 0.0
-    if spec.ddp == "replicate" and num_gpus > 1:
+def strong_point(key: str, num_gpus: int, stream: dict,
+                 sim: SimulationConfig | None = None) -> ScalingPoint:
+    """Fig. 9's point at ``num_gpus`` over the :func:`_strong_split` stream:
+    its compute plus an allreduce per step and, for replicated data, the
+    staging contention."""
+    contention = 0.0
+    if registry.get(key).ddp == "replicate":
         # The single host-side sampler feeds identical batches to every GPU;
         # staging the replicated data serializes on the host, so each extra
         # device stretches the H2D-bound portion of the epoch.
-        contention_time = transfer_time * 0.5 * (num_gpus - 1)
-
-    metrics.collect_device(device)
-    return ScalingPoint(
-        workload=key,
-        num_gpus=num_gpus,
-        epoch_time_s=compute_time + allreduce_time + contention_time,
-        compute_time_s=compute_time,
-        allreduce_time_s=allreduce_time,
-        steps=steps_per_epoch,
-        grad_bytes=grad_bytes,
-    )
+        contention = stream["transfer_time_s"] * 0.5 * (num_gpus - 1)
+    return _point(key, num_gpus, stream, sim, contention)
 
 
-def run_scaling_study(
-    keys: list[str] | None = None,
-    gpu_counts: tuple[int, ...] = (1, 2, 4),
-    scale: str = "scaling",
-    epochs: int = 1,
-    seed: int = 0,
-    jobs: int | None = None,
-    cache=None,
-) -> dict[str, dict[int, float]]:
-    """Figure 9: time-per-epoch for each workload across GPU counts.
+def weak_point(key: str, num_gpus: int, stream: dict,
+               sim: SimulationConfig | None = None) -> ScalingPoint:
+    """Weak scaling (the paper's future-work study) at ``num_gpus`` over the
+    split-1 stream: the per-GPU batch stays fixed and the global batch grows
+    with N, so per-device compute is constant and only the collectives grow.
+    Efficiency = T(1) / T(N)."""
+    return _point(key, num_gpus, stream, sim)
 
-    The (workload × GPU-count) grid runs through the suite execution
-    engine: every point is an independent simulation, so ``jobs`` workers
-    measure them concurrently and ``cache`` replays unchanged points.
+
+def run_scaling_point(key: str, num_gpus: int, scale: str = "scaling",
+                      epochs: int = 1, seed: int = 0,
+                      sim: SimulationConfig | None = None) -> ScalingPoint:
+    """One Fig. 9 point, simulating its stream."""
+    stream = replica_stream(key, _strong_split(key, num_gpus), scale, epochs,
+                            seed, sim)
+    return strong_point(key, num_gpus, stream, sim)
+
+
+def run_weak_scaling_point(key: str, num_gpus: int, scale: str = "scaling",
+                           epochs: int = 1, seed: int = 0,
+                           sim: SimulationConfig | None = None
+                           ) -> ScalingPoint:
+    """One weak-scaling point, simulating its stream."""
+    stream = replica_stream(key, 1, scale, epochs, seed, sim)
+    return weak_point(key, num_gpus, stream, sim)
+
+
+def scaling_study(key: str, gpu_counts=(1, 2, 4), scale: str = "scaling",
+                  epochs: int = 1, seed: int = 0) -> dict:
+    """One workload's strong and weak points at each of ``gpu_counts``,
+    each distinct replica stream simulated once: the split-N streams of a
+    ``ddp="batch"`` workload, and the split-1 stream that every weak point
+    and every strong point of a ``"replicate"`` one reads.
+
+    The payload (the executor's ``scaling`` task and the ``scaling`` golden
+    family) holds the streams, the points as dicts and a digest of the rest.
     """
-    from ..core import executor
-
-    if keys is None:
-        keys = [k for k in registry.WORKLOAD_KEYS
-                if registry.get(k).ddp != "none"]
-    grid = [(key, n) for key in keys for n in gpu_counts]
-    points = executor.run_scaling_points(grid, scale=scale, epochs=epochs,
-                                         seed=seed, jobs=jobs, cache=cache)
-    results: dict[str, dict[int, float]] = {key: {} for key in keys}
-    for (key, n), point in zip(grid, points):
-        results[key][n] = point.epoch_time_s
-    return results
-
-
-def trace_scaling_point(
-    key: str,
-    num_gpus: int,
-    scale: str = "test",
-    epochs: int = 1,
-    seed: int = 0,
-    sim: SimulationConfig | None = None,
-):
-    """Trace a DDP epoch: per-step allreduce interleaved with the stream.
-
-    Unlike :func:`run_scaling_point` (which accounts the collectives
-    analytically after timing the compute), the traced run performs a ring
-    allreduce *inside every optimizer step* — registered as a pre-step hook,
-    exactly where DDP's gradient synchronization sits between the backward
-    kernels and the parameter-update kernels — so the timeline shows how
-    bucket spans interleave with compute.
-
-    DDP replicas are symmetric (every device runs the same stream shape on
-    the same clock), so the simulation traces device 0 and replicates its
-    spans to every peer pid.  The per-device batch is left at the workload's
-    configured size: the per-device kernel *sequence* is therefore identical
-    at every GPU count and only timestamps shift with the collectives —
-    the invariant ``tests/test_train_ddp.py`` pins.
-    """
-    from ..gpu import MultiGPUSystem
-    from ..profiling import trace
-    from .trainer import Trainer
-
-    spec = registry.get(key)
-    if spec.ddp == "none" and num_gpus > 1:
-        raise ValueError(
-            f"{key} is excluded from multi-GPU scaling (whole-graph training)"
-        )
-    manual_seed(seed)
-    system = MultiGPUSystem(num_gpus, sim)
-    device = system.devices[0]
-    replica = spec.build(device=device, scale=scale)
-    device.reset()
-    grad_bytes = replica.optimizer.gradient_bytes()
-
-    hook = None
-    if num_gpus > 1:
-        def hook(_optimizer) -> None:
-            system.allreduce(grad_bytes)
-
-        replica.optimizer.add_pre_step_hook(hook)
-    try:
-        with trace.session(devices=(device,)) as tracer:
-            Trainer(workload=replica, device=device).run(epochs=epochs,
-                                                         seed=seed)
-    finally:
-        if hook is not None:
-            replica.optimizer.remove_pre_step_hook(hook)
-    # the peers are device 0's replicas, not simulated: device 0 alone
-    # has gauges
-    metrics.collect_device(device)
-    timeline = tracer.timeline()
-    if num_gpus > 1:
-        timeline = timeline.replicate_device(0, range(1, num_gpus))
-    return timeline
+    splits = sorted({1, *(_strong_split(key, n) for n in gpu_counts)})
+    streams = {split: replica_stream(key, split, scale, epochs, seed)
+               for split in splits}
+    study = {
+        "version": SCALING_VERSION,
+        "workload": key,
+        "scale": scale,
+        "epochs": epochs,
+        "seed": seed,
+        "gpu_counts": list(gpu_counts),
+        "grad_bytes": streams[1]["grad_bytes"],
+        "streams": list(streams.values()),
+        "strong": [asdict(strong_point(key, n,
+                                       streams[_strong_split(key, n)]))
+                   for n in gpu_counts],
+        "weak": [asdict(weak_point(key, n, streams[1])) for n in gpu_counts],
+    }
+    study["scaling_digest"] = canonical_digest(study)
+    return study
 
 
-def run_weak_scaling_point(
-    key: str,
-    num_gpus: int,
-    scale: str = "scaling",
-    epochs: int = 1,
-    seed: int = 0,
-    sim: SimulationConfig | None = None,
-) -> ScalingPoint:
-    """Weak scaling (the paper's future-work study): the per-GPU batch stays
-    fixed and the global batch grows with N, so per-device compute is
-    constant and only the collectives grow.  Efficiency = T(1) / T(N)."""
-    spec = registry.get(key)
-    if spec.ddp == "none":
-        raise ValueError(f"{key} is excluded from multi-GPU scaling")
-    manual_seed(seed)
-    system = MultiGPUSystem(num_gpus, sim)
-    device = system.devices[0]
-
-    replica = spec.build(device=device, scale=scale)
-    grad_bytes = replica.optimizer.gradient_bytes()
-    steps_per_epoch = _count_steps(replica, 1)
-
-    rng = np.random.default_rng(seed)
-    t0 = device.elapsed_s()
-    for _ in range(epochs):
-        replica.train_epoch(rng)
-    compute_time = (device.elapsed_s() - t0) / max(1, epochs)
-
-    allreduce_time = 0.0
-    if num_gpus > 1:
-        allreduce_time = (
-            system.allreduce_cost(grad_bytes).duration_s * steps_per_epoch
-        )
-    metrics.collect_device(device)
-    return ScalingPoint(
-        workload=key,
-        num_gpus=num_gpus,
-        epoch_time_s=compute_time + allreduce_time,
-        compute_time_s=compute_time,
-        allreduce_time_s=allreduce_time,
-        steps=steps_per_epoch,
-        grad_bytes=grad_bytes,
-    )
-
-
-def run_weak_scaling_study(
-    keys: list[str] | None = None,
-    gpu_counts: tuple[int, ...] = (1, 2, 4),
-    scale: str = "scaling",
-    seed: int = 0,
-) -> dict[str, dict[int, float]]:
-    """Weak-scaling efficiency table: values near 1.0 mean the collectives
-    are hidden; below 1.0 the gradient traffic bites."""
-    if keys is None:
-        keys = [k for k in registry.WORKLOAD_KEYS
-                if registry.get(k).ddp != "none"]
-    results: dict[str, dict[int, float]] = {}
-    for key in keys:
-        results[key] = {}
-        for n in gpu_counts:
-            point = run_weak_scaling_point(key, n, scale=scale, seed=seed)
-            results[key][n] = point.epoch_time_s
-    return results
+def epoch_times(studies: dict, kind: str = "strong"
+                ) -> dict[str, dict[int, float]]:
+    """``{key: {gpus: seconds per epoch}}`` of the ``kind`` (``"strong"`` or
+    ``"weak"``) points of :func:`scaling_study` payloads keyed by workload."""
+    return {key: {p["num_gpus"]: p["epoch_time_s"] for p in study[kind]}
+            for key, study in studies.items()}

@@ -180,14 +180,23 @@ class TestExecutor:
             assert profile.memory_footprint()["model_bytes"] > 0
             assert profile.launch_count > 0
 
-    def test_scaling_points_parallel_equals_serial(self):
-        points = [("TLSTM", 1), ("TLSTM", 2)]
-        serial = executor.run_scaling_points(points, jobs=1, cache=None)
-        pooled = executor.run_scaling_points(points, jobs=2, cache=None)
-        assert [p.epoch_time_s for p in serial] == \
-            [p.epoch_time_s for p in pooled]
-        assert [p.grad_bytes for p in serial] == \
-            [p.grad_bytes for p in pooled]
+    def test_scaling_points_parallel_equals_serial(self, tmp_path):
+        """The ``scaling`` task's payload is the same serially, on the pool
+        and from the cache."""
+        study = functools.partial(executor.suite, "scaling",
+                                  ["TLSTM", "PSAGE-MVL"], scale="test",
+                                  epochs=1, seed=0, gpu_counts=(1, 2))
+        store = ProfileCache(root=tmp_path)
+        serial = study(jobs=1, cache=store)
+        pooled = study(jobs=2, cache=None)
+        cached = study(jobs=1, cache=store)
+        assert store.hits == 2
+        assert serial == pooled == cached
+        serial, pooled = serial["TLSTM"]["strong"], pooled["TLSTM"]["strong"]
+        assert [p["epoch_time_s"] for p in serial] == \
+            [p["epoch_time_s"] for p in pooled]
+        assert [p["grad_bytes"] for p in serial] == \
+            [p["grad_bytes"] for p in pooled]
 
     def test_benchmark_suite_report(self):
         report = executor.benchmark_suite(keys=["TLSTM", "KGNNL"],

@@ -83,7 +83,7 @@ class TestCounterTrackPeaks:
 
     @pytest.mark.parametrize("key", ["DGCN", "TLSTM"])
     def test_memory_trace(self, key):
-        timeline = trace.trace_point(key, memory=True)
+        timeline = trace.trace_workload(key, memory=True)
         assert _counter_peaks(timeline) == _report_peaks(measure_memory(key))
 
     def test_traced_sample_run(self):

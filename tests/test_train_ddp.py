@@ -1,13 +1,15 @@
 """Trainer and the DDP multi-GPU simulation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.core import registry
+from repro.core import executor, registry
 from repro.gpu import SimulatedGPU
 from repro.profiling import trace
 from repro.tensor.ops.base import launch_elementwise
-from repro.train import Trainer, run_scaling_point, trace_scaling_point
+from repro.train import Trainer, ddp, run_scaling_point
 from repro.train.ddp import _count_steps, _shard_batch
 from repro.train.trainer import HISTORY_WINDOW
 
@@ -112,10 +114,45 @@ class TestScalingPoints:
         assert speedup < 1.5
 
 
+class TestScalingStudy:
+    def test_each_distinct_stream_runs_once(self, monkeypatch):
+        """Fig. 9 and weak scaling over the DDP workloads at 1/2/4 GPUs
+        simulate 20 streams: three splits for each of the six batch-split
+        workloads, and one for each PSAGE, whose three strong points read
+        it.  Every weak point reads its workload's split-1 stream."""
+        calls = []
+        stream = ddp.replica_stream
+
+        def counted(key, split, *args, **kwargs):
+            calls.append((key, split))
+            return stream(key, split, *args, **kwargs)
+
+        monkeypatch.setattr(ddp, "replica_stream", counted)
+        studies = executor.suite("scaling", ddp.DDP_KEYS, jobs=1, cache=None,
+                                 scale="test", epochs=1, seed=0,
+                                 gpu_counts=(1, 2, 4))
+        assert len(calls) == len(set(calls)) == 20
+        for key, study in studies.items():
+            split_1 = study["streams"][0]
+            assert split_1["split"] == 1
+            for point in study["weak"]:
+                assert point["compute_time_s"] == split_1["compute_time_s"]
+                assert point["steps"] == split_1["steps"]
+        for key in ("PSAGE-MVL", "PSAGE-NWP"):
+            assert [s["split"] for s in studies[key]["streams"]] == [1]
+            assert {p["compute_time_s"] for p in studies[key]["strong"]} \
+                == {studies[key]["streams"][0]["compute_time_s"]}
+        # the study's points are the entry points' points
+        assert studies["DGCN"]["strong"][2] == \
+            asdict(run_scaling_point("DGCN", 4, scale="test"))
+        assert studies["PSAGE-MVL"]["weak"][1] == \
+            asdict(ddp.run_weak_scaling_point("PSAGE-MVL", 2, scale="test"))
+
+
 @pytest.fixture(scope="module")
 def ddp_traces():
     """TLSTM timelines at 1, 2 and 4 simulated GPUs."""
-    return {n: trace_scaling_point("TLSTM", n, scale="test") for n in (1, 2, 4)}
+    return {n: trace.trace_workload("TLSTM", num_gpus=n) for n in (1, 2, 4)}
 
 
 def _kernel_sequence(timeline, pid):
@@ -126,7 +163,7 @@ def _kernel_sequence(timeline, pid):
 class TestTracedDDP:
     def test_arga_excluded(self):
         with pytest.raises(ValueError):
-            trace_scaling_point("ARGA", 2, scale="test")
+            trace.trace_workload("ARGA", num_gpus=2)
 
     def test_single_gpu_has_no_allreduce_spans(self, ddp_traces):
         assert not ddp_traces[1].query(cat=trace.CAT_ALLREDUCE)

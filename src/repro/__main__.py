@@ -41,9 +41,10 @@ Each command accepts only the options it reads, with its own defaults
 "unrecognized arguments", and a value outside its option's domain (an
 epoch count below 1, a NaN rate, a missing baseline file, an output file
 in a directory that does not exist) exits 2 naming the option before any
-workload runs.  ``--metrics`` prints the metrics registry after a
-successful run; ``--metrics-output FILE`` writes it as canonical JSON plus
-a sibling ``.prom`` Prometheus dump.
+workload runs, as does an option the chosen form of ``sample`` or ``shard``
+(with or without a workload key) does not read.  ``--metrics`` prints the
+metrics registry after a successful run; ``--metrics-output FILE`` writes
+it as canonical JSON plus a sibling ``.prom`` Prometheus dump.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import GNNMark
 from .core import executor, profile_workload
+from .core.params import EPOCHS, SCALE, SEED, Param
+from .serve.server import SERVE_PARAMS, serve_run
+from .train.loader import SAMPLE_PARAMS, sample_run
+from .train.sharded import SHARD_PARAMS, shard_run
 
 FIGURES = {
     "fig2": "render_op_breakdown",
@@ -150,6 +155,12 @@ def _write_trace(timeline, path: str, key: str, **fields) -> dict:
     print(f"wrote {path}  (load in https://ui.perfetto.dev or "
           f"chrome://tracing)")
     return manifest
+
+
+def _params(args, params: Mapping[str, Param]) -> dict:
+    """The mode options given on the command line, as runner keywords."""
+    return {name: getattr(args, name) for name, row in params.items()
+            if row.cli and getattr(args, name) is not None}
 
 
 def _gate(report: dict, baseline: str | None, check, verdict) -> int:
@@ -417,18 +428,14 @@ def _print_serve_report(report: dict) -> None:
 
 
 def _run_serve(args) -> int:
-    from .serve import serve_run
-
     key = _resolve_workload(args.workload)
-    report, timeline = serve_run(
-        key, scale=args.scale, qps=args.qps, arrival=args.arrival,
-        batch_max=args.batch_max, max_wait_us=args.max_wait_us,
-        requests=args.requests, seed=args.seed, strict=args.strict,
-        traced=args.output is not None)
+    report, timeline = serve_run(key, strict=args.strict,
+                                 traced=args.output is not None,
+                                 **_params(args, SERVE_PARAMS))
     _print_serve_report(report)
     if timeline is not None:
-        _write_trace(timeline, args.output, key, scale=args.scale, epochs=1,
-                     seed=args.seed,
+        _write_trace(timeline, args.output, key, scale=report["scale"],
+                     epochs=1, seed=report["seed"],
                      capture_replay=bool(report.get("captured_plans")))
     return 0
 
@@ -460,20 +467,16 @@ def _print_sample_report(report: dict) -> None:
 
 
 def _run_sample(args) -> int:
-    from .train.loader import sample_run
-
     if not args.workload:
         return _run_bench_sample(args)
     key = _resolve_workload(args.workload)
-    report, timeline = sample_run(
-        key, scale=args.scale, fanouts=args.fanouts,
-        batch_size=args.batch_size, prefetch_depth=args.prefetch_depth,
-        epochs=args.epochs, nodes=args.nodes, seed=args.seed,
-        strict=args.strict, traced=args.output is not None)
+    report, timeline = sample_run(key, strict=args.strict,
+                                  traced=args.output is not None,
+                                  **_params(args, SAMPLE_PARAMS))
     _print_sample_report(report)
     if timeline is not None:
-        _write_trace(timeline, args.output, key, scale=args.scale,
-                     epochs=args.epochs, seed=args.seed)
+        _write_trace(timeline, args.output, key, scale=report["scale"],
+                     epochs=report["epochs"], seed=report["seed"])
     return 0
 
 
@@ -481,12 +484,9 @@ def _run_bench_sample(args) -> int:
     # suite mode: the prefetch-vs-synchronous comparison (BENCH_sample.json),
     # gated against a committed baseline like the launch hot-path bench —
     # except these are simulated-clock numbers, so the gate can be strict
-    report = executor.benchmark_sample(scale=args.scale, fanouts=args.fanouts,
-                                       batch_size=args.batch_size,
-                                       prefetch_depth=args.prefetch_depth,
-                                       epochs=args.epochs, seed=args.seed,
-                                       jobs=args.jobs,
-                                       cache=not args.no_cache)
+    report = executor.benchmark_sample(jobs=args.jobs,
+                                       cache=not args.no_cache,
+                                       **_params(args, SAMPLE_PARAMS))
     print(f"mini-batch loader: prefetch_depth={report['prefetch_depth']} vs"
           f" synchronous ({report['epochs']} epoch(s),"
           f" scale={report['scale']},"
@@ -540,17 +540,14 @@ def _print_shard_report(report: dict) -> None:
 
 def _run_shard(args) -> int:
     from .gpu.memory import OOMError
-    from .train.sharded import shard_run
 
     if not args.workload:
         return _run_bench_shard(args)
     try:
-        # an option left unset (None) keeps the named config's value
-        report, timeline = shard_run(
-            args.workload.upper(), parts=args.parts,
-            offload=True if args.offload else None, nodes=args.nodes,
-            feat_dim=args.feat_dim, epochs=args.epochs, seed=args.seed,
-            strict=args.strict, traced=args.output is not None)
+        report, timeline = shard_run(args.workload.upper(),
+                                     strict=args.strict,
+                                     traced=args.output is not None,
+                                     **_params(args, SHARD_PARAMS))
     except OOMError as exc:
         print(f"OOM under --strict: {exc}")
         print("shard the graph over more --parts, or stage it with --offload")
@@ -558,7 +555,7 @@ def _run_shard(args) -> int:
     _print_shard_report(report)
     if timeline is not None:
         _write_trace(timeline, args.output, report["workload"], scale="shard",
-                     epochs=report["epochs"], seed=args.seed,
+                     epochs=report["epochs"], seed=report["seed"],
                      gpus=report["gpus"], parts=report["parts"])
     return 0
 
@@ -567,8 +564,9 @@ def _run_bench_shard(args) -> int:
     # suite mode: the capacity-frontier study (BENCH_shard.json) — largest
     # trainable node count per device configuration under the HBM model,
     # gated exactly against a committed baseline (simulated => deterministic)
-    report = executor.benchmark_shard(epochs=1, seed=args.seed,
-                                      jobs=args.jobs, cache=not args.no_cache)
+    # of the table's options this form reads only --seed
+    report = executor.benchmark_shard(jobs=args.jobs, cache=not args.no_cache,
+                                      **_params(args, SHARD_PARAMS))
     print(f"capacity frontier (feat_dim={report['feat_dim']},"
           f" hidden={report['hidden']}, {report['epochs']} epoch(s),"
           f" ladder {report['ladder'][0]}..{report['ladder'][-1]} nodes):")
@@ -617,36 +615,6 @@ def _run_insights(args) -> int:
 # -- the command table --------------------------------------------------------
 
 
-def _bounded(kind: type, low: int, strict: bool = False) -> Callable:
-    """An argparse ``type=``: a ``kind`` > ``low`` (>= unless ``strict``)."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-            ok = value > low or (value == low and not strict)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise argparse.ArgumentTypeError(
-                f"expected {kind.__name__} {'>' if strict else '>='} {low},"
-                f" got {text!r}")
-        return value
-
-    return parse
-
-
-POSITIVE_INT = _bounded(int, 1)
-NON_NEGATIVE_INT = _bounded(int, 0)
-
-
-def _fanouts(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(POSITIVE_INT(f) for f in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated ints >= 1, got {text!r}") from None
-
-
 def _existing_file(text: str) -> str:
     if not os.path.isfile(text):
         raise argparse.ArgumentTypeError(f"no such file: {text!r}")
@@ -683,13 +651,11 @@ OPTIONS = {
     "workload": _option("workload", help="workload key, case-insensitive"),
     "workload?": _option("workload", nargs="?", help="workload key or "
                          "named config (default: the whole suite)"),
-    "scale": _option("--scale", choices=("test", "profile", "scaling"),
-                     default="test", help="default: %(default)s"),
-    "seed": _option("--seed", type=NON_NEGATIVE_INT, default=0),
-    "epochs": _option("--epochs", type=POSITIVE_INT, default=1,
-                      help="default: %(default)s"),
-    "jobs": _option("--jobs", type=POSITIVE_INT, help="worker processes "
-                    "(default: $REPRO_JOBS or serial)"),
+    "scale": SCALE.option(SCALE.default),
+    "seed": SEED.option(SEED.default),
+    "epochs": EPOCHS.option(1),
+    "jobs": Param("jobs", low=1, help="worker processes (default: "
+                  "$REPRO_JOBS or serial)").option(),
     "no-cache": _option("--no-cache", action="store_true",
                         help="skip the persistent profile cache"),
     "strict": _option("--strict", action="store_true", help="check GPU-model "
@@ -701,44 +667,16 @@ OPTIONS = {
     "metrics-output": _option("--metrics-output", type=_output_file,
                               metavar="FILE", help="write the metrics "
                               "registry as JSON (+ .prom)"),
-    "gpus": _option("--gpus", type=POSITIVE_INT, default=1,
-                    help="simulated devices (default: %(default)s)"),
+    "gpus": Param("gpus", 1, low=1,
+                  help="simulated devices (default: %(default)s)").option(1),
     "baseline": _option("--baseline", type=_existing_file, metavar="FILE",
                         help="committed baseline; exit 1 on a regression"),
-    "nodes": _option("--nodes", type=int, help="nodes of a synthetic ARGA "
-                     "citation graph"),
     "families": _golden_families,
     "update": _option("--update", action="store_true",
                       help="regenerate the snapshots instead of diffing"),
     "diff": _option("--diff", nargs=2, type=_existing_file,
                     metavar=("REFERENCE", "MEASURED"), help="diagnose the "
                     "delta between two saved reports or bench payloads"),
-    "parts": _option("--parts", type=POSITIVE_INT, help="graph partitions "
-                     "(default: the named config's, else 4)"),
-    "offload": _option("--offload", action="store_true", help="stage "
-                       "partitions out-of-core through one device's HBM"),
-    "feat-dim": _option("--feat-dim", type=POSITIVE_INT, help="synthetic "
-                        "feature width (default: the config's, else 64)"),
-    "fanouts": _option("--fanouts", type=_fanouts, default="10,5",
-                       help="per-layer neighbor fanouts, outermost first "
-                            "(default: %(default)s)"),
-    "batch-size": _option("--batch-size", type=POSITIVE_INT, default=64,
-                          help="seeds per mini-batch (default: %(default)s)"),
-    "prefetch-depth": _option("--prefetch-depth", type=NON_NEGATIVE_INT,
-                              default=2, help="0 = synchronous sampling "
-                                              "(default: %(default)s)"),
-    "qps": _option("--qps", type=_bounded(float, 0, strict=True),
-                   default=100.0, help="mean arrival rate per simulated "
-                                       "second (default: %(default)s)"),
-    "arrival": _option("--arrival", choices=("poisson", "bursty"),
-                       default="poisson", help="bursty = 2-state MMPP"),
-    "batch-max": _option("--batch-max", type=POSITIVE_INT, default=8,
-                         help="batcher size cap (default: %(default)s)"),
-    "max-wait-us": _option("--max-wait-us", type=_bounded(float, 0),
-                           default=2000.0, help="longest the batcher holds "
-                           "the queue head (default: %(default)s)"),
-    "requests": _option("--requests", type=POSITIVE_INT, default=256,
-                        help="default: %(default)s"),
     "quick": _option("--quick", action="store_true",
                      help="time the fast test-scale configs"),
     "bench-workload": _option("--workload", dest="bench_workload",
@@ -754,17 +692,24 @@ OPTIONS = {
 
 
 class Command(NamedTuple):
-    """A subcommand: runner, help, the OPTIONS it reads, their defaults."""
+    """A subcommand: runner, help, the options it reads, their defaults."""
 
     run: Callable[[argparse.Namespace], int]
     help: str
+    #: an option is its mode's ``params`` row of that name, else OPTIONS's
     options: tuple[str, ...] = ()
     defaults: Mapping[str, object] = {}
+    #: the mode's parameter table; its options are unset (None) unless given
+    params: Mapping[str, Param] = {}
+    #: the options its keyed form, and its no-key form, does not read
+    unread: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
 
 
 SUITE = ("scale", "seed", "epochs", "jobs", "no-cache")
 METRICS = ("metrics", "metrics-output")
 PROFILE_SCALE = {"scale": "profile"}
+#: the options only a no-key bench reads
+BENCH = ("jobs", "no-cache", "baseline")
 
 COMMANDS = {
     "table1": Command(_run_table1, "the suite inventory (Table I)"),
@@ -798,23 +743,44 @@ COMMANDS = {
     "serve": Command(_run_serve, "serving-latency report (-o: Chrome trace)",
                      ("workload", "scale", "seed", "strict", "qps",
                       "arrival", "batch-max", "max-wait-us", "requests",
-                      "output", *METRICS)),
+                      "output", *METRICS), params=SERVE_PARAMS),
     "sample": Command(_run_sample, "sampled-training report (-o: Chrome "
                       "trace); no key: the prefetch bench (-o: its JSON)",
                       ("workload?", *SUITE, "strict", "fanouts",
                        "batch-size", "prefetch-depth", "nodes", "output",
-                       "baseline", *METRICS), {"epochs": 2}),
+                       "baseline", *METRICS), params=SAMPLE_PARAMS,
+                      unread=(BENCH, ("strict", "nodes"))),
     "shard": Command(_run_shard, "sharded-training report of a workload or "
                      "named config such as ARGA-P4 (-o: Chrome trace); no "
                      "key: the capacity-frontier bench (-o: its JSON)",
                      ("workload?", "seed", "epochs", "jobs", "no-cache",
                       "strict", "parts", "offload", "nodes", "feat-dim",
-                      "output", "baseline", *METRICS), {"epochs": 2}),
+                      "output", "baseline", *METRICS), params=SHARD_PARAMS,
+                     unread=(BENCH, ("epochs", "parts", "offload", "nodes",
+                                     "feat-dim", "strict"))),
     "insights": Command(_run_insights, "bottleneck attribution of a workload"
                         " (-o: its JSON), or --diff of two saved reports",
                         ("workload?", "diff", "scale", "seed", "epochs",
                          "gpus", "output", *METRICS), {"epochs": 2}),
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser: a given option that the chosen form (with or
+    without a workload key) does not read exits 2, naming it."""
+
+    unread: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        keyed = bool(getattr(namespace, "workload", None))
+        dests = {f"--{o}": o.replace("-", "_") for o in self.unread[not keyed]}
+        given = [flag for flag, dest in dests.items()
+                 if getattr(namespace, dest) != self.get_default(dest)]
+        if given:
+            self.error(f"not read {'with' if keyed else 'without'} a "
+                       f"workload key: {' '.join(given)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -827,11 +793,14 @@ def build_parser() -> argparse.ArgumentParser:
     # main reads these for every command; ``manifest`` is a runner's stamp
     parser.set_defaults(metrics=False, metrics_output=None, manifest=None)
     commands = parser.add_subparsers(dest="command", required=True,
-                                     metavar="COMMAND")
+                                     metavar="COMMAND",
+                                     parser_class=_CommandParser)
     for name, row in COMMANDS.items():
         sub = commands.add_parser(name, help=row.help, description=row.help)
+        sub.unread = row.unread
         for option in row.options:
-            OPTIONS[option](sub)
+            param = row.params.get(option.replace("-", "_"))
+            (param.option() if param else OPTIONS[option])(sub)
         sub.set_defaults(**row.defaults)
     return parser
 

@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 
 from .cache import ProfileCache, resolve_cache
 from . import registry
+from .params import SEED, resolve
 
 Task = tuple  # (kind: str, params: dict)
 
@@ -78,7 +79,7 @@ def execute_task(task: Task):
 
     module, name = TASKS[kind]
     run = getattr(importlib.import_module(module), name)
-    manual_seed(int(params.get("seed", 0)))
+    manual_seed(int(params.get("seed") or 0))  # unset: the runner resolves it
     t0 = time.perf_counter()
     result = run(**params)
     if isinstance(result, tuple):
@@ -400,10 +401,8 @@ def check_hotpath_regression(report: dict, baseline: dict,
 
 
 def benchmark_sample(keys: Optional[Sequence[str]] = None,
-                     scale: str = "test", fanouts=(10, 5),
-                     batch_size: int = 64, prefetch_depth: int = 2,
-                     epochs: int = 2, seed: int = 0,
-                     jobs: Optional[int] = None, cache=None) -> dict:
+                     jobs: Optional[int] = None, cache=None,
+                     **params) -> dict:
     """Prefetch-vs-synchronous loader comparison (``BENCH_sample.json``).
 
     Runs every workload twice on the simulated clock — ``prefetch_depth=0``
@@ -412,19 +411,17 @@ def benchmark_sample(keys: Optional[Sequence[str]] = None,
     simulated epochs/sec for both.  Unlike the hot-path benchmark this
     measures *simulated* time, so the numbers are machine-independent and
     byte-deterministic; the CI gate can demand strict improvement.
+    ``params``: ``SAMPLE_PARAMS`` but ``nodes`` (each workload's own graph).
     """
-    from ..train.loader import SAMPLE_DEFAULT_KEYS
+    from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLE_PARAMS
 
+    p = resolve({n: row for n, row in SAMPLE_PARAMS.items()
+                 if n != "nodes"}, params)
     if keys is None:
         keys = list(SAMPLE_DEFAULT_KEYS)
-    fanouts = tuple(int(f) for f in fanouts)
-    depths = (0, int(prefetch_depth))
-    tasks: list[Task] = [
-        ("sample", dict(key=k, scale=scale, fanouts=fanouts,
-                        batch_size=batch_size, prefetch_depth=d,
-                        epochs=epochs, nodes=None, seed=seed))
-        for k in keys for d in depths
-    ]
+    depths = (0, p.prefetch_depth)
+    tasks: list[Task] = [("sample", dict(vars(p), key=k, prefetch_depth=d))
+                         for k in keys for d in depths]
     results = run_tasks(tasks, jobs=jobs, cache=cache)
     reports = {(k, d): r for (k, d), r
                in zip([(k, d) for k in keys for d in depths], results)}
@@ -449,12 +446,8 @@ def benchmark_sample(keys: Optional[Sequence[str]] = None,
         }
     return {
         "suite": list(keys),
-        "scale": scale,
-        "fanouts": list(fanouts),
-        "batch_size": int(batch_size),
-        "prefetch_depth": int(depths[1]),
-        "epochs": int(epochs),
-        "seed": int(seed),
+        **vars(p),
+        "fanouts": list(p.fanouts),
         "workloads": workloads,
         "sync_wall_s": sync_wall,
         "prefetch_wall_s": prefetch_wall,
@@ -512,7 +505,7 @@ SHARD_BENCH = dict(
 def benchmark_shard(ladder: Optional[Sequence[int]] = None,
                     feat_dim: Optional[int] = None,
                     hidden: Optional[int] = None,
-                    epochs: int = 1, seed: int = 0,
+                    epochs: int = 1, seed: int = SEED.default,
                     jobs: Optional[int] = None, cache=None) -> dict:
     """Capacity-frontier study (``BENCH_shard.json``).
 

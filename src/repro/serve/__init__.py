@@ -11,12 +11,7 @@ capture/replay fast path for steady-state batches (:mod:`server`).
 
 from .arrivals import ARRIVALS, Request, generate_requests
 from .queueing import BatchRecord, ServedRequest, run_queue
-from .server import (
-    SERVE_VERSION,
-    SERVEABLE,
-    serve_run,
-    validate_serving_config,
-)
+from .server import SERVE_VERSION, SERVEABLE, serve_run
 
 __all__ = [
     "ARRIVALS",
@@ -28,5 +23,4 @@ __all__ = [
     "SERVE_VERSION",
     "SERVEABLE",
     "serve_run",
-    "validate_serving_config",
 ]

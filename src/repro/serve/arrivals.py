@@ -17,8 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.params import Param
+
 #: supported arrival processes
 ARRIVALS = ("poisson", "bursty")
+
+#: the arrival process's parameters, as rows of ``serve_run``'s table
+REQUESTS = Param("requests", 256, low=1, help="default: %(default)s")
+QPS = Param("qps", 100.0, float, 0, above=True, help="mean arrival rate "
+            "per simulated second (default: %(default)s)")
+ARRIVAL = Param("arrival", "poisson", choices=ARRIVALS,
+                help="bursty = 2-state MMPP")
+NUM_USERS = Param("num_users", 64, low=1, cli=False)
 
 # bursty = 2-state Markov-modulated Poisson process: the rate alternates
 # between HIGH*qps and LOW*qps with exponential dwell times; the factors
@@ -71,23 +81,17 @@ def _bursty_gaps(n: int, qps: float, rng: np.random.Generator) -> np.ndarray:
 def generate_requests(
     num_requests: int,
     qps: float,
-    arrival: str = "poisson",
+    arrival: str = ARRIVAL.default,
     population: int = 1,
-    num_users: int = 64,
+    num_users: int = NUM_USERS.default,
     seed: int = 0,
 ) -> list[Request]:
     """``num_requests`` seeded requests with nondecreasing arrival times."""
-    if num_requests < 1:
-        raise ValueError(f"requests must be >= 1, got {num_requests}")
-    if not qps > 0:
-        raise ValueError(f"qps must be > 0, got {qps}")
-    if arrival not in ARRIVALS:
-        raise ValueError(f"arrival must be one of {list(ARRIVALS)}, "
-                         f"got {arrival!r}")
+    for row, value in ((REQUESTS, num_requests), (QPS, qps),
+                       (ARRIVAL, arrival), (NUM_USERS, num_users)):
+        row.check(value)
     if population < 1:
         raise ValueError(f"population must be >= 1, got {population}")
-    if num_users < 1:
-        raise ValueError(f"num_users must be >= 1, got {num_users}")
 
     rng = np.random.default_rng([int(seed), 0])
     if arrival == "poisson":

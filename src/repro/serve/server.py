@@ -32,12 +32,13 @@ import numpy as np
 
 from ..canonical import report_digest
 from ..core import registry
+from ..core.params import SCALE, SEED, Param, resolve, table
 from ..core.run import workload_run
 from ..gpu import SimulatedGPU, SimulationConfig
 from ..gpu.graph_capture import EpochPlan, _EpochRecorder, replay_epoch
 from ..profiling import metrics, trace
 from ..tensor import autograd
-from .arrivals import ARRIVALS, generate_requests
+from .arrivals import ARRIVAL, NUM_USERS, QPS, REQUESTS, generate_requests
 from .queueing import BatchRecord, ServedRequest, run_queue
 
 #: bump when the serving report changes shape
@@ -47,17 +48,19 @@ SERVE_VERSION = 1
 SERVEABLE = ("DGCN", "PSAGE-MVL", "PSAGE-NWP")
 
 
-def validate_serving_config(qps: float, batch_max: int, max_wait_us: float,
-                            requests: int) -> None:
-    """Raise ``ValueError`` with a usable message on contradictory knobs."""
-    if not qps > 0:
-        raise ValueError(f"qps must be > 0, got {qps}")
-    if batch_max < 1:
-        raise ValueError(f"batch-max must be >= 1, got {batch_max}")
-    if not max_wait_us >= 0:
-        raise ValueError(f"max-wait-us must be >= 0, got {max_wait_us}")
-    if requests < 1:
-        raise ValueError(f"requests must be >= 1, got {requests}")
+#: every parameter of :func:`serve_run`: default, domain and CLI option
+SERVE_PARAMS = table(
+    SCALE,
+    QPS,
+    ARRIVAL,
+    Param("batch_max", 8, low=1,
+          help="batcher size cap (default: %(default)s)"),
+    Param("max_wait_us", 2000.0, float, 0, help="longest the batcher "
+          "holds the queue head (default: %(default)s)"),
+    REQUESTS,
+    NUM_USERS,
+    SEED,
+)
 
 
 # -- per-workload serving engines ---------------------------------------------
@@ -87,14 +90,10 @@ class _DeepGCNEngine:
 
 
 def make_engine(key: str, workload, seed: int):
+    """The serving engine of ``key``, one of :data:`SERVEABLE`."""
     if key.startswith("PSAGE"):
         return _PinSAGEEngine(workload, seed)
-    if key == "DGCN":
-        return _DeepGCNEngine(workload, seed)
-    raise ValueError(
-        f"workload {key!r} has no serving engine; serveable workloads: "
-        f"{sorted(SERVEABLE)}"
-    )
+    return _DeepGCNEngine(workload, seed)
 
 
 # -- batch execution: capture once per size, replay thereafter ----------------
@@ -180,12 +179,11 @@ def _quantiles_us(values_s: list[float]) -> dict[str, float]:
 
 
 def build_report(
-    key: str, scale: str, qps: float, arrival: str, batch_max: int,
-    max_wait_us: float, num_users: int, seed: int,
-    served: list[ServedRequest], batches: list[BatchRecord],
+    key: str, params, served: list[ServedRequest], batches: list[BatchRecord],
     runner: BatchRunner, memory_stats: dict,
 ) -> dict:
-    """Canonical serving report — every field exact-deterministic."""
+    """Canonical serving report under the resolved ``params`` — every
+    field exact-deterministic."""
     hist: dict[str, int] = {}
     for batch in batches:
         hist[str(batch.size)] = hist.get(str(batch.size), 0) + 1
@@ -193,14 +191,7 @@ def build_report(
     report = {
         "version": SERVE_VERSION,
         "workload": key,
-        "scale": scale,
-        "qps": float(qps),
-        "arrival": arrival,
-        "batch_max": int(batch_max),
-        "max_wait_us": float(max_wait_us),
-        "requests": len(served),
-        "num_users": int(num_users),
-        "seed": int(seed),
+        **vars(params),
         "completed": len(served),
         "duration_s": duration_s,
         "throughput_rps": len(served) / duration_s,
@@ -255,17 +246,10 @@ def _emit_serve_spans(tracer, device: SimulatedGPU,
 
 def serve_run(
     key: str,
-    scale: str = "test",
-    qps: float = 100.0,
-    arrival: str = "poisson",
-    batch_max: int = 8,
-    max_wait_us: float = 2000.0,
-    requests: int = 256,
-    num_users: int = 64,
-    seed: int = 0,
     strict: bool = False,
     sim: Optional[SimulationConfig] = None,
     traced: bool = False,
+    **params,
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate one serving run; return (report, timeline-or-None).
 
@@ -274,36 +258,31 @@ def serve_run(
     HBM is part of the occupancy picture, and the cyclic GC is suspended,
     making the report a byte-deterministic function of its arguments.
     ``strict`` checks every launch against the GPU model's invariants and
-    makes an HBM overflow raise.
+    makes an HBM overflow raise.  ``params`` are :data:`SERVE_PARAMS` keywords.
     """
-    validate_serving_config(qps, batch_max, max_wait_us, requests)
-    if arrival not in ARRIVALS:
-        raise ValueError(f"arrival must be one of {list(ARRIVALS)}, "
-                         f"got {arrival!r}")
+    p = resolve(SERVE_PARAMS, params)
     if key not in SERVEABLE:
         raise ValueError(
             f"workload {key!r} has no serving engine; serveable workloads: "
             f"{sorted(SERVEABLE)}"
         )
     spec = registry.get(key)
-    with workload_run(partial(spec.build, scale=scale), seed, sim,
+    with workload_run(partial(spec.build, scale=p.scale), p.seed, sim,
                       memory=True, strict=strict,
                       observe=trace.Tracer if traced else None) as run:
-        engine = make_engine(key, run.workload, seed)
-        reqs = generate_requests(requests, qps, arrival=arrival,
+        engine = make_engine(key, run.workload, p.seed)
+        reqs = generate_requests(p.requests, p.qps, arrival=p.arrival,
                                  population=engine.population,
-                                 num_users=num_users, seed=seed)
+                                 num_users=p.num_users, seed=p.seed)
         runner = BatchRunner(engine, run.device, tracker=run.tracker,
-                             seed=seed)
-        served, batches = run_queue(reqs, batch_max, max_wait_us * 1e-6,
+                             seed=p.seed)
+        served, batches = run_queue(reqs, p.batch_max, p.max_wait_us * 1e-6,
                                     runner.run_batch)
         if traced:
             _emit_serve_spans(run.tracer, run.device, served, batches,
                               runner)
         memory_stats = run.device.memory.stats()
 
-    report = build_report(key, scale, qps, arrival, batch_max, max_wait_us,
-                          num_users, seed, served, batches, runner,
-                          memory_stats)
+    report = build_report(key, p, served, batches, runner, memory_stats)
     metrics.collect_report("serve", report)
     return report, run.tracer.timeline() if traced else None

@@ -42,10 +42,10 @@ from ..core.run import workload_run
 from ..profiling import trace
 from ..profiling.nvprof import SAMPLED_METRICS
 from ..profiling.table import STALL_REASONS
-from ..serve.server import SERVEABLE
+from ..serve.server import SERVE_PARAMS, SERVEABLE
 from ..train.ddp import DDP_KEYS
-from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLEABLE
-from ..train.sharded import SHARD_GOLDEN_KEYS
+from ..train.loader import SAMPLE_DEFAULT_KEYS, SAMPLE_PARAMS, SAMPLEABLE
+from ..train.sharded import SHARD_GOLDEN_KEYS, SHARD_PARAMS
 from ..train.trainer import Trainer
 
 FINGERPRINT_VERSION = 1
@@ -419,21 +419,15 @@ class GoldenFamily:
     domain: tuple
     #: the committed snapshots' keys, in report order
     keys: tuple
-    #: task parameters ``update`` generates under
+    #: task parameters ``update`` generates under, None for the runner's
+    #: default; ``verify`` replays the values each snapshot records
     defaults: Mapping[str, object]
     #: the digest field; its diff line comes last
     digest: str
-    #: recorded fields ``verify`` replays each snapshot under (default:
-    #: the keys of ``defaults``)
-    params: tuple = ()
     #: ``field -> (rtol, atol)``; every other field compares exactly
     tolerance: Mapping[str, tuple] = field(default_factory=dict)
     #: reduces a task payload to the stored snapshot (default: identity)
     reduce: Optional[Callable[[dict], dict]] = None
-
-    @property
-    def recorded(self) -> tuple:
-        return self.params or tuple(self.defaults)
 
     @property
     def regenerate(self) -> str:
@@ -474,17 +468,12 @@ FAMILIES = {family.name: family for family in (
         name="serve", flag="--serve", prefix="serve_",
         noun="serving snapshot", task="serve", domain=SERVEABLE,
         keys=("PSAGE-MVL", "PSAGE-NWP", "DGCN"),
-        defaults=dict(scale="test", qps=100.0, arrival="poisson",
-                      batch_max=8, max_wait_us=2000.0, requests=256,
-                      num_users=64, seed=0),
-        digest="serve_digest"),
+        defaults=dict.fromkeys(SERVE_PARAMS), digest="serve_digest"),
     # mini-batch loader: batch/edge counts, sampler cost, stalls
     GoldenFamily(
         name="sample", flag="--sample", prefix="sample_",
         noun="sampled-training snapshot", task="sample", domain=SAMPLEABLE,
-        keys=SAMPLE_DEFAULT_KEYS,
-        defaults=dict(scale="test", fanouts=(10, 5), batch_size=64,
-                      prefetch_depth=2, epochs=2, nodes=None, seed=0),
+        keys=SAMPLE_DEFAULT_KEYS, defaults=dict.fromkeys(SAMPLE_PARAMS),
         digest="sample_digest"),
     # partition-parallel training, keyed by named configuration; each
     # configuration carries its own parameters, and fp64 losses are
@@ -492,10 +481,8 @@ FAMILIES = {family.name: family for family in (
     GoldenFamily(
         name="shard", flag="--shard", prefix="shard_",
         noun="sharded-training snapshot", task="shard",
-        domain=SHARD_GOLDEN_KEYS, keys=SHARD_GOLDEN_KEYS, defaults={},
-        params=("parts", "offload", "nodes", "feat_dim", "hidden", "epochs",
-                "seed", "mode"),
-        digest="shard_digest",
+        domain=SHARD_GOLDEN_KEYS, keys=SHARD_GOLDEN_KEYS,
+        defaults=dict.fromkeys(SHARD_PARAMS), digest="shard_digest",
         tolerance={"losses": (0.0, 1e-9), "loss_final": (0.0, 1e-9)}),
     # the interpretation domain: roofline verdicts and attribution totals
     GoldenFamily(
@@ -611,7 +598,7 @@ def verify(family: str, keys: Optional[list[str]] = None,
             diffs[key] = [f"missing snapshot: {exc}"]
             continue
         params = dict(fam.defaults)
-        params.update((f, expected[f]) for f in fam.recorded if f in expected)
+        params.update((f, expected[f]) for f in fam.defaults if f in expected)
         group = groups.setdefault(canonical_json(params), (params, {}))
         group[1][key] = expected
     for params, snapshots in groups.values():

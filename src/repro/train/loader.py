@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..canonical import report_digest
+from ..core.params import EPOCHS, NODES, SCALE, SEED, Param, resolve, table
 from ..core.run import workload_run
 from ..graph import Graph
 from ..graph.sampling import SampledBlock, uniform_neighbor_block
@@ -73,17 +74,19 @@ def sampler_cost_s(blocks: list[SampledBlock]) -> float:
     return cost
 
 
-def validate_sample_config(fanouts, batch_size: int, prefetch_depth: int,
-                           epochs: int) -> None:
-    """Raise ``ValueError`` with a usable message on contradictory knobs."""
-    if not fanouts or any(int(f) < 1 for f in fanouts):
-        raise ValueError(f"fanouts must be >= 1 per layer, got {fanouts!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch-size must be >= 1, got {batch_size}")
-    if prefetch_depth < 0:
-        raise ValueError(f"prefetch-depth must be >= 0, got {prefetch_depth}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+#: every parameter of :func:`sample_run`: default, domain and CLI option
+SAMPLE_PARAMS = table(
+    SCALE,
+    Param("fanouts", (10, 5), low=1, help="per-layer neighbor fanouts, "
+          "outermost first (default: %(default)s)"),
+    Param("batch_size", 64, low=1,
+          help="seeds per mini-batch (default: %(default)s)"),
+    Param("prefetch_depth", 2, low=0,
+          help="0 = synchronous sampling (default: %(default)s)"),
+    EPOCHS,
+    NODES,
+    SEED,
+)
 
 
 # -- the loader ----------------------------------------------------------------
@@ -299,10 +302,7 @@ def make_sample_engine(key: str, device, fanouts, scale: str = "test",
             f"workload {key!r} has no mini-batch sampling engine; sampleable "
             f"workloads: {sorted(SAMPLEABLE)}"
         )
-    if scale not in _SCALE_HIDDEN:
-        raise ValueError(f"scale must be one of {sorted(_SCALE_HIDDEN)}, "
-                         f"got {scale!r}")
-    hidden = _SCALE_HIDDEN[scale]
+    hidden = _SCALE_HIDDEN[SCALE.check(scale)]
     if key == "ARGA":
         if nodes is not None:
             dataset = _synthetic_citation(int(nodes), int(seed))
@@ -484,24 +484,17 @@ class _StallAccumulator:
 
 
 def build_sample_report(
-    key: str, scale: str, fanouts, batch_size: int, prefetch_depth: int,
-    epochs: int, nodes: Optional[int], seed: int, engine,
-    pipeline: PrefetchPipeline, results, device: SimulatedGPU,
-    memory_stats: dict,
+    key: str, params, engine, pipeline: PrefetchPipeline, results,
+    device: SimulatedGPU, memory_stats: dict,
 ) -> dict:
-    """Canonical sample report — every field exact-deterministic."""
+    """Canonical sample report under the resolved ``params`` — every
+    field exact-deterministic."""
     stats = pipeline.stats
     wall = sum(r.sim_time_s for r in results)
     report = {
         "version": SAMPLE_VERSION,
         "workload": key,
-        "scale": scale,
-        "fanouts": [int(f) for f in fanouts],
-        "batch_size": int(batch_size),
-        "prefetch_depth": int(prefetch_depth),
-        "epochs": int(epochs),
-        "nodes": None if nodes is None else int(nodes),
-        "seed": int(seed),
+        **vars(params),
         "graph_nodes": int(engine.graph.num_nodes),
         "graph_edges": int(engine.graph.num_edges),
         "train_seeds": int(engine.train_ids.size),
@@ -540,16 +533,10 @@ def build_sample_report(
 
 def sample_run(
     key: str,
-    scale: str = "test",
-    fanouts=(10, 5),
-    batch_size: int = 64,
-    prefetch_depth: int = 2,
-    epochs: int = 2,
-    nodes: Optional[int] = None,
-    seed: int = 0,
     strict: bool = False,
     sim: Optional[SimulationConfig] = None,
     traced: bool = False,
+    **params,
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate mini-batch sampled training; return (report, timeline-or-None).
 
@@ -557,25 +544,23 @@ def sample_run(
     device-memory tracking with the cyclic GC suspended, so the report is
     a byte-deterministic function of its arguments.  ``strict`` checks
     every launch against the GPU model's invariants and makes an HBM
-    overflow raise.
+    overflow raise.  ``params`` are :data:`SAMPLE_PARAMS` keywords.
     """
-    fanouts = tuple(int(f) for f in fanouts)
-    validate_sample_config(fanouts, batch_size, prefetch_depth, epochs)
+    p = resolve(SAMPLE_PARAMS, params)
     with workload_run(lambda device: make_sample_engine(
-            key, device, fanouts, scale=scale, nodes=nodes, seed=seed),
-            seed, sim, memory=True, strict=strict,
+            key, device, p.fanouts, scale=p.scale, nodes=p.nodes, seed=p.seed),
+            p.seed, sim, memory=True, strict=strict,
             observe=trace.Tracer if traced else None) as run:
         engine = run.workload
-        loader = NeighborLoader(engine.graph, engine.train_ids, fanouts,
-                                batch_size, seed=seed)
+        loader = NeighborLoader(engine.graph, engine.train_ids, p.fanouts,
+                                p.batch_size, seed=p.seed)
         pipeline = PrefetchPipeline(loader, engine, run.device,
-                                    prefetch_depth=prefetch_depth)
+                                    prefetch_depth=p.prefetch_depth)
         results = Trainer(workload=engine, device=run.device,
-                          loader=pipeline).run(epochs=epochs, seed=seed)
+                          loader=pipeline).run(epochs=p.epochs, seed=p.seed)
         memory_stats = run.device.memory.stats()
 
-    report = build_sample_report(key, scale, fanouts, batch_size,
-                                 prefetch_depth, epochs, nodes, seed, engine,
-                                 pipeline, results, run.device, memory_stats)
+    report = build_sample_report(key, p, engine, pipeline, results,
+                                 run.device, memory_stats)
     metrics.collect_report("loader", report)
     return report, run.tracer.timeline() if traced else None

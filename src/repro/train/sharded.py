@@ -46,7 +46,7 @@ analysis-cache settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -54,6 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..canonical import canonical_digest, report_digest
+from ..core.params import EPOCHS, NODES, SEED, Param, resolve, table
 from ..core.run import checking
 from ..graph.partition import PartitionPlan, partition_graph, plan_digest
 from ..gpu import OpClass, SimulationConfig
@@ -90,10 +91,26 @@ SHARD_GOLDEN_CONFIGS = {
 
 SHARD_GOLDEN_KEYS = tuple(SHARD_GOLDEN_CONFIGS)
 
-#: what :func:`shard_run` uses for a parameter that neither the call nor
-#: the named configuration sets
-SHARD_DEFAULTS = dict(parts=4, offload=False, nodes=4096, feat_dim=64,
-                      hidden=32, epochs=2, seed=0, mode="auto", name=None)
+#: every parameter of :func:`shard_run`: default, domain and CLI option
+SHARD_PARAMS = table(
+    Param("parts", 4, low=1, help="graph partitions (default: the named "
+          "config's, else %(default)s)"),
+    Param("offload", False,
+          help="stage partitions out-of-core through one device's HBM"),
+    replace(NODES, default=4096),
+    Param("feat_dim", 64, low=1, help="synthetic feature width (default: "
+          "the config's, else %(default)s)"),
+    Param("hidden", 32, low=1, cli=False),
+    EPOCHS,
+    SEED,
+    Param("mode", "auto", choices=("auto", "numeric", "capacity"), cli=False),
+    Param("name", cli=False),
+)
+
+#: the optimizer step, partitioner and balance tolerance of every shard run
+LR = 0.2
+PARTITION_METHOD = "bfs"
+PARTITION_BALANCE = 1.05
 
 
 def resolve_shard_config(name: str) -> tuple[str, dict]:
@@ -107,24 +124,6 @@ def resolve_shard_config(name: str) -> tuple[str, dict]:
     raise ValueError(
         f"unknown shard config {name!r}; shardable workloads: "
         f"{sorted(SHARDABLE)}, named configs: {sorted(SHARD_GOLDEN_CONFIGS)}")
-
-
-def validate_shard_config(parts: int, nodes: int, feat_dim: int, hidden: int,
-                          epochs: int, mode: str) -> None:
-    """Raise ``ValueError`` with a usable message on contradictory knobs."""
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if nodes < 8:
-        raise ValueError(f"nodes must be >= 8, got {nodes}")
-    if feat_dim < 1:
-        raise ValueError(f"feat-dim must be >= 1, got {feat_dim}")
-    if hidden < 1:
-        raise ValueError(f"hidden must be >= 1, got {hidden}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if mode not in ("auto", "numeric", "capacity"):
-        raise ValueError(
-            f"mode must be auto|numeric|capacity, got {mode!r}")
 
 
 def resolve_mode(mode: str, nodes: int, feat_dim: int) -> str:
@@ -145,11 +144,11 @@ def _shard_dataset(nodes: int, feat_dim: int, seed: int):
 
 
 @lru_cache(maxsize=8)
-def _shard_plan(nodes: int, feat_dim: int, seed: int, parts: int,
-                method: str, balance: float) -> PartitionPlan:
+def _shard_plan(nodes: int, feat_dim: int, seed: int,
+                parts: int) -> PartitionPlan:
     dataset = _shard_dataset(nodes, feat_dim, seed)
-    return partition_graph(dataset.graph, parts, method=method,
-                           balance=balance, seed=seed)
+    return partition_graph(dataset.graph, parts, method=PARTITION_METHOD,
+                           balance=PARTITION_BALANCE, seed=seed)
 
 
 # -- partition geometry --------------------------------------------------------
@@ -595,30 +594,21 @@ def _halo_trace_digest(timeline: trace.Timeline) -> str:
 
 
 def build_shard_report(
-    key: str, name: str, mode: str, parts: int, gpus: int, offload: bool,
-    nodes: int, feat_dim: int, hidden: int, classes: int, epochs: int,
-    lr: float, seed: int, graph, plan: PartitionPlan,
+    key: str, params, gpus: int, classes: int, graph, plan: PartitionPlan,
     geoms: list[PartGeometry], acct: ShardAccounting, system: MultiGPUSystem,
     losses: list, timeline: trace.Timeline,
 ) -> dict:
+    """Canonical shard report under the resolved ``params``."""
     devices = system.devices
     pools = [dev.memory.stats() for dev in devices]
     wall = system.elapsed_s()
     report = {
         "version": SHARD_VERSION,
         "workload": key,
-        "name": name,
-        "mode": mode,
-        "parts": int(parts),
+        **vars(params),
         "gpus": int(gpus),
-        "offload": bool(offload),
-        "nodes": int(nodes),
-        "feat_dim": int(feat_dim),
-        "hidden": int(hidden),
         "classes": int(classes),
-        "epochs": int(epochs),
-        "lr": float(lr),
-        "seed": int(seed),
+        "lr": LR,
         "graph_nodes": int(graph.num_nodes),
         "graph_edges": int(graph.num_edges),
         "train_nodes": int(sum(g.n_train for g in geoms)),
@@ -636,7 +626,7 @@ def build_shard_report(
         "allreduce_bytes": int(acct.allreduce_bytes),
         "epoch_sim_times_s": [float(t) for t in acct.epoch_times_s],
         "sim_wall_s": float(wall),
-        "epochs_per_sim_s": (epochs / wall) if wall else 0.0,
+        "epochs_per_sim_s": (params.epochs / wall) if wall else 0.0,
         "peak_live_bytes": max(p["peak_live_bytes"] for p in pools),
         "peak_reserved_bytes": max(p["peak_reserved_bytes"] for p in pools),
         "hbm_utilization": max(p["utilization"] for p in pools),
@@ -656,27 +646,16 @@ def build_shard_report(
 
 def shard_run(
     key: str,
-    parts: Optional[int] = None,
-    offload: Optional[bool] = None,
-    nodes: Optional[int] = None,
-    feat_dim: Optional[int] = None,
-    hidden: Optional[int] = None,
-    epochs: Optional[int] = None,
-    lr: float = 0.2,
-    seed: Optional[int] = None,
-    method: str = "bfs",
-    balance: float = 1.05,
-    mode: Optional[str] = None,
     strict: bool = False,
     sim: Optional[SimulationConfig] = None,
     traced: bool = False,
-    name: Optional[str] = None,
+    **params,
 ) -> tuple[dict, Optional[trace.Timeline]]:
     """Simulate sharded training; return (report, timeline-or-None).
 
     ``key`` is a shardable workload (``ARGA``) or a named configuration
-    (``ARGA-P4``).  A parameter the call leaves unset (``None``) takes the
-    named configuration's value, else :data:`SHARD_DEFAULTS`'s; a value the
+    (``ARGA-P4``).  A :data:`SHARD_PARAMS` keyword the call leaves unset
+    takes the named configuration's value, else its default; a value the
     call sets always wins, even one equal to a default.  ``strict=True``
     checks every launch against the GPU model's invariants and raises
     :class:`repro.gpu.memory.OOMError` the moment any device's partition
@@ -685,23 +664,14 @@ def shard_run(
     the report); the timeline is returned only when ``traced=True``.
     """
     key, config = resolve_shard_config(key)
-    call = dict(parts=parts, offload=offload, nodes=nodes, feat_dim=feat_dim,
-                hidden=hidden, epochs=epochs, seed=seed, mode=mode, name=name)
-    params = {**SHARD_DEFAULTS, **config,
-              **{k: v for k, v in call.items() if v is not None}}
-    parts, nodes, feat_dim, hidden, epochs, seed = (
-        int(params[k])
-        for k in ("parts", "nodes", "feat_dim", "hidden", "epochs", "seed"))
-    offload, mode, name = params["offload"], params["mode"], params["name"]
-    validate_shard_config(parts, nodes, feat_dim, hidden, epochs, mode)
-    mode = resolve_mode(mode, nodes, feat_dim)
-    if name is None:
-        name = f"{key}-P{parts}" + ("-OFFLOAD" if offload else "")
-    manual_seed(seed)
-    dataset = _shard_dataset(nodes, feat_dim, seed)
-    plan = _shard_plan(nodes, feat_dim, seed, parts, method, float(balance))
+    p = resolve(SHARD_PARAMS, params, config)
+    p.mode = resolve_mode(p.mode, p.nodes, p.feat_dim)
+    p.name = p.name or f"{key}-P{p.parts}" + ("-OFFLOAD" if p.offload else "")
+    manual_seed(p.seed)
+    dataset = _shard_dataset(p.nodes, p.feat_dim, p.seed)
+    plan = _shard_plan(p.nodes, p.feat_dim, p.seed, p.parts)
     geoms = part_geometries(dataset.graph, plan, dataset.train_idx)
-    gpus = 1 if offload else parts
+    gpus = 1 if p.offload else p.parts
     system = MultiGPUSystem(gpus, sim)
     for dev in system.devices:
         dev.memory.strict = strict
@@ -709,25 +679,21 @@ def shard_run(
     try:
         with checking(system.devices, strict), \
                 trace.session(devices=tuple(system.devices)) as tracer:
-            if offload:
-                acct = _simulate_offload(system, geoms, feat_dim, hidden,
-                                         dataset.num_classes, epochs, tracer)
-            else:
-                acct = _simulate_parallel(system, geoms, feat_dim, hidden,
-                                          dataset.num_classes, epochs, tracer)
+            simulate = _simulate_offload if p.offload else _simulate_parallel
+            acct = simulate(system, geoms, p.feat_dim, p.hidden,
+                            dataset.num_classes, p.epochs, tracer)
             timeline = tracer.timeline()
     finally:
         for dev in system.devices:
             dev.memory.strict = False
             dev.memory.clock = None
     losses = []
-    if mode == "numeric":
-        losses = train_numeric(dataset, plan, hidden, epochs, lr,
-                               seed)["losses"]
-    report = build_shard_report(
-        key, name, mode, parts, gpus, offload, nodes, feat_dim, hidden,
-        dataset.num_classes, epochs, lr, seed, dataset.graph, plan, geoms,
-        acct, system, losses, timeline)
+    if p.mode == "numeric":
+        losses = train_numeric(dataset, plan, p.hidden, p.epochs, LR,
+                               p.seed)["losses"]
+    report = build_shard_report(key, p, gpus, dataset.num_classes,
+                                dataset.graph, plan, geoms, acct, system,
+                                losses, timeline)
     for dev in system.devices:
         metrics.collect_device(dev)
     metrics.collect_report("shard", report)

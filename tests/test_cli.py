@@ -1,5 +1,6 @@
 """The ``python -m repro`` command table: the parse step alone against
 junk values (every option, then a fuzz), explicit ``--epochs`` honored,
+options a form does not read and ``--nodes`` below its bound rejected,
 happy paths of ``trace``, ``shard`` and ``memstats``, and the device
 gauges every ``--metrics-output`` run writes."""
 
@@ -7,6 +8,7 @@ import argparse
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.profiling import trace
 from tests.cli_helpers import run_cli
 
 PARSER = cli.build_parser()
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 (_COMMANDS,) = [action for action in PARSER._actions
                 if isinstance(action, argparse._SubParsersAction)]
 OWN = {name: sorted({flag for action in sub._actions
@@ -100,6 +103,53 @@ def test_shard_named_config_digest_is_stable(capsys):
     digests = [[line for line in res.out.splitlines()
                 if "shard digest" in line] for res in (first, second)]
     assert digests[0] and digests[0] == digests[1]
+
+
+def test_shard_named_config_fills_an_option_left_unset(capsys,
+                                                      monkeypatch):
+    from repro.train import sharded
+
+    config = dict(sharded.SHARD_GOLDEN_CONFIGS["ARGA-P2"], epochs=1)
+    monkeypatch.setitem(sharded.SHARD_GOLDEN_CONFIGS, "ARGA-P2", config)
+    res = run_cli(["shard", "arga-p2"], capsys)
+    assert res.code == 0
+    assert "epochs=1)" in res.out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["sample", "arga", "--epochs", "1", "--baseline",
+      str(BENCHMARKS / "sample_baseline.json"), "--jobs", "4", "--no-cache"],
+     ["--jobs", "--no-cache", "--baseline"]),
+    (["shard", "arga-p2", "--epochs", "1", "--baseline",
+      str(BENCHMARKS / "shard_baseline.json"), "--jobs", "3"],
+     ["--jobs", "--baseline"]),
+    (["sample", "--nodes", "1000"], ["--nodes"]),
+    (["sample", "--strict"], ["--strict"]),
+    (["shard", "--epochs", "1"], ["--epochs"]),
+    (["shard", "--parts", "2"], ["--parts"]),
+    (["shard", "--offload"], ["--offload"]),
+    (["shard", "--nodes", "1000"], ["--nodes"]),
+    (["shard", "--feat-dim", "8"], ["--feat-dim"]),
+    (["shard", "--strict"], ["--strict"]),
+])
+def test_a_form_rejects_an_option_it_does_not_read(argv, unread, capsys,
+                                                   tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(argv, capsys)
+    assert res.code == 2
+    assert f"workload key: {' '.join(unread)}" in res.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sample", "shard"])
+def test_nodes_below_the_class_count_exits_2_naming_it(command, capsys,
+                                                       tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    res = run_cli([command, "arga", "--nodes", "7"], capsys)
+    assert res.code == 2
+    assert "argument --nodes: expected int >= 8, got '7'" in res.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shard_option_overrides_named_config(capsys):

@@ -29,7 +29,7 @@ def test_missing_update_tamper(fam, tmp_path, monkeypatch, capsys):
 
     snapshot = golden.load(fam.name, key)
     field = next(f for f in sorted(snapshot) if type(snapshot[f]) is int
-                 and f not in (*fam.recorded, "version"))
+                 and f not in (*fam.defaults, "version"))
     snapshot.update({field: snapshot[field] + 1, fam.digest: "0" * 64})
     golden.save(fam.name, key, snapshot)
     res = run_cli(argv, capsys)

@@ -16,7 +16,6 @@ from repro.train.loader import (
     make_sample_engine,
     sample_run,
     sampler_cost_s,
-    validate_sample_config,
 )
 from repro.train.trainer import Trainer
 
@@ -62,18 +61,6 @@ class TestNeighborLoader:
         large = loader.sample_blocks(np.arange(40), rng)
         assert sampler_cost_s(large) > sampler_cost_s(small)
         assert sampler_cost_s([]) == SAMPLE_COST_PER_BATCH_S
-
-    def test_validate_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            validate_sample_config((), 64, 2, 1)
-        with pytest.raises(ValueError):
-            validate_sample_config((0, 5), 64, 2, 1)
-        with pytest.raises(ValueError):
-            validate_sample_config((10,), 0, 2, 1)
-        with pytest.raises(ValueError):
-            validate_sample_config((10,), 64, -1, 1)
-        with pytest.raises(ValueError):
-            validate_sample_config((10,), 64, 2, 0)
 
 
 class TestHashedFeatures:

@@ -33,7 +33,7 @@ def _dataset():
 
 def _plan(parts):
     return sharded._shard_plan(SMALL["nodes"], SMALL["feat_dim"],
-                               SMALL["seed"], parts, "bfs", 1.05)
+                               SMALL["seed"], parts)
 
 
 class TestNumericEquivalence:
@@ -131,6 +131,6 @@ class TestNamedConfigResolution:
         report, _ = shard_run("ARGA-P2", epochs=1)
         assert report["parts"] == 2
         bare, _ = shard_run("ARGA", nodes=768, epochs=1)
-        assert bare["parts"] == sharded.SHARD_DEFAULTS["parts"]
-        assert bare["feat_dim"] == sharded.SHARD_DEFAULTS["feat_dim"]
+        assert bare["parts"] == sharded.SHARD_PARAMS["parts"].default
+        assert bare["feat_dim"] == sharded.SHARD_PARAMS["feat_dim"].default
         assert bare["name"] == "ARGA-P4"
